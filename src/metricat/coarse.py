@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import PreconditionError
 from .fincat import FiniteCategory
@@ -82,35 +81,28 @@ def arrow_compose_sets(cat: FiniteCategory, e1: frozenset[int], e2: frozenset[in
     contribute nothing (the composition of generators with nothing in
     common is the empty set, not an error).
     """
+    arrows, out_of, comp = cat.arrows, cat.adjacency.out, cat.composition
     out = set()
     for f2 in e2:
-        c2 = cat.arrows[f2].cod
-        for f1 in e1:
-            if cat.arrows[f1].dom == c2:
-                out.add(cat.compose(f2, f1))
+        out.update([comp[(f2, f1)] for f1 in out_of.get(arrows[f2].cod, ()) if f1 in e1])
     return frozenset(out)
 
 
 def arrow_star(cat: FiniteCategory, e: frozenset[int]) -> frozenset[int]:
     """Arrows completing some member of e to another member, on either side:
     {psi : exists phi in e with psi after phi in e} union
-    {psi : exists phi in e with phi after psi in e}."""
+    {psi : exists phi in e with phi after psi in e}.
+
+    Only the neighbours of members are candidates: psi after phi needs
+    dom psi == cod phi, phi after psi needs cod psi == dom phi."""
+    arrows, adj, comp = cat.arrows, cat.adjacency, cat.composition
     out = set()
-    for psi in range(len(cat.arrows)):
-        pa = cat.arrows[psi]
-        hit = False
-        for phi in e:
-            ph = cat.arrows[phi]
-            # psi after phi
-            if ph.cod == pa.dom and cat.compose(phi, psi) in e:
-                hit = True
-                break
-            # phi after psi
-            if pa.cod == ph.dom and cat.compose(psi, phi) in e:
-                hit = True
-                break
-        if hit:
-            out.add(psi)
+    for phi in e:
+        ph = arrows[phi]
+        out.update([psi for psi in adj.out.get(ph.cod, ())
+                    if psi not in out and comp[(phi, psi)] in e])
+        out.update([psi for psi in adj.into.get(ph.dom, ())
+                    if psi not in out and comp[(psi, phi)] in e])
     return frozenset(out)
 
 
@@ -177,15 +169,21 @@ class CoarseGenerators:
 
 def bounded_generators(space: Metric1Space) -> CoarseGenerators:
     """E_n = arrows of weight at most n; constant once n clears the largest
-    finite weight.  Infinite-weight arrows belong to no E_n."""
-    finite = [w.finite for w in space.w if not w.is_infinite]
-    last = max((math.ceil(f) for f in finite), default=0)
+    finite weight.  Infinite-weight arrows belong to no E_n.
+
+    For an integer n, w <= n exactly when ceil(w) <= n, so each arrow joins
+    the family at the ceiling of its weight."""
+    entering: dict[int, list[int]] = {}
+    for a in space.category.arrows:
+        w = space.w[a.id]
+        if not w.is_infinite:
+            entering.setdefault(math.ceil(w.finite), []).append(a.id)
+    last = max(entering, default=0)
     sets = []
+    members: set[int] = set()
     for n in range(last + 1):
-        bound = Weight(Fraction(n))
-        sets.append(
-            frozenset(a.id for a in space.category.arrows if space.w[a.id] <= bound)
-        )
+        members.update(entering.get(n, ()))
+        sets.append(frozenset(members))
     return CoarseGenerators(space.category, tuple(sets), last)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import PreconditionError
+from .errors import PreconditionError, TheoremViolation
 from .fincat import Functor
 from .limits import (
     EXACT_YES,
@@ -45,7 +45,8 @@ class ContinuityVerdict:
     witness: tuple | None = None
 
     def __post_init__(self):
-        assert (self.witness is not None) == (not self.holds)
+        if (self.witness is not None) != (not self.holds):
+            raise TheoremViolation(f"{self.kind} verdict: a witness must come exactly with a failure")
 
 
 def factorizations(space: Metric1Space, psi: int) -> list[tuple[int, int]]:
@@ -236,14 +237,15 @@ class CompactnessCertificate:
         cone = EssentialCone(0, cod, EventuallyPeriodic((), (cat.identity[cod],)))
         cert = check_forward_limiting_cone(self.space, sub, cone)
         if cert.verdict != EXACT_YES:
-            raise AssertionError("constant subsequence failed to certify: " + cert.detail)
+            raise TheoremViolation("constant subsequence failed to certify: " + cert.detail)
         return SubsequenceWitness(first, arr.cycle, sub, cone, cert)
 
     def backward_subsequence_witness(self, seq) -> SubsequenceWitness:
         from .weights import opposite_space
         from .limits import BackwardSequence
 
-        assert isinstance(seq, BackwardSequence)
+        if not isinstance(seq, BackwardSequence):
+            raise TheoremViolation(f"backward subsequence witness asked for a {type(seq).__name__}")
         op_cert = CompactnessCertificate(opposite_space(self.space))
         return op_cert.subsequence_witness(ForwardSequence(seq.base, seq.arrows))
 

@@ -3,13 +3,22 @@
 A category is stored as dense object/arrow lists, an identity assignment and
 a composition table keyed by composable pairs.  The stored order is
 diagrammatic: ``composition[(f, g)]`` is the arrow "g after f", rendered as
-g∘f.  All validators are exhaustive; at the sizes this library targets there
-is no reason to be cleverer than that.
+g∘f.
+
+A category is frozen, and on first use it builds one adjacency index over
+its arrow tuple: the arrows out of and into each object and the hom-sets.
+The index depends on the arrows alone, so it never goes stale.  Every pair
+scan walks it: composable pairs are found as (f, each arrow out of cod f),
+and associativity runs over composable triples, never over all m² pairs or
+pairs × m.  All validators stay exhaustive and list their findings in
+lexicographic arrow-id order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+
+from .errors import TheoremViolation
 
 
 @dataclass(frozen=True)
@@ -66,7 +75,31 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-@dataclass(eq=True)
+@dataclass(frozen=True)
+class Adjacency:
+    """Arrow ids grouped by endpoint, each group in arrow order."""
+
+    out: dict[int, tuple[int, ...]]  # object -> arrows with that domain
+    into: dict[int, tuple[int, ...]]  # object -> arrows with that codomain
+    hom: dict[tuple[int, int], tuple[int, ...]]  # (dom, cod) -> sorted arrow ids
+
+    @classmethod
+    def of(cls, arrows: tuple[Arrow, ...]) -> "Adjacency":
+        out: dict[int, list[int]] = {}
+        into: dict[int, list[int]] = {}
+        hom: dict[tuple[int, int], list[int]] = {}
+        for a in arrows:
+            out.setdefault(a.dom, []).append(a.id)
+            into.setdefault(a.cod, []).append(a.id)
+            hom.setdefault((a.dom, a.cod), []).append(a.id)
+        return cls(
+            {x: tuple(v) for x, v in out.items()},
+            {y: tuple(v) for y, v in into.items()},
+            {k: tuple(sorted(v)) for k, v in hom.items()},
+        )
+
+
+@dataclass(frozen=True)
 class FiniteCategory:
     """Objects, arrows, identities, and a total table on composable pairs."""
 
@@ -87,27 +120,27 @@ class FiniteCategory:
         return a.dom == a.cod and self.identity.get(a.dom) == aid
 
     @cached_property
-    def hom_table(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        table: dict[tuple[int, int], list[int]] = {}
-        for a in self.arrows:
-            table.setdefault((a.dom, a.cod), []).append(a.id)
-        return {k: tuple(sorted(v)) for k, v in table.items()}
+    def adjacency(self) -> Adjacency:
+        """Built on first use; ``cached_property`` stores it past the frozen
+        ``__setattr__``."""
+        return Adjacency.of(self.arrows)
 
     def hom(self, x: int, y: int) -> tuple[int, ...]:
-        return self.hom_table.get((x, y), ())
+        return self.adjacency.hom.get((x, y), ())
 
     def arrows_from(self, x: int) -> tuple[int, ...]:
-        return tuple(a.id for a in self.arrows if a.dom == x)
+        return self.adjacency.out.get(x, ())
 
     def arrows_to(self, y: int) -> tuple[int, ...]:
-        return tuple(a.id for a in self.arrows if a.cod == y)
+        return self.adjacency.into.get(y, ())
 
     def composable_pairs(self):
         """All (f, g) with cod f == dom g, in lexicographic id order."""
+        out = self.adjacency.out
         for f in self.arrows:
-            for g in self.arrows:
-                if f.cod == g.dom:
-                    yield f.id, g.id
+            fid = f.id
+            for g in out.get(f.cod, ()):
+                yield fid, g
 
     def structural_errors(self) -> list[str]:
         errs: list[str] = []
@@ -156,24 +189,35 @@ def validate_category(cat: FiniteCategory) -> ValidationReport:
         if ida.dom != x or ida.cod != x:
             out.append(f"identity of object {x} is {ida}, not an endomorphism of {x}")
 
+    # Past the structural checks, ids are dense (an id is its position) and
+    # every id in the table is in range.
+    arrows = cat.arrows
+    out_of = cat.adjacency.out
     comp = cat.composition
-    for f in cat.arrows:
-        for g in cat.arrows:
-            key = (f.id, g.id)
-            if f.cod == g.dom:
-                if key not in comp:
-                    out.append(f"composable pair ({f}, {g}) missing from composition table")
-                else:
-                    h = cat.arrows[comp[key]]
-                    if h.dom != f.dom or h.cod != g.cod:
-                        out.append(f"composite of ({f}, {g}) is {h}; endpoints must be {f.dom}->{g.cod}")
-            elif key in comp:
+    stray: dict[int, list[int]] = {}  # f -> g for table entries with cod f != dom g
+    for f, g in comp:
+        if arrows[f].cod != arrows[g].dom:
+            stray.setdefault(f, []).append(g)
+    for f in arrows:
+        following = out_of.get(f.cod, ())
+        if f.id in stray:
+            following = sorted((*following, *stray[f.id]))
+        for gid in following:
+            g = arrows[gid]
+            key = (f.id, gid)
+            if f.cod != g.dom:
                 out.append(f"composition table defined on non-composable pair ({f}, {g})")
+            elif key not in comp:
+                out.append(f"composable pair ({f}, {g}) missing from composition table")
+            else:
+                h = arrows[comp[key]]
+                if h.dom != f.dom or h.cod != g.cod:
+                    out.append(f"composite of ({f}, {g}) is {h}; endpoints must be {f.dom}->{g.cod}")
     if out:
         # neutrality/associativity below would chase missing table entries
         return report
 
-    for a in cat.arrows:
+    for a in arrows:
         lid = cat.identity[a.dom]
         rid = cat.identity[a.cod]
         if comp[(lid, a.id)] != a.id:
@@ -181,20 +225,20 @@ def validate_category(cat: FiniteCategory) -> ValidationReport:
         if comp[(a.id, rid)] != a.id:
             out.append(f"neutrality fails: id_{a.cod} after {a} is arrow {comp[(a.id, rid)]}")
 
-    for f in cat.arrows:
-        for g in cat.arrows:
-            if f.cod != g.dom:
-                continue
-            fg = comp[(f.id, g.id)]
-            for h in cat.arrows:
-                if g.cod != h.dom:
-                    continue
-                gh = comp[(g.id, h.id)]
-                if comp[(fg, h.id)] != comp[(f.id, gh)]:
-                    out.append(
-                        f"associativity fails on ({f.id},{g.id},{h.id}): "
-                        f"{comp[(fg, h.id)]} != {comp[(f.id, gh)]}"
-                    )
+    # Associativity over composable triples (f, g, h), in lexicographic
+    # order.  after[f] maps each g out of cod f to g∘f; the keys of after[g]
+    # and after[g∘f] are both the arrows out of cod g, in the same order, so
+    # one tuple comparison settles all h at once: (h∘g)∘f against h∘(g∘f).
+    after = [{g: comp[(f.id, g)] for g in out_of.get(f.cod, ())} for f in arrows]
+    composites = [tuple(row.values()) for row in after]
+    for f in arrows:
+        row_f = after[f.id]
+        for g, fg in row_f.items():
+            if composites[fg] != tuple(map(row_f.__getitem__, composites[g])):
+                for h, gh in after[g].items():
+                    left, right = after[fg][h], row_f[gh]
+                    if left != right:
+                        out.append(f"associativity fails on ({f.id},{g},{h}): {left} != {right}")
     return report
 
 
@@ -368,10 +412,11 @@ def validate_transformation(t: NatTransformation) -> ValidationReport:
             )
     if report.fatal:
         return report
+    table, comps, f_map, g_map = dst.composition, t.components, t.F.arr_map, t.G.arr_map
     for a in src.arrows:
         # naturality square: G(a) after component(dom) == component(cod) after F(a)
-        left = dst.compose(t.components[a.dom], t.G.arr_map[a.id])
-        right = dst.compose(t.F.arr_map[a.id], t.components[a.cod])
+        left = table[(comps[a.dom], g_map[a.id])]
+        right = table[(f_map[a.id], comps[a.cod])]
         if left != right:
             report.violations.append(f"naturality square fails at arrow {a.id}")
     return report
@@ -394,7 +439,7 @@ def vertical_compose(alpha: NatTransformation, beta: NatTransformation) -> NatTr
     result = NatTransformation(alpha.F, beta.G, comps)
     rep = validate_transformation(result)
     if not rep.ok:
-        raise AssertionError(
+        raise TheoremViolation(
             "vertical composite of natural transformations failed naturality: "
             + "; ".join(rep.all_messages())
         )

@@ -155,7 +155,7 @@ def find_natural_contractions(
     for nc in out:
         rep = validate_transformation(_as_transformation(nc))
         if not rep.ok:
-            raise AssertionError("enumerated contraction failed validation: " + rep.summary())
+            raise TheoremViolation("enumerated contraction failed validation: " + rep.summary())
     return out
 
 

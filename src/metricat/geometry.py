@@ -34,7 +34,7 @@ from fractions import Fraction
 from .errors import PreconditionError, SizeGuardError, TheoremViolation
 from .fincat import Arrow, FiniteCategory, Obj, ValidationReport
 from .metricspace import FiniteMetricSpace, shortest_path_repair
-from .weight import Weight
+from .weight import Weight, common_denominator
 from .weights import Metric1Space, validate_metric1
 
 GH_POINT_GUARD = 6
@@ -176,7 +176,8 @@ def lipschitz_distance(x: FiniteMetricSpace, y: FiniteMetricSpace) -> Fraction:
         raise PreconditionError("no bijections between spaces of different sizes")
     slice_ = bilip_slice([x, y])
     best = slice_.lawvere_factor(0, 1)
-    assert best is not None
+    if best is None:
+        raise TheoremViolation("equal-size spaces have a bijection, but the slice holds none")
     return best
 
 
@@ -194,12 +195,7 @@ def hausdorff_distance(space: FiniteMetricSpace, a: list[int], b: list[int]) -> 
 
 
 def _common_scale(x: FiniteMetricSpace, y: FiniteMetricSpace) -> int:
-    scale = 1
-    for space in (x, y):
-        for row in space.d:
-            for v in row:
-                scale = math.lcm(scale, v.denominator)
-    return scale
+    return common_denominator(v for space in (x, y) for row in space.d for v in row)
 
 
 def _int_matrix(space: FiniteMetricSpace, scale: int) -> list[list[int]]:
@@ -238,7 +234,8 @@ def _gh_correspondences(dx: list[list[int]], dy: list[list[int]]) -> int:
                     dis = max(dis, abs(dx[i][g[j]] - dy[f[i]][j]))
             if best is None or dis < best:
                 best = dis
-    assert best is not None
+    if best is None:
+        raise TheoremViolation("no correspondence between non-empty spaces was scanned")
     return best
 
 
@@ -311,7 +308,8 @@ def _gh_gluings(dx: list[list[int]], dy: list[list[int]]) -> Fraction:
                         break
             if best2 is None or worst < best2:
                 best2 = worst
-    assert best2 is not None
+    if best2 is None:
+        raise TheoremViolation("no gluing pattern between non-empty spaces was scanned")
     return Fraction(best2, 2)
 
 

@@ -88,10 +88,18 @@ def category_to_json(cat: FiniteCategory) -> dict:
 
 
 def space_from_json(data) -> Metric1Space:
+    """A weighted category.  Its composition table must cover every
+    composable pair, because every weight check reads the composite."""
     _require(isinstance(data, dict), "weighted category must be an object")
     _require("category" in data, "weighted category is missing 'category'")
     _require("weights" in data, "weighted category is missing 'weights'")
     cat = category_from_json(data["category"])
+    for f in cat.arrows:
+        for g in cat.arrows_from(f.cod):
+            if (f.id, g) not in cat.composition:
+                raise InputFormatError(
+                    f"composition table has no entry for the composable pair ({f.id}, {g})"
+                )
     try:
         weights = {int(k): Weight.parse(v) for k, v in data["weights"].items()}
     except ValueError as exc:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import PreconditionError
+from .errors import PreconditionError, TheoremViolation
 from .fincat import Functor
 from .weight import ZERO
 from .weights import Metric1Space, opposite_space
@@ -497,7 +497,7 @@ def series_converges(
         cone = EssentialCone(0, apex, EventuallyPeriodic(tuple(legs_before), tuple(tail)))
         cert = check_series_limit(space, series, cone)
         if cert.verdict != EXACT_YES:
-            raise AssertionError("constructed cone failed re-verification: " + cert.detail)
+            raise TheoremViolation("constructed cone failed re-verification: " + cert.detail)
         return cert, cone
     return (
         LimitCertificate(EXACT_NO, detail="no apex admits a periodic system of zero-weight legs"),

@@ -203,15 +203,14 @@ def mapping_space(
         ident = identity_transformation(F)
         identity[i] = key_to_id[(i, i, tuple(sorted(ident.components.items())))]
     composition = {}
+    cat = FiniteCategory(objs, arrs, identity, composition)
+    # the table is filled in place; the index depends on the arrows alone
     for a, ta in enumerate(transformations):
-        for b, tb in enumerate(transformations):
-            if arrow_meta[a][1] != arrow_meta[b][0]:
-                continue
-            comp = vertical_compose(ta, tb)
+        for b in cat.arrows_from(arrow_meta[a][1]):
+            comp = vertical_compose(ta, transformations[b])
             cid = key_to_id[
                 (arrow_meta[a][0], arrow_meta[b][1], tuple(sorted(comp.components.items())))
             ]
             composition[(a, b)] = cid
-    cat = FiniteCategory(objs, arrs, identity, composition)
     weights = tuple(nat_weight(t, Y) for t in transformations)
     return MappingSpace(Metric1Space(cat, weights), funs, transformations, X, Y)

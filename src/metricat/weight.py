@@ -8,6 +8,8 @@ callers must treat the both-infinite case as "no lower bound" themselves
 """
 from __future__ import annotations
 
+import math
+from collections.abc import Iterable
 from fractions import Fraction
 
 
@@ -120,3 +122,18 @@ class Weight:
 
 ZERO = Weight(0)
 INF = Weight(None)
+
+
+def common_denominator(values: Iterable[Fraction]) -> int:
+    """The least positive integer that scales every value to an integer:
+    the lcm of the denominators (1 for no values)."""
+    return math.lcm(*(v.denominator for v in values))
+
+
+def integer_weights(weights: Iterable[Weight]) -> list[int | None]:
+    """The weights times their common denominator, with None marking
+    infinity.  Sums, differences and comparisons of the integers are those
+    of the weights, exactly."""
+    values = [w._v for w in weights]
+    scale = common_denominator(v for v in values if v is not None)
+    return [None if v is None else v.numerator * (scale // v.denominator) for v in values]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .errors import PreconditionError
 from .fincat import FiniteCategory, ValidationReport, indiscrete, opposite
 from .metricspace import FiniteMetricSpace
-from .weight import INF, ZERO, Weight
+from .weight import INF, ZERO, Weight, integer_weights
 
 
 @dataclass(eq=True)
@@ -49,24 +49,15 @@ def opposite_space(space: Metric1Space) -> Metric1Space:
     return Metric1Space(opposite(space.category), space.w)
 
 
-def full_triangle_violation(a: Weight, b: Weight, c: Weight) -> str | None:
-    """None, or which half of |b - a| <= c <= a + b fails.
-
-    a, b are the leg weights, c is the composite's.  Both legs infinite
-    means no lower bound.
-    """
-    if c > a + b:
-        return "upper"
-    if a.is_infinite and b.is_infinite:
-        return None
-    if Weight.abs_diff(a, b) > c:
-        return "lower"
-    return None
-
-
 def validate_metric1(space: Metric1Space) -> ValidationReport:
     """List every reflexivity failure and every composable pair violating
-    either half of the full triangle inequality."""
+    either half of the full triangle inequality.
+
+    The check runs on the weights scaled to integers by their common
+    denominator (None marks infinity), so it is exact and builds no
+    ``Weight``.  A composable pair missing from the composition table is
+    fatal; the pairs that are present are still checked.
+    """
     report = ValidationReport(subject="metric 1-space")
     cat = space.category
     report.fatal = cat.structural_errors()
@@ -75,22 +66,30 @@ def validate_metric1(space: Metric1Space) -> ValidationReport:
     if report.fatal:
         return report
     out = report.violations
+    w = space.w
+    s = integer_weights(w)
     for x in range(len(cat.objects)):
-        wid = space.w[cat.identity[x]]
-        if wid != ZERO:
-            out.append(f"reflexivity: w(id_{x}) = {wid} != 0")
-    for f, g in cat.composable_pairs():
-        a, b = space.w[f], space.w[g]
-        c = space.w[cat.compose(f, g)]
-        side = full_triangle_violation(a, b, c)
-        if side == "upper":
-            out.append(
-                f"full triangle (upper) on ({f},{g}): w = {c} > {a} + {b}"
-            )
-        elif side == "lower":
-            out.append(
-                f"full triangle (lower) on ({f},{g}): |{b} - {a}| > w = {c}"
-            )
+        if s[cat.identity[x]] != 0:
+            out.append(f"reflexivity: w(id_{x}) = {w[cat.identity[x]]} != 0")
+    comp = cat.composition
+    for pair in cat.composable_pairs():
+        h = comp.get(pair)
+        if h is None:
+            report.fatal.append(f"composable pair {pair} missing from composition table")
+            continue
+        f, g = pair
+        a, b, c = s[f], s[g], s[h]
+        if a is not None and b is not None:
+            if c is None or c > a + b:
+                out.append(f"full triangle (upper) on ({f},{g}): w = {w[h]} > {w[f]} + {w[g]}")
+                continue
+            lower = abs(a - b) > c
+        else:
+            # a + b is infinite, so only the lower half can fail: with one
+            # leg infinite, |b - a| is infinite against a finite composite
+            lower = (a is None) != (b is None) and c is not None
+        if lower:
+            out.append(f"full triangle (lower) on ({f},{g}): |{w[g]} - {w[f]}| > w = {w[h]}")
     return report
 
 

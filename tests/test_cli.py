@@ -216,3 +216,21 @@ def test_deterministic_output(tmp_path, capsys):
     one = capsys.readouterr().out
     assert main(["--format", "json", "lawvere", path]) == 0
     assert capsys.readouterr().out == one
+
+
+def test_incomplete_composition_table(tmp_path, capsys):
+    # a weighted document lacking a composable pair is an input error for
+    # every subcommand that reads weights; a bare category is reported
+    payload = jsonio.space_to_json(symmetric_fixture())
+    payload["category"]["compose"] = [
+        entry for entry in payload["category"]["compose"] if entry[:2] != [2, 0]
+    ]
+    path = write(tmp_path, "incomplete.json", payload)
+    for command in ("lawvere", "dagger", "validate"):
+        assert main([command, path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "(2, 0)" in err
+    bare = write(tmp_path, "bare.json", payload["category"])
+    assert main(["--format", "json", "validate", bare]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert len(data["category"]) == 1 and "missing from composition table" in data["category"][0]

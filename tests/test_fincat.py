@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -14,6 +15,7 @@ from metricat import (
     indiscrete,
     is_groupoid,
     opposite,
+    TheoremViolation,
     terminal_category,
     validate_category,
     validate_functor,
@@ -209,3 +211,28 @@ def test_naturality_violation_detected():
     # component id: naturality square needs id*alpha == alpha*g, i.e. g = id
     bad = NatTransformation(ident, collapse, {0: 0})
     assert not validate_transformation(bad).ok
+
+
+def test_vertical_compose_raises_theorem_violation_on_non_natural_alpha():
+    # two parallel arrows f, g: 0 -> 1; F sends the free arrow to f, G to g,
+    # and identity components make the square g∘id = id∘f fail
+    free = support.free_arrow_category()
+    parallel = build_category(2, [(0, 1, "f"), (0, 1, "g")])
+    F = Functor(free, parallel, {0: 0, 1: 1}, {0: 0, 1: 1, 2: 2})
+    G = Functor(free, parallel, {0: 0, 1: 1}, {0: 0, 1: 1, 2: 3})
+    alpha = NatTransformation(F, G, {0: 0, 1: 1})
+    assert not validate_transformation(alpha).ok
+    with pytest.raises(TheoremViolation, match="naturality"):
+        vertical_compose(alpha, identity_transformation(G))
+
+
+def test_category_is_frozen_and_indexes_its_arrows():
+    cat = support.one_sided_space().category
+    with pytest.raises(FrozenInstanceError):
+        cat.composition = {}
+    for x in range(len(cat.objects)):
+        assert cat.arrows_from(x) == tuple(a.id for a in cat.arrows if a.dom == x)
+        assert cat.arrows_to(x) == tuple(a.id for a in cat.arrows if a.cod == x)
+        for y in range(len(cat.objects)):
+            assert cat.hom(x, y) == tuple(a.id for a in cat.arrows if (a.dom, a.cod) == (x, y))
+    assert cat.arrows_from(99) == cat.arrows_to(99) == cat.hom(0, 99) == ()

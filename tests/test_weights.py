@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from metricat import (
+    FiniteCategory,
     FiniteMetricSpace,
     Metric1Space,
     PreconditionError,
@@ -178,3 +179,38 @@ def test_weight_table_must_cover_arrows():
     cat = indiscrete(2)
     with pytest.raises(PreconditionError):
         Metric1Space.from_weights(cat, [0, 1, 1])
+
+
+def test_missing_composite_is_fatal_not_a_key_error():
+    # line space 0 -- 1 with the pair (psi, phi) dropped from the table
+    sp = support.line_space([0, 2])
+    cat = sp.category
+    psi, phi = cat.hom(0, 1)[0], cat.hom(1, 0)[0]
+    table = {k: v for k, v in cat.composition.items() if k != (psi, phi)}
+    broken = Metric1Space(FiniteCategory(cat.objects, cat.arrows, cat.identity, table), sp.w)
+    report = validate_metric1(broken)
+    assert report.fatal == [f"composable pair ({psi}, {phi}) missing from composition table"]
+    assert not report.violations
+
+
+def test_triangle_check_is_exact_on_mixed_denominators_and_infinity():
+    # weights 1/3 and 1/2 scale to 2 and 3 over the common denominator 6;
+    # the composite must lie in [1/6, 5/6], and inf only against inf legs
+    cat = support.chain_space([Fraction(1, 3), Fraction(1, 2)]).category
+    legs = [0, 0, 0, Fraction(1, 3), None, Fraction(1, 2)]
+    for composite, expect in [(Fraction(5, 6), None), (Fraction(1, 6), None),
+                              (Fraction(6, 7), "upper"), (Fraction(1, 7), "lower"),
+                              ("inf", "upper")]:
+        weights = list(legs)
+        weights[4] = composite
+        report = validate_metric1(Metric1Space.from_weights(cat, weights))
+        assert _triangle_sides(report) == ([] if expect is None else [expect])
+    both_infinite = support.chain_space(["inf", "inf"])
+    assert validate_metric1(both_infinite).ok
+    one_infinite = Metric1Space.from_weights(both_infinite.category, [0, 0, 0, "inf", 5, 1])
+    assert _triangle_sides(validate_metric1(one_infinite)) == ["lower"]
+
+
+def _triangle_sides(report) -> list[str]:
+    # "full triangle (upper) on (f,g): ..." -> "upper"
+    return [v.split()[2].strip("()") for v in report.violations]
