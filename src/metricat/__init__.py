@@ -21,6 +21,7 @@ from .fincat import (
     indiscrete,
     is_groupoid,
     opposite,
+    opposite_functor,
     terminal_category,
     validate_category,
     validate_functor,
@@ -70,6 +71,7 @@ __all__ = [
     "lawvere",
     "line_metric",
     "opposite",
+    "opposite_functor",
     "opposite_space",
     "terminal_category",
     "validate_category",

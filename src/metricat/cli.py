@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import coarse, continuity, dagger, fixedpoint, geometry, jsonio, limits, mapping, weights
 from .errors import InputFormatError, PreconditionError, SizeGuardError
-from .fincat import validate_category, validate_functor
+from .fincat import opposite_functor, validate_category, validate_functor
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -160,20 +160,22 @@ def cmd_continuity(args) -> int:
     if not rep.ok:
         _emit(args, {"error": rep.all_messages()}, [rep.summary()])
         return EXIT_INVALID
+    # backward verdicts are forward ones of the opposite functor and spaces
+    op_fun, op_X, op_Y = opposite_functor(fun), weights.opposite_space(X), weights.opposite_space(Y)
     verdicts = {"uniform": continuity.uniformly_continuous(fun, X, Y).holds}
     for o in range(len(X.category.objects)):
         verdicts[f"forward-at-object-{o}"] = continuity.object_continuity(
             fun, X, Y, o, continuity.FORWARD
         ).holds
         verdicts[f"backward-at-object-{o}"] = continuity.object_continuity(
-            fun, X, Y, o, continuity.BACKWARD
+            op_fun, op_X, op_Y, o, continuity.FORWARD
         ).holds
     for a in range(len(X.category.arrows)):
         verdicts[f"forward-at-arrow-{a}"] = continuity.forward_continuous_at_arrow(
             fun, X, Y, a
         ).holds
-        verdicts[f"backward-at-arrow-{a}"] = continuity.backward_continuous_at_arrow(
-            fun, X, Y, a
+        verdicts[f"backward-at-arrow-{a}"] = continuity.forward_continuous_at_arrow(
+            op_fun, op_X, op_Y, a
         ).holds
     all_hold = all(verdicts.values())
     _emit(
@@ -187,18 +189,20 @@ def cmd_continuity(args) -> int:
 def cmd_fixed_point(args) -> int:
     data = _load(args.input)
     for key in ("space", "functor", "start"):
-        if key not in data:
+        if not isinstance(data, dict) or key not in data:
             raise InputFormatError(f"fixed-point input needs {key!r}")
     space = jsonio.space_from_json(data["space"])
     fun = jsonio.functor_from_json(data["functor"], space.category, space.category)
+    direction = jsonio.direction_from_json(data)
+    start = jsonio.parse_index(data["start"], "'start'")
+    _require_below(start, len(space.category.objects), "start object")
+    idx = jsonio.parse_index(data.get("contraction", 0), "'contraction'")
     rep = validate_functor(fun)
     if not rep.ok:
         _emit(args, {"error": rep.all_messages()}, [rep.summary()])
         return EXIT_INVALID
-    direction = data.get("direction", "forward")
     contractions = fixedpoint.find_natural_contractions(space, fun, direction)
-    idx = int(data.get("contraction", 0))
-    if not (0 <= idx < len(contractions)):
+    if idx >= len(contractions):
         _emit(
             args,
             {"error": f"no natural contraction with index {idx} ({len(contractions)} found)"},
@@ -206,7 +210,7 @@ def cmd_fixed_point(args) -> int:
         )
         return EXIT_INVALID
     try:
-        outcome = fixedpoint.banach_iterate(space, fun, contractions[idx], int(data["start"]))
+        outcome = fixedpoint.banach_iterate(space, fun, contractions[idx], start)
     except PreconditionError as exc:
         _emit(args, {"error": str(exc)}, [str(exc)])
         return EXIT_INVALID
@@ -228,50 +232,54 @@ def cmd_fixed_point(args) -> int:
 
 def cmd_limits(args) -> int:
     data = _load(args.input)
-    if "space" not in data:
+    if not isinstance(data, dict) or "space" not in data:
         raise InputFormatError("limits input needs 'space'")
     space = jsonio.space_from_json(data["space"])
-    direction = data.get("direction", "forward")
-    backward = direction == "backward"
+    if jsonio.direction_from_json(data) == weights.BACKWARD:
+        # backward data is forward data of the opposite space (same arrow ids)
+        space = weights.opposite_space(space)
     results: dict[str, dict] = {}
     if "sequence" in data:
-        desc = jsonio.description_from_json(data["sequence"])
+        desc = _arrows_of(space, jsonio.description_from_json(data["sequence"]), "sequence")
         if "cone" not in data:
             raise InputFormatError("sequence checks need a 'cone'")
-        cone = jsonio.cone_from_json(data["cone"])
-        base = int(data.get("base", 0))
-        if backward:
-            cert = limits.check_backward_limiting_cone(
-                space, limits.BackwardSequence(base, desc), cone
-            )
-        else:
-            cert = limits.check_forward_limiting_cone(
-                space, limits.ForwardSequence(base, desc), cone
-            )
+        cone = _cone_in(space, jsonio.cone_from_json(data["cone"]))
+        base = jsonio.parse_index(data.get("base", 0), "'base'")
+        _require_below(base, len(space.category.objects), "base object")
+        cert = limits.check_forward_limiting_cone(space, limits.ForwardSequence(base, desc), cone)
         results["sequence"] = _cert_json(cert)
     elif "series" in data:
-        desc = jsonio.description_from_json(data["series"])
-        series = limits.BackwardSeries(desc) if backward else limits.ForwardSeries(desc)
-        cauchy = (
-            limits.backward_check_cauchy(space, series)
-            if backward
-            else limits.check_cauchy(space, series)
-        )
-        results["cauchy"] = _cert_json(cauchy)
+        desc = _arrows_of(space, jsonio.description_from_json(data["series"]), "series")
+        series = limits.ForwardSeries(desc)
+        results["cauchy"] = _cert_json(limits.check_cauchy(space, series))
         if "cone" in data:
-            cone = jsonio.cone_from_json(data["cone"])
-            cert = (
-                limits.backward_check_series_limit(space, series, cone)
-                if backward
-                else limits.check_series_limit(space, series, cone)
-            )
-            results["limit"] = _cert_json(cert)
+            cone = _cone_in(space, jsonio.cone_from_json(data["cone"]))
+            results["limit"] = _cert_json(limits.check_series_limit(space, series, cone))
     else:
         raise InputFormatError("limits input needs 'sequence' or 'series'")
     ok = all(r["verdict"] != limits.EXACT_NO for r in results.values())
     lines = [f"{k}: {r['verdict']}" + (f" ({r['detail']})" if r["detail"] else "") for k, r in results.items()]
     _emit(args, {"results": results, "ok": ok}, lines)
     return EXIT_OK if ok else EXIT_INVALID
+
+
+def _require_below(index: int, count: int, what: str) -> None:
+    if index >= count:
+        raise InputFormatError(f"{what} {index} is out of range: the space has {count}")
+
+
+def _arrows_of(space, desc, what: str):
+    """The description, once every arrow id in it names an arrow of the space."""
+    ids = desc.preperiod + desc.period if desc.is_exact else desc.entries
+    for aid in ids:
+        _require_below(aid, len(space.category.arrows), f"{what} arrow id")
+    return desc
+
+
+def _cone_in(space, cone):
+    _require_below(cone.apex, len(space.category.objects), "cone apex")
+    _arrows_of(space, cone.legs, "cone leg")
+    return cone
 
 
 def _cert_json(cert) -> dict:

@@ -8,16 +8,20 @@ below the smallest positive such weight makes "w(phi) < delta" mean
 "w(phi) = 0"; then "w(F phi) < epsilon for every epsilon" forces
 w(F phi) = 0.  Conversely a factorization with w(phi) = 0 and
 w(F phi) > 0 defeats every delta at epsilon = w(F phi).  The same argument
-gives the object-level and uniform criteria.  The quantifier-faithful
+gives the object-level and uniform criteria.  Only the forward criteria
+are written out: backward continuity of F (first legs instead of second,
+arrows out of an object instead of into it) is forward continuity of the
+opposite functor between the opposite spaces, and `object_continuity` and
+`series_completeness` dualise once on BACKWARD.  The quantifier-faithful
 epsilon/delta check over the finite grid of occurring weights is kept as an
-independent oracle (`epsdelta_*`).
+independent oracle (`epsdelta_*`); it spells out both directions.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .errors import PreconditionError, TheoremViolation
-from .fincat import Functor
+from .fincat import Functor, opposite_functor
 from .limits import (
     EXACT_YES,
     EssentialCone,
@@ -30,12 +34,9 @@ from .limits import (
     map_sequence,
     series_converges,
 )
-from . import limits as _limits
 from .weight import ZERO, Weight
-from .weights import Metric1Space
-
-FORWARD = "forward"
-BACKWARD = "backward"
+# BACKWARD and FORWARD are re-exported: callers name directions from here
+from .weights import BACKWARD, FORWARD, Metric1Space, is_backward, opposite_space
 
 
 @dataclass(frozen=True)
@@ -77,32 +78,15 @@ def forward_continuous_at_arrow(
     return ContinuityVerdict("forward-at-arrow", True)
 
 
-def backward_continuous_at_arrow(
-    fun: Functor, src: Metric1Space, dst: Metric1Space, psi: int
-) -> ContinuityVerdict:
-    """Dual criterion: first legs of factorizations instead of second."""
-    if not (0 <= psi < len(src.category.arrows)):
-        raise PreconditionError(f"arrow {psi} not in the functor's source")
-    for rho, _ in factorizations(src, psi):
-        if src.w[rho] == ZERO and dst.w[fun.arr_map[rho]] != ZERO:
-            return ContinuityVerdict("backward-at-arrow", False, witness=(psi, rho))
-    return ContinuityVerdict("backward-at-arrow", True)
-
-
 def object_continuity(
     fun: Functor, src: Metric1Space, dst: Metric1Space, x0: int, direction: str
 ) -> ContinuityVerdict:
-    """Forward: zero-weight arrows into x0 keep weight 0 under the functor.
-    Backward: same for arrows out of x0."""
-    cat = src.category
+    """Zero-weight arrows into x0 keep weight 0 under the functor.  Backward
+    runs this in the opposite spaces, where they are the arrows out of x0."""
     kind = f"{direction}-at-object"
-    if direction == FORWARD:
-        pool = cat.arrows_to(x0)
-    elif direction == BACKWARD:
-        pool = cat.arrows_from(x0)
-    else:
-        raise PreconditionError(f"unknown direction {direction!r}")
-    for a in pool:
+    if is_backward(direction):
+        fun, src, dst = opposite_functor(fun), opposite_space(src), opposite_space(dst)
+    for a in src.category.arrows_to(x0):
         if src.w[a] == ZERO and dst.w[fun.arr_map[a]] != ZERO:
             return ContinuityVerdict(kind, False, witness=(x0, a))
     return ContinuityVerdict(kind, True)
@@ -123,14 +107,6 @@ def forward_continuous(fun: Functor, src: Metric1Space, dst: Metric1Space) -> Co
         if not v.holds:
             return ContinuityVerdict("forward-at-arrow", False, witness=v.witness)
     return ContinuityVerdict("forward-at-arrow", True)
-
-
-def backward_continuous(fun: Functor, src: Metric1Space, dst: Metric1Space) -> ContinuityVerdict:
-    for a in src.category.arrows:
-        v = backward_continuous_at_arrow(fun, src, dst, a.id)
-        if not v.holds:
-            return ContinuityVerdict("backward-at-arrow", False, witness=v.witness)
-    return ContinuityVerdict("backward-at-arrow", True)
 
 
 # --- quantifier-faithful epsilon/delta oracle -------------------------------
@@ -240,15 +216,6 @@ class CompactnessCertificate:
             raise TheoremViolation("constant subsequence failed to certify: " + cert.detail)
         return SubsequenceWitness(first, arr.cycle, sub, cone, cert)
 
-    def backward_subsequence_witness(self, seq) -> SubsequenceWitness:
-        from .weights import opposite_space
-        from .limits import BackwardSequence
-
-        if not isinstance(seq, BackwardSequence):
-            raise TheoremViolation(f"backward subsequence witness asked for a {type(seq).__name__}")
-        op_cert = CompactnessCertificate(opposite_space(self.space))
-        return op_cert.subsequence_witness(ForwardSequence(seq.base, seq.arrows))
-
     def object_witness(self, objs: EventuallyPeriodic) -> ObjectWitness:
         cat = self.space.category
         x0 = objs.period[0]
@@ -279,19 +246,12 @@ class CompletenessVerdict:
 
 
 def series_completeness(space: Metric1Space, series, direction: str = FORWARD) -> CompletenessVerdict:
-    """Cauchy implies convergent, decided exactly for this one series."""
-    if direction == FORWARD:
-        cauchy = check_cauchy(space, series)
-        conv = series_converges(space, series)[0] if cauchy.verdict == EXACT_YES else None
-    elif direction == BACKWARD:
-        cauchy = _limits.backward_check_cauchy(space, series)
-        conv = (
-            _limits.backward_series_converges(space, series)[0]
-            if cauchy.verdict == EXACT_YES
-            else None
-        )
-    else:
-        raise PreconditionError(f"unknown direction {direction!r}")
+    """Cauchy implies convergent, decided exactly for this one series.
+    Backward reads the series in the opposite space."""
+    if is_backward(direction):
+        space = opposite_space(space)
+    cauchy = check_cauchy(space, series)
+    conv = series_converges(space, series)[0] if cauchy.verdict == EXACT_YES else None
     return CompletenessVerdict(direction, cauchy, conv)
 
 

@@ -12,12 +12,8 @@ from dataclasses import dataclass
 from enum import IntEnum
 
 from .errors import PreconditionError, SizeGuardError, TheoremViolation
-from .continuity import (
-    backward_continuous,
-    forward_continuous,
-    uniformly_continuous,
-)
-from .fincat import Functor, ValidationReport, is_groupoid, opposite
+from .continuity import forward_continuous, uniformly_continuous
+from .fincat import Functor, ValidationReport, is_groupoid, opposite_functor
 from .weights import Metric1Space, lawvere, opposite_space
 
 DEFAULT_GUARD = 100_000
@@ -87,14 +83,14 @@ def canonical_groupoid_dagger(space: Metric1Space) -> Dagger:
 def dagger_functor(space: Metric1Space, dag: Dagger) -> tuple[Functor, Metric1Space]:
     """The dagger as a functor into the opposite space (arrow ids are
     stable under opposition, so the arrow table is the involution itself)."""
-    op_cat = opposite(space.category)
+    op_space = opposite_space(space)
     fun = Functor(
         space.category,
-        op_cat,
+        op_space.category,
         {o.index: o.index for o in space.category.objects},
         {a.id: dag.apply(a.id) for a in space.category.arrows},
     )
-    return fun, opposite_space(space)
+    return fun, op_space
 
 
 def classify_dagger(space: Metric1Space, dag: Dagger) -> SymmetryClass:
@@ -112,9 +108,11 @@ def classify_dagger(space: Metric1Space, dag: Dagger) -> SymmetryClass:
     fun, op_space = dagger_functor(space, dag)
     if uniformly_continuous(fun, space, op_space).holds:
         return SymmetryClass.UNIFORM
+    # backward continuity is forward continuity of the opposite functor,
+    # which runs from op_space to the opposite of op_space, i.e. to space
     if (
         forward_continuous(fun, space, op_space).holds
-        and backward_continuous(fun, space, op_space).holds
+        and forward_continuous(opposite_functor(fun), op_space, space).holds
     ):
         return SymmetryClass.CONTINUOUS
     return SymmetryClass.NONE

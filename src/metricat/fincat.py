@@ -278,18 +278,20 @@ def opposite(cat: FiniteCategory) -> FiniteCategory:
     return FiniteCategory(cat.objects, arrows, dict(cat.identity), composition)
 
 
+def opposite_functor(fun: Functor) -> Functor:
+    """The same object and arrow maps between the opposite categories; an
+    endofunctor stays an endofunctor of a single opposite category."""
+    src = opposite(fun.source)
+    dst = src if fun.target is fun.source else opposite(fun.target)
+    return Functor(src, dst, fun.obj_map, fun.arr_map)
+
+
 @dataclass(eq=True)
 class Functor:
     source: FiniteCategory
     target: FiniteCategory
     obj_map: dict[int, int]
     arr_map: dict[int, int]
-
-    def apply_obj(self, x: int) -> int:
-        return self.obj_map[x]
-
-    def apply_arrow(self, aid: int) -> int:
-        return self.arr_map[aid]
 
     def key(self) -> tuple:
         """Deterministic identity among functors with the same endpoints."""
@@ -339,18 +341,6 @@ def validate_functor(fun: Functor) -> ValidationReport:
         if lhs != rhs:
             out.append(f"composition not preserved on pair ({f},{g}): {lhs} != {rhs}")
     return report
-
-
-def compose_functors(first: Functor, second: Functor) -> Functor:
-    """second after first (their target/source must line up)."""
-    if first.target is not second.source and first.target != second.source:
-        raise ValueError("functors not composable")
-    return Functor(
-        first.source,
-        second.target,
-        {x: second.obj_map[y] for x, y in first.obj_map.items()},
-        {a: second.arr_map[b] for a, b in first.arr_map.items()},
-    )
 
 
 def is_groupoid(cat: FiniteCategory) -> dict[int, int] | None:

@@ -6,15 +6,22 @@ F^2(x0), ... form a forward series; on a finite non-degenerate space with a
 genuine contraction the orbit's terminal cycle collapses to a single fixed
 object, the series is Cauchy, and the window compositions into the fixed
 object assemble a limiting cone whose first leg is the alpha-fixed arrow.
+
+A backward natural contraction (components F(c) -> c) is a forward one of
+the opposite functor on the opposite space; both the search and the
+iteration dualise a backward request once and run the forward body.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import PreconditionError, SizeGuardError, TheoremViolation
 from .continuity import uniformly_continuous
-from .fincat import FiniteCategory, Functor, NatTransformation, validate_functor, validate_transformation
+from .fincat import (
+    FiniteCategory, Functor, NatTransformation, identity_functor, opposite_functor,
+    validate_functor, validate_transformation,
+)
 from .limits import (
     EXACT_YES,
     EssentialCone,
@@ -25,10 +32,8 @@ from .limits import (
     check_series_limit,
 )
 from .weight import ZERO
-from .weights import Metric1Space, is_nondegenerate, opposite_space
+from .weights import BACKWARD, FORWARD, Metric1Space, is_backward, is_nondegenerate, opposite_space
 
-FORWARD = "forward"
-BACKWARD = "backward"
 DEFAULT_GUARD = 200_000
 
 
@@ -94,30 +99,21 @@ class NaturalContraction:
         return self.components[x]
 
 
-def _as_transformation(nc: NaturalContraction) -> NatTransformation:
-    from .fincat import identity_functor
-
-    ident = identity_functor(nc.functor.source)
-    comps = {x: nc.components[x] for x in range(len(nc.components))}
-    if nc.direction == FORWARD:
-        return NatTransformation(ident, nc.functor, comps)
-    return NatTransformation(nc.functor, ident, comps)
-
-
 def find_natural_contractions(
     space: Metric1Space, fun: Functor, direction: str = FORWARD, guard: int = DEFAULT_GUARD
 ) -> list[NaturalContraction]:
     """Exhaustive search over per-object component choices, filtered by
-    naturality and the coherence law, in lexicographic order."""
+    naturality and the coherence law, in lexicographic order.  Backward
+    contractions are the forward ones of the opposite functor."""
+    if is_backward(direction):
+        found = find_natural_contractions(opposite_space(space), opposite_functor(fun), FORWARD, guard)
+        return [NaturalContraction(BACKWARD, fun, nc.components) for nc in found]
     cat = space.category
-    if direction not in (FORWARD, BACKWARD):
-        raise PreconditionError(f"unknown direction {direction!r}")
     n = len(cat.objects)
     pools = []
     total = 1
     for x in range(n):
-        fx = fun.obj_map[x]
-        pool = cat.hom(x, fx) if direction == FORWARD else cat.hom(fx, x)
+        pool = cat.hom(x, fun.obj_map[x])
         pools.append(pool)
         total *= max(1, len(pool))
         if total > guard:
@@ -130,12 +126,8 @@ def find_natural_contractions(
     def naturality_ok(comps: list[int], upto: int) -> bool:
         for a in cat.arrows:
             if a.dom < upto and a.cod < upto:
-                if direction == FORWARD:
-                    left = cat.compose(comps[a.dom], fun.arr_map[a.id])
-                    right = cat.compose(a.id, comps[a.cod])
-                else:
-                    left = cat.compose(fun.arr_map[a.id], comps[a.cod])
-                    right = cat.compose(comps[a.dom], a.id)
+                left = cat.compose(comps[a.dom], fun.arr_map[a.id])
+                right = cat.compose(a.id, comps[a.cod])
                 if left != right:
                     return False
         return True
@@ -143,7 +135,7 @@ def find_natural_contractions(
     def rec(x: int, comps: list[int]):
         if x == n:
             if all(fun.arr_map[comps[c]] == comps[fun.obj_map[c]] for c in range(n)):
-                out.append(NaturalContraction(direction, fun, tuple(comps)))
+                out.append(NaturalContraction(FORWARD, fun, tuple(comps)))
             return
         for c in pools[x]:
             comps.append(c)
@@ -152,8 +144,9 @@ def find_natural_contractions(
             comps.pop()
 
     rec(0, [])
+    ident = identity_functor(fun.source)
     for nc in out:
-        rep = validate_transformation(_as_transformation(nc))
+        rep = validate_transformation(NatTransformation(ident, fun, dict(enumerate(nc.components))))
         if not rep.ok:
             raise TheoremViolation("enumerated contraction failed validation: " + rep.summary())
     return out
@@ -221,19 +214,11 @@ def banach_iterate(
     are stable, so the outcome needs no translation beyond the direction
     tag).
     """
-    if contraction.direction == BACKWARD:
-        op = opposite_space(space)
-        op_fun = Functor(op.category, op.category, dict(fun.obj_map), dict(fun.arr_map))
+    if is_backward(contraction.direction):
+        op_fun = opposite_functor(fun)
         fwd = NaturalContraction(FORWARD, op_fun, contraction.components)
-        outcome = banach_iterate(op, op_fun, fwd, x0)
-        return BanachOutcome(
-            AlphaFixedArrow(outcome.fixed.arrow, outcome.fixed.fixed_object, BACKWARD),
-            outcome.series,
-            outcome.cone,
-            outcome.cauchy,
-            outcome.limit,
-            outcome.steps_to_fixed,
-        )
+        outcome = banach_iterate(opposite_space(space), op_fun, fwd, x0)
+        return replace(outcome, fixed=replace(outcome.fixed, direction=BACKWARD))
 
     if contraction.functor is not fun and contraction.functor != fun:
         raise PreconditionError("natural contraction does not belong to the functor")

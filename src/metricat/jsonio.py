@@ -9,8 +9,11 @@ Category format:
 A weighted category wraps that as {"category": ..., "weights": {"0": "3/2"}}.
 Weights accept integers, decimals, rational strings like "3/2", and "inf".
 Metric spaces: {"points": ["p", "q"], "d": [[0, "3/2"], ["3/2", 0]]}.
-Sequences and series: {"preperiod": [ids], "period": [ids]}; cones add
-{"apex": obj, "startIndex": m, "legs": {...}}.
+Sequences and series: {"preperiod": [ids], "period": [ids]} with a
+non-empty period, or non-empty bounded {"entries": [ids]}; cones add
+{"apex": obj, "startIndex": m, "legs": {...}}.  Ids and indices are
+non-negative integers; whether they name arrows or objects of a space is
+checked by the caller, which has the space.
 Rationals are emitted as strings to keep round trips exact.
 """
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .fincat import Arrow, FiniteCategory, Functor, Obj
 from .limits import BoundedDescription, EssentialCone, EventuallyPeriodic
 from .metricspace import FiniteMetricSpace
 from .weight import Weight
-from .weights import Metric1Space
+from .weights import BACKWARD, FORWARD, Metric1Space
 
 
 def _require(cond: bool, msg: str):
@@ -43,6 +46,20 @@ def parse_fraction(value) -> Fraction:
     except (ValueError, ZeroDivisionError):
         pass
     raise InputFormatError(f"not a rational value: {value!r}")
+
+
+def parse_index(value, what: str) -> int:
+    """A non-negative integer: a JSON integer or a string of decimal digits."""
+    if isinstance(value, str) and value.isdecimal():
+        value = int(value)
+    _require(type(value) is int and value >= 0, f"{what} must be a non-negative integer, not {value!r}")
+    return value
+
+
+def direction_from_json(data: dict) -> str:
+    direction = data.get("direction", FORWARD)
+    _require(direction in (FORWARD, BACKWARD), f"unknown direction {direction!r}")
+    return direction
 
 
 def category_from_json(data) -> FiniteCategory:
@@ -146,23 +163,29 @@ def functor_from_json(data, source: FiniteCategory, target: FiniteCategory) -> F
     return Functor(source, target, obj_map, arr_map)
 
 
+def _arrow_ids(data, key: str) -> tuple[int, ...]:
+    _require(isinstance(data, list), f"{key!r} must be a list of arrow ids")
+    return tuple(parse_index(v, f"arrow id in {key!r}") for v in data)
+
+
 def description_from_json(data):
     _require(isinstance(data, dict), "sequence description must be an object")
     if "entries" in data:
-        return BoundedDescription(tuple(int(v) for v in data["entries"]))
+        entries = _arrow_ids(data["entries"], "entries")
+        _require(bool(entries), "'entries' must not be empty")
+        return BoundedDescription(entries)
     _require("period" in data, "description needs 'period' (or bounded 'entries')")
-    return EventuallyPeriodic(
-        tuple(int(v) for v in data.get("preperiod", [])),
-        tuple(int(v) for v in data["period"]),
-    )
+    period = _arrow_ids(data["period"], "period")
+    _require(bool(period), "'period' must not be empty")
+    return EventuallyPeriodic(_arrow_ids(data.get("preperiod", []), "preperiod"), period)
 
 
 def cone_from_json(data) -> EssentialCone:
     _require(isinstance(data, dict), "cone must be an object")
     _require("apex" in data and "legs" in data, "cone needs 'apex' and 'legs'")
     return EssentialCone(
-        int(data.get("startIndex", 0)),
-        int(data["apex"]),
+        parse_index(data.get("startIndex", 0), "'startIndex'"),
+        parse_index(data["apex"], "cone 'apex'"),
         description_from_json(data["legs"]),
     )
 

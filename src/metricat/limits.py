@@ -10,6 +10,11 @@ the point where every participating description has stabilised.
 A horizon-bounded description (a plain finite prefix of an otherwise
 unknown sequence) is also supported; checks on such data never return an
 exact positive verdict, only "verified-to-horizon".
+
+Everything here is forward.  Backward data (a shared codomain, a series
+composing the other way, legs out of the apex) is forward data of
+`opposite_space`, whose arrow ids are the same.  One mediator check,
+`check_weak_pushout`, serves sequence cones and series cocones alike.
 """
 from __future__ import annotations
 
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 from .errors import PreconditionError, TheoremViolation
 from .fincat import Functor
 from .weight import ZERO
-from .weights import Metric1Space, opposite_space
+from .weights import Metric1Space
 
 EXACT_YES = "exact-yes"
 EXACT_NO = "exact-no"
@@ -92,14 +97,6 @@ class ForwardSequence:
 
 
 @dataclass(frozen=True)
-class BackwardSequence:
-    """Arrows with common codomain `base`: n -> (x_n -> base)."""
-
-    base: int
-    arrows: Description
-
-
-@dataclass(frozen=True)
 class ForwardSeries:
     """Consecutively composable arrows: cod of entry n = dom of entry n+1."""
 
@@ -107,19 +104,10 @@ class ForwardSeries:
 
 
 @dataclass(frozen=True)
-class BackwardSeries:
-    """Consecutively composable the other way: dom of entry n = cod of entry n+1."""
-
-    arrows: Description
-
-
-@dataclass(frozen=True)
 class EssentialCone:
-    """Legs from index `start_index` onwards to (or from) an apex.
-
-    For forward data the legs run x_k -> apex; for backward data they run
-    apex -> x_k.  Legs are indexed relative to start_index: leg(k) =
-    legs.at(k - start_index).
+    """Legs x_k -> apex from index `start_index` onwards, indexed relative
+    to it: leg(k) = legs.at(k - start_index).  (Legs apex -> x_k are the
+    same legs in the opposite space.)
     """
 
     start_index: int
@@ -142,19 +130,12 @@ class LimitCertificate:
         return self.verdict == EXACT_YES
 
 
-def _lcm(a: int, b: int) -> int:
-    return math.lcm(a, b)
-
-
 def _exact_window(*descriptions: Description, starts: tuple[int, ...] = ()):
     """(K0, L): index where all descriptions have stabilised, and the
     common cycle length.  Checking [min_start, K0 + L) covers every
     distinct configuration the descriptions can ever be in."""
     K0 = max([d.stable_from for d in descriptions] + list(starts))
-    L = 1
-    for d in descriptions:
-        L = _lcm(L, d.cycle)
-    return K0, L
+    return K0, math.lcm(*(d.cycle for d in descriptions))
 
 
 def sequence_errors(space: Metric1Space, seq: ForwardSequence, upto: int) -> list[str]:
@@ -242,17 +223,6 @@ def check_forward_limiting_cone(
     return LimitCertificate(EXACT_YES, limiting_arrow=common)
 
 
-def check_backward_limiting_cone(
-    space: Metric1Space, seq: BackwardSequence, cone: EssentialCone
-) -> LimitCertificate:
-    """Dual of the forward check, run in the opposite space.  Arrow ids are
-    stable under dualisation so certificates transfer verbatim."""
-    op = opposite_space(space)
-    return check_forward_limiting_cone(
-        op, ForwardSequence(seq.base, seq.arrows), cone
-    )
-
-
 def partial_compositions(space: Metric1Space, series: ForwardSeries) -> ForwardSequence:
     """The sequence n -> (entry n after ... after entry 0).
 
@@ -262,6 +232,10 @@ def partial_compositions(space: Metric1Space, series: ForwardSeries) -> ForwardS
     """
     cat = space.category
     arr = series.arrows
+    upto = arr.stable_from + arr.cycle + 1 if arr.is_exact else arr.horizon
+    errs = series_errors(space, series, upto)
+    if errs:
+        raise PreconditionError("; ".join(errs))
     if not arr.is_exact:
         accs = []
         acc = None
@@ -272,9 +246,6 @@ def partial_compositions(space: Metric1Space, series: ForwardSeries) -> ForwardS
         base = cat.arrows[arr.at(0)].dom
         return ForwardSequence(base, BoundedDescription(tuple(accs)))
 
-    errs = series_errors(space, series, arr.stable_from + arr.cycle + 1)
-    if errs:
-        raise PreconditionError("; ".join(errs))
     base_len = arr.stable_from
     accs: list[int] = []
     seen: dict[tuple[int, int], int] = {}
@@ -296,12 +267,6 @@ def partial_compositions(space: Metric1Space, series: ForwardSeries) -> ForwardS
         n += 1
 
 
-def backward_partial_compositions(space: Metric1Space, series: BackwardSeries) -> BackwardSequence:
-    op = opposite_space(space)
-    fwd = partial_compositions(op, ForwardSeries(series.arrows))
-    return BackwardSequence(fwd.base, fwd.arrows)
-
-
 def check_cauchy(space: Metric1Space, series: ForwardSeries) -> LimitCertificate:
     """Exact Cauchy decision for eventually periodic series.
 
@@ -314,6 +279,10 @@ def check_cauchy(space: Metric1Space, series: ForwardSeries) -> LimitCertificate
     """
     cat = space.category
     arr = series.arrows
+    upto = arr.stable_from + arr.cycle + 1 if arr.is_exact else arr.horizon
+    errs = series_errors(space, series, upto)
+    if errs:
+        raise PreconditionError("; ".join(errs))
     if not arr.is_exact:
         bad = None
         for m in range(arr.horizon):
@@ -332,9 +301,6 @@ def check_cauchy(space: Metric1Space, series: ForwardSeries) -> LimitCertificate
         )
         return LimitCertificate(TO_HORIZON, detail=detail)
 
-    errs = series_errors(space, series, arr.stable_from + arr.cycle + 1)
-    if errs:
-        raise PreconditionError("; ".join(errs))
     base_len = arr.stable_from
     for p in range(arr.cycle):
         m = base_len + p
@@ -354,10 +320,6 @@ def check_cauchy(space: Metric1Space, series: ForwardSeries) -> LimitCertificate
                 break
             seen.add(state)
     return LimitCertificate(EXACT_YES, detail="every window past the preperiod weighs 0")
-
-
-def backward_check_cauchy(space: Metric1Space, series: BackwardSeries) -> LimitCertificate:
-    return check_cauchy(opposite_space(space), ForwardSeries(series.arrows))
 
 
 def check_series_limit(
@@ -417,13 +379,6 @@ def check_series_limit(
     return LimitCertificate(EXACT_YES, limiting_arrow=cone.leg(0))
 
 
-def backward_check_series_limit(
-    space: Metric1Space, series: BackwardSeries, cone: EssentialCone
-) -> LimitCertificate:
-    op = opposite_space(space)
-    return check_series_limit(op, ForwardSeries(series.arrows), cone)
-
-
 def truncate_series(series: ForwardSeries, k: int) -> ForwardSeries:
     """The shifted series n -> entry n + k."""
     if k < 0:
@@ -438,10 +393,6 @@ def truncate_cone(cone: EssentialCone, k: int) -> EssentialCone:
     if not cone.legs.is_exact:
         return EssentialCone(cone.start_index, cone.apex, BoundedDescription(cone.legs.entries[k:]))
     return EssentialCone(cone.start_index, cone.apex, cone.legs.drop(k))
-
-
-def backward_truncate_series(series: BackwardSeries, k: int) -> BackwardSeries:
-    return BackwardSeries(truncate_series(ForwardSeries(series.arrows), k).arrows)
 
 
 def series_converges(
@@ -536,11 +487,6 @@ def _find_cycle(edges: dict[tuple[int, int], list[tuple[int, int]]]):
     return None
 
 
-def backward_series_converges(space: Metric1Space, series: BackwardSeries):
-    op = opposite_space(space)
-    return series_converges(op, ForwardSeries(series.arrows))
-
-
 def find_mediating_arrows(
     space: Metric1Space,
     seq: ForwardSequence,
@@ -584,7 +530,7 @@ class MediatingReport:
 
 def check_weak_pushout(
     space: Metric1Space,
-    seq: ForwardSequence,
+    seq: ForwardSequence | ForwardSeries,
     cone: EssentialCone,
     other_cones: list[EssentialCone],
     require_unique: bool = False,
@@ -592,9 +538,11 @@ def check_weak_pushout(
     """Does the cone mediate into each supplied competitor cone?
 
     Test scaffolding for the categorical (weak) pushout of a forward
-    sequence on finite data: a mediating arrow h must satisfy
-    h after leg(n) == other_leg(n) for every n where both cones are
-    defined.  `require_unique` asks for exactly one such h per competitor.
+    sequence, and for the weak transfinite composition of a series (whose
+    cocones carry legs from index 0), on finite data: a mediating arrow h
+    must satisfy h after leg(n) == other_leg(n) for every n where both
+    cones are defined.  `require_unique` asks for exactly one such h per
+    competitor.
     """
     cat = space.category
     mediators = []
@@ -621,33 +569,6 @@ def check_weak_pushout(
     return MediatingReport(ok, tuple(mediators), f"{kind} per competitor cone: {[len(h) for h in mediators]}")
 
 
-def check_transfinite_composition(
-    space: Metric1Space,
-    series: ForwardSeries,
-    cone: EssentialCone,
-    other_cones: list[EssentialCone],
-    require_unique: bool = False,
-) -> MediatingReport:
-    """Weak transfinite composition check for a series cocone on finite data:
-    for each competitor cocone there must exist a (unique, if asked)
-    mediating arrow h with other_leg(k) == h after leg(k) for all k."""
-    cat = space.category
-    mediators = []
-    for other in other_cones:
-        descs = [series.arrows, cone.legs, other.legs]
-        if not all(d.is_exact for d in descs):
-            raise PreconditionError("transfinite composition checks need eventually periodic data")
-        K0, L = _exact_window(*descs)
-        window = range(0, K0 + L)
-        hs = []
-        for h in cat.hom(cone.apex, other.apex):
-            if all(cat.compose(cone.leg(k), h) == other.leg(k) for k in window):
-                hs.append(h)
-        mediators.append(tuple(hs))
-    ok = all(len(hs) == 1 if require_unique else len(hs) >= 1 for hs in mediators)
-    return MediatingReport(ok, tuple(mediators), f"mediators per competitor: {[len(h) for h in mediators]}")
-
-
 def map_description(fun: Functor, desc: Description) -> Description:
     if desc.is_exact:
         return EventuallyPeriodic(
@@ -659,10 +580,6 @@ def map_description(fun: Functor, desc: Description) -> Description:
 
 def map_sequence(fun: Functor, seq: ForwardSequence) -> ForwardSequence:
     return ForwardSequence(fun.obj_map[seq.base], map_description(fun, seq.arrows))
-
-
-def map_series(fun: Functor, series: ForwardSeries) -> ForwardSeries:
-    return ForwardSeries(map_description(fun, series.arrows))
 
 
 def map_cone(fun: Functor, cone: EssentialCone) -> EssentialCone:

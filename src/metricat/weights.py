@@ -44,9 +44,24 @@ class Metric1Space:
         return self.w[aid]
 
 
+# The axioms are self-dual: reversing every arrow keeps the weights and the
+# full triangle inequality.  So every backward notion is the forward one read
+# in the opposite space, and BACKWARD only ever selects that space.
+FORWARD = "forward"
+BACKWARD = "backward"
+
+
 def opposite_space(space: Metric1Space) -> Metric1Space:
     """The same weights on the opposite category (arrow ids are stable)."""
     return Metric1Space(opposite(space.category), space.w)
+
+
+def is_backward(direction: str) -> bool:
+    """True for BACKWARD, False for FORWARD; any other direction is a
+    precondition error."""
+    if direction not in (FORWARD, BACKWARD):
+        raise PreconditionError(f"unknown direction {direction!r}")
+    return direction == BACKWARD
 
 
 def validate_metric1(space: Metric1Space) -> ValidationReport:

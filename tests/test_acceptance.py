@@ -14,6 +14,8 @@ from metricat import (
     indiscrete,
     is_groupoid,
     lawvere,
+    opposite_functor,
+    opposite_space,
     validate_functor,
     validate_metric1,
 )
@@ -26,8 +28,6 @@ from metricat.coarse import (
 from metricat.continuity import (
     BACKWARD,
     FORWARD,
-    backward_continuous,
-    backward_continuous_at_arrow,
     epsdelta_at_arrow,
     epsdelta_at_object,
     epsdelta_uniform,
@@ -192,9 +192,10 @@ def test_criterion_05_continuity_implications_and_oracle():
             if not validate_functor(fun).ok:
                 continue
             functors += 1
+            op = (opposite_functor(fun), opposite_space(src), opposite_space(dst))
             uni = uniformly_continuous(fun, src, dst).holds
             fwd = forward_continuous(fun, src, dst).holds
-            bwd = backward_continuous(fun, src, dst).holds
+            bwd = forward_continuous(*op).holds
             assert fwd == bwd == uni  # finite-space corollary
             assert epsdelta_uniform(fun, src, dst) == uni
             oracle_checks += 1
@@ -208,7 +209,7 @@ def test_criterion_05_continuity_implications_and_oracle():
                 oracle_checks += 2
             for a in src.category.arrows:
                 af = forward_continuous_at_arrow(fun, src, dst, a.id).holds
-                ab = backward_continuous_at_arrow(fun, src, dst, a.id).holds
+                ab = forward_continuous_at_arrow(*op, a.id).holds
                 if object_continuity(fun, src, dst, a.cod, FORWARD).holds:
                     assert af
                 if object_continuity(fun, src, dst, a.dom, BACKWARD).holds:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from metricat import Metric1Space, indiscrete
 from metricat import jsonio
 from metricat.cli import main
@@ -234,3 +236,87 @@ def test_incomplete_composition_table(tmp_path, capsys):
     assert main(["--format", "json", "validate", bare]) == 1
     data = json.loads(capsys.readouterr().out)
     assert len(data["category"]) == 1 and "missing from composition table" in data["category"][0]
+
+
+def limits_payload(**changes):
+    sp = support.line_space([0, 1])
+    payload = {
+        "space": jsonio.space_to_json(sp),
+        "base": 0,
+        "sequence": {"preperiod": [], "period": [sp.category.hom(0, 1)[0]]},
+        "cone": {"apex": 1, "startIndex": 0, "legs": {"period": [sp.category.identity[1]]}},
+    }
+    payload.update(changes)
+    return payload
+
+
+def fixed_point_payload(**changes):
+    space, fun = support.halving_fixture()
+    payload = {
+        "space": jsonio.space_to_json(space),
+        "functor": {
+            "objMap": {str(k): v for k, v in fun.obj_map.items()},
+            "arrMap": {str(k): v for k, v in fun.arr_map.items()},
+        },
+        "start": 2,
+        "contraction": 0,
+    }
+    payload.update(changes)
+    return payload
+
+
+def series_only(series):
+    payload = limits_payload(series=series)
+    for key in ("base", "sequence", "cone"):
+        del payload[key]
+    return payload
+
+
+BAD_INPUTS = {
+    "limits empty period": ("limits", series_only({"period": []})),
+    "limits arrow id out of range": ("limits", limits_payload(sequence={"period": [99]})),
+    "limits non-integer id": ("limits", series_only({"period": ["x"]})),
+    "limits non-integer base": ("limits", limits_payload(base="zero")),
+    "limits empty bounded cone legs": (
+        "limits", dict(series_only({"entries": [0]}), cone={"apex": 0, "legs": {"entries": []}}),
+    ),
+    "limits negative startIndex": (
+        "limits", limits_payload(cone={"apex": 1, "startIndex": -3, "legs": {"period": [3]}}),
+    ),
+    "limits unknown direction": ("limits", limits_payload(direction="sideways")),
+    "fixed-point non-integer start": ("fixed-point", fixed_point_payload(start=1.5)),
+    "fixed-point non-integer contraction": ("fixed-point", fixed_point_payload(contraction="first")),
+    "fixed-point start out of range": ("fixed-point", fixed_point_payload(start=5)),
+    "fixed-point unknown direction": ("fixed-point", fixed_point_payload(direction="sideways")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_malformed_limits_and_fixed_point_inputs_are_exit_two(tmp_path, capsys, case):
+    command, payload = BAD_INPUTS[case]
+    path = write(tmp_path, "bad.json", payload)
+    assert main([command, path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "Traceback" not in err
+
+
+def test_limits_non_composable_bounded_series_is_a_precondition(tmp_path, capsys):
+    sp = support.line_space([0, 1])
+    there = sp.category.hom(0, 1)[0]
+    path = write(tmp_path, "bounded.json", series_only({"entries": [there, there]}))
+    assert main(["limits", path]) == 1
+    assert capsys.readouterr().err.startswith("precondition:")
+
+
+def test_limits_backward_direction_runs_in_the_opposite_space(tmp_path, capsys):
+    # a backward sequence into the base point 0, certified by an identity leg
+    sp = support.line_space([0, 1])
+    payload = limits_payload(
+        direction="backward",
+        sequence={"period": [sp.category.hom(1, 0)[0]]},
+    )
+    path = write(tmp_path, "back.json", payload)
+    assert main(["--format", "json", "limits", path]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["results"]["sequence"]["verdict"] == "exact-yes"
+    assert data["results"]["sequence"]["limitingArrow"] == sp.category.hom(1, 0)[0]

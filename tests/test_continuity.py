@@ -7,13 +7,12 @@ from metricat import (
     PreconditionError,
     ZERO,
     identity_functor,
+    opposite_functor,
     validate_functor,
 )
 from metricat.continuity import (
     BACKWARD,
     FORWARD,
-    backward_continuous,
-    backward_continuous_at_arrow,
     check_limit_preservation,
     compactness_certificate,
     epsdelta_at_arrow,
@@ -34,6 +33,7 @@ from metricat.limits import (
     ForwardSeries,
 )
 from metricat.mapping import enumerate_functors
+from metricat.weights import opposite_space
 
 import support
 
@@ -90,10 +90,11 @@ def test_identity_functor_is_continuous_everywhere():
     for sp in (support.z2_space(1), support.indiscrete_space([[0, 1], [1, 0]]),
                support.one_sided_space()):
         fun = identity_functor(sp.category)
+        op = (opposite_functor(fun), opposite_space(sp), opposite_space(sp))
         assert uniformly_continuous(fun, sp, sp).holds
         for a in sp.category.arrows:
             assert forward_continuous_at_arrow(fun, sp, sp, a.id).holds
-            assert backward_continuous_at_arrow(fun, sp, sp, a.id).holds
+            assert forward_continuous_at_arrow(*op, a.id).holds
         for o in range(len(sp.category.objects)):
             assert object_continuity(fun, sp, sp, o, FORWARD).holds
             assert object_continuity(fun, sp, sp, o, BACKWARD).holds
@@ -126,7 +127,8 @@ def test_nondegenerate_source_makes_every_functor_continuous():
             for fun in all_functors(src, dst):
                 assert uniformly_continuous(fun, src, dst).holds
                 assert forward_continuous(fun, src, dst).holds
-                assert backward_continuous(fun, src, dst).holds
+                op = (opposite_functor(fun), opposite_space(src), opposite_space(dst))
+                assert forward_continuous(*op).holds
 
 
 def test_factorizations_include_trivial_ones():
@@ -139,6 +141,7 @@ def test_factorizations_include_trivial_ones():
 def test_implication_chain_uniform_object_arrow():
     for src, dst in fixture_pairs():
         for fun in all_functors(src, dst):
+            op = (opposite_functor(fun), opposite_space(src), opposite_space(dst))
             uni = uniformly_continuous(fun, src, dst).holds
             obj_fwd = all(
                 object_continuity(fun, src, dst, o, FORWARD).holds
@@ -154,26 +157,28 @@ def test_implication_chain_uniform_object_arrow():
                 if object_continuity(fun, src, dst, a.cod, FORWARD).holds:
                     assert forward_continuous_at_arrow(fun, src, dst, a.id).holds
                 if object_continuity(fun, src, dst, a.dom, BACKWARD).holds:
-                    assert backward_continuous_at_arrow(fun, src, dst, a.id).holds
+                    assert forward_continuous_at_arrow(*op, a.id).holds
 
 
 def test_zero_weight_preservation_lemma():
     for src, dst in fixture_pairs():
         for fun in all_functors(src, dst):
+            op = (opposite_functor(fun), opposite_space(src), opposite_space(dst))
             for a in src.category.arrows:
                 if src.w[a.id] != ZERO:
                     continue
                 if forward_continuous_at_arrow(fun, src, dst, a.id).holds:
                     assert dst.w[fun.arr_map[a.id]] == ZERO
-                if backward_continuous_at_arrow(fun, src, dst, a.id).holds:
+                if forward_continuous_at_arrow(*op, a.id).holds:
                     assert dst.w[fun.arr_map[a.id]] == ZERO
 
 
 def test_finite_spaces_make_all_continuity_notions_agree():
     for src, dst in fixture_pairs():
         for fun in all_functors(src, dst):
+            op = (opposite_functor(fun), opposite_space(src), opposite_space(dst))
             f = forward_continuous(fun, src, dst).holds
-            b = backward_continuous(fun, src, dst).holds
+            b = forward_continuous(*op).holds
             u = uniformly_continuous(fun, src, dst).holds
             assert f == b == u
 
@@ -182,12 +187,13 @@ def test_epsdelta_oracle_agrees_with_decidable_criteria():
     checked = 0
     for src, dst in fixture_pairs():
         for fun in all_functors(src, dst):
+            op = (opposite_functor(fun), opposite_space(src), opposite_space(dst))
             assert epsdelta_uniform(fun, src, dst) == uniformly_continuous(fun, src, dst).holds
             for a in src.category.arrows:
                 assert epsdelta_at_arrow(fun, src, dst, a.id, FORWARD) == \
                     forward_continuous_at_arrow(fun, src, dst, a.id).holds
                 assert epsdelta_at_arrow(fun, src, dst, a.id, BACKWARD) == \
-                    backward_continuous_at_arrow(fun, src, dst, a.id).holds
+                    forward_continuous_at_arrow(*op, a.id).holds
                 checked += 1
             for o in range(len(src.category.objects)):
                 assert epsdelta_at_object(fun, src, dst, o, FORWARD) == \
@@ -225,12 +231,10 @@ def test_compactness_witnesses():
 
 
 def test_backward_compactness_witness():
-    from metricat.limits import BackwardSequence
-
     sp = support.indiscrete_space([[0, 1], [1, 0]])
-    cert = compactness_certificate(sp)
+    cert = compactness_certificate(opposite_space(sp))
     psi = sp.category.hom(1, 0)[0]
-    wit = cert.backward_subsequence_witness(BackwardSequence(0, EventuallyPeriodic((), (psi,))))
+    wit = cert.subsequence_witness(ForwardSequence(0, EventuallyPeriodic((), (psi,))))
     assert wit.certificate.verdict == EXACT_YES
 
 
@@ -292,7 +296,6 @@ def test_series_completeness_labels():
     g_series = ForwardSeries(EventuallyPeriodic((), (1,)))
     verdict = series_completeness(z2, g_series, FORWARD)
     assert verdict.holds  # not Cauchy, so nothing to converge
-    from metricat.limits import BackwardSeries
 
-    bward = series_completeness(z2, BackwardSeries(EventuallyPeriodic((), (1,))), BACKWARD)
+    bward = series_completeness(z2, ForwardSeries(EventuallyPeriodic((), (1,))), BACKWARD)
     assert bward.holds

@@ -169,16 +169,14 @@ def test_dagger_classes_are_self_dual():
 def test_continuous_dagger_makes_forward_and_backward_agree():
     # spaces with (at least) continuous daggers: forward and backward
     # continuity, Cauchy and limit checks agree on mirrored data
-    from metricat.continuity import backward_continuous, forward_continuous
+    from metricat.continuity import forward_continuous
     from metricat.limits import (
-        BackwardSeries,
         EventuallyPeriodic,
         ForwardSeries,
-        backward_check_cauchy,
         check_cauchy,
     )
     from metricat.mapping import enumerate_functors
-    from metricat import validate_functor
+    from metricat import opposite_functor, validate_functor
 
     for sp in (support.z2_space(1), support.indiscrete_space([[0, 1], [1, 0]])):
         assert symmetry_hierarchy(sp) >= SymmetryClass.CONTINUOUS
@@ -186,12 +184,13 @@ def test_continuous_dagger_makes_forward_and_backward_agree():
             for fun in enumerate_functors(sp.category, dst.category):
                 if not validate_functor(fun).ok:
                     continue
-                assert forward_continuous(fun, sp, dst).holds == backward_continuous(fun, sp, dst).holds
+                op = (opposite_functor(fun), opposite_space(sp), opposite_space(dst))
+                assert forward_continuous(fun, sp, dst).holds == forward_continuous(*op).holds
     z2 = support.z2_space(1)
     series = EventuallyPeriodic((), (1,))
     assert (
         check_cauchy(z2, ForwardSeries(series)).verdict
-        == backward_check_cauchy(z2, BackwardSeries(series)).verdict
+        == check_cauchy(opposite_space(z2), ForwardSeries(series)).verdict
     )
 
 

@@ -3,26 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from metricat import Weight, ZERO
+from metricat import PreconditionError, Weight, ZERO
 from metricat.limits import (
     EXACT_NO,
     EXACT_YES,
     TO_HORIZON,
-    BackwardSeries,
-    BackwardSequence,
     BoundedDescription,
     EssentialCone,
     EventuallyPeriodic,
     ForwardSequence,
     ForwardSeries,
-    backward_check_cauchy,
-    backward_check_series_limit,
-    backward_partial_compositions,
-    check_backward_limiting_cone,
     check_cauchy,
     check_forward_limiting_cone,
     check_series_limit,
-    check_transfinite_composition,
     check_weak_pushout,
     find_mediating_arrows,
     partial_compositions,
@@ -30,6 +23,7 @@ from metricat.limits import (
     truncate_cone,
     truncate_series,
 )
+from metricat.weights import opposite_space
 
 import support
 
@@ -237,6 +231,17 @@ def test_bounded_series_cauchy_is_horizon_limited():
     assert check_cauchy(z2, series).verdict == TO_HORIZON
 
 
+def test_bounded_series_must_compose_within_the_horizon():
+    sp = support.line_space([0, 1])
+    cat = sp.category
+    there = cat.hom(0, 1)[0]
+    series = ForwardSeries(BoundedDescription((there, there)))  # 0 -> 1, then 0 -> 1 again
+    with pytest.raises(PreconditionError, match="not composable"):
+        check_cauchy(sp, series)
+    with pytest.raises(PreconditionError, match="not composable"):
+        partial_compositions(sp, series)
+
+
 # --- series limits --------------------------------------------------------------
 
 def test_identity_series_converges_to_identity():
@@ -348,30 +353,30 @@ def test_backward_checks_mirror_forward_ones():
     sp = support.line_space([0, 1])
     cat = sp.category
     psi = cat.hom(1, 0)[0]  # arrow into the base point 0
-    seq = BackwardSequence(0, EventuallyPeriodic((), (psi,)))
+    seq = ForwardSequence(0, EventuallyPeriodic((), (psi,)))
     cone = EssentialCone(0, 1, EventuallyPeriodic((), (cat.identity[1],)))
-    cert = check_backward_limiting_cone(sp, seq, cone)
+    cert = check_forward_limiting_cone(opposite_space(sp), seq, cone)
     assert cert.verdict == EXACT_YES and cert.limiting_arrow == psi
 
     z2 = support.z2_space(1)
-    series = BackwardSeries(EventuallyPeriodic((), (1,)))
-    assert backward_check_cauchy(z2, series).verdict == EXACT_NO
+    series = ForwardSeries(EventuallyPeriodic((), (1,)))
+    assert check_cauchy(opposite_space(z2), series).verdict == EXACT_NO
     z2zero = support.z2_space(0)
-    assert backward_check_cauchy(z2zero, series).verdict == EXACT_YES
+    assert check_cauchy(opposite_space(z2zero), series).verdict == EXACT_YES
 
     ident = sp.category.identity[0]
-    bseries = BackwardSeries(EventuallyPeriodic((), (ident,)))
+    bseries = ForwardSeries(EventuallyPeriodic((), (ident,)))
     bcone = EssentialCone(0, 0, EventuallyPeriodic((), (ident,)))
-    assert backward_check_series_limit(sp, bseries, bcone).verdict == EXACT_YES
+    assert check_series_limit(opposite_space(sp), bseries, bcone).verdict == EXACT_YES
 
     chain = support.chain_space([1, 2])
     ccat = chain.category
     # backward series descending 2 <- ... : x_0 = 2, x_1 = 1, x_2 = 0, with
     # entries psi_n: x_{n+1} -> x_n, which in the chain are ascending arrows
-    bs = BackwardSeries(
+    bs = ForwardSeries(
         EventuallyPeriodic((ccat.hom(1, 2)[0], ccat.hom(0, 1)[0]), (ccat.identity[0],))
     )
-    bseq = backward_partial_compositions(chain, bs)
+    bseq = partial_compositions(opposite_space(chain), bs)
     assert bseq.base == 2
     assert bseq.arrows.at(0) == ccat.hom(1, 2)[0]
     assert bseq.arrows.at(1) == ccat.hom(0, 2)[0]
@@ -381,7 +386,7 @@ def test_backward_is_forward_in_the_opposite_space():
     z2 = support.z2_space(1)
     series = ForwardSeries(EventuallyPeriodic((), (1,)))
     fwd = check_cauchy(z2, series)
-    bwd = backward_check_cauchy(z2, BackwardSeries(series.arrows))
+    bwd = check_cauchy(opposite_space(z2), ForwardSeries(series.arrows))
     assert fwd.verdict == bwd.verdict
 
 
@@ -413,5 +418,5 @@ def test_transfinite_composition_check():
     series = ForwardSeries(EventuallyPeriodic((cat.hom(0, 1)[0],), (cat.identity[1],)))
     cone = EssentialCone(0, 1, EventuallyPeriodic((cat.hom(0, 1)[0],), (cat.identity[1],)))
     other = EssentialCone(0, 0, EventuallyPeriodic((cat.identity[0],), (cat.hom(1, 0)[0],)))
-    rep = check_transfinite_composition(sp, series, cone, [other], require_unique=True)
+    rep = check_weak_pushout(sp, series, cone, [other], require_unique=True)
     assert rep.holds and len(rep.mediators[0]) == 1

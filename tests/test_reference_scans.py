@@ -7,22 +7,36 @@ arrow against every threshold for the bounded generators.  On seeded random
 categories, their opposites and deliberately broken tables, the library
 must give the same pair sequences, the same reports (same messages, same
 order) and the same sets.
+
+The backward continuity criteria and the backward natural-contraction
+search are likewise compared with the hand-written backward loops that the
+forward code run in the opposite space replaced: same verdicts, a valid
+witness on every failure, and the same contractions in the same order.
 """
 import math
 import random
 from fractions import Fraction
 
 from metricat import (
+    ZERO,
     FiniteCategory,
     Metric1Space,
+    NatTransformation,
     Weight,
     from_metric_space,
+    identity_functor,
     indiscrete,
+    opposite_functor,
     validate_category,
+    validate_functor,
     validate_metric1,
+    validate_transformation,
 )
 from metricat.coarse import arrow_compose_sets, arrow_star, bounded_generators
+from metricat.continuity import BACKWARD, factorizations, forward_continuous_at_arrow, object_continuity
 from metricat.fincat import Arrow, ValidationReport
+from metricat.fixedpoint import NaturalContraction, find_natural_contractions
+from metricat.mapping import enumerate_functors
 from metricat.weights import opposite_space
 
 import support
@@ -151,6 +165,58 @@ def ref_bounded_sets(space):
         frozenset(a.id for a in space.category.arrows if space.w[a.id] <= Weight(Fraction(n)))
         for n in range(last + 1)
     ], last
+
+
+def ref_backward_continuous_at_arrow(fun, src, dst, psi):
+    """(holds, witness): first legs of factorizations instead of second."""
+    for rho, _ in factorizations(src, psi):
+        if src.w[rho] == ZERO and dst.w[fun.arr_map[rho]] != ZERO:
+            return False, (psi, rho)
+    return True, None
+
+
+def ref_backward_object_continuity(fun, src, dst, x0):
+    """(holds, witness) over the zero-weight arrows out of x0."""
+    for a in src.category.arrows_from(x0):
+        if src.w[a] == ZERO and dst.w[fun.arr_map[a]] != ZERO:
+            return False, (x0, a)
+    return True, None
+
+
+def ref_backward_natural_contractions(space, fun):
+    """Components F(c) -> c, naturality F(a) then c_cod == c_dom then a."""
+    cat = space.category
+    n = len(cat.objects)
+    pools = [cat.hom(fun.obj_map[x], x) for x in range(n)]
+    if not all(pools):
+        return []
+    out = []
+
+    def naturality_ok(comps, upto):
+        for a in cat.arrows:
+            if a.dom < upto and a.cod < upto:
+                left = cat.compose(fun.arr_map[a.id], comps[a.cod])
+                right = cat.compose(comps[a.dom], a.id)
+                if left != right:
+                    return False
+        return True
+
+    def rec(x, comps):
+        if x == n:
+            if all(fun.arr_map[comps[c]] == comps[fun.obj_map[c]] for c in range(n)):
+                out.append(NaturalContraction(BACKWARD, fun, tuple(comps)))
+            return
+        for c in pools[x]:
+            comps.append(c)
+            if naturality_ok(comps, x + 1):
+                rec(x + 1, comps)
+            comps.pop()
+
+    rec(0, [])
+    ident = identity_functor(fun.source)
+    for nc in out:
+        assert validate_transformation(NatTransformation(fun, ident, dict(enumerate(nc.components)))).ok
+    return out
 
 
 # --- seeded inputs ----------------------------------------------------------------
@@ -295,3 +361,66 @@ def test_bounded_generators_match_threshold_comparisons():
         gens = bounded_generators(space)
         sets, last = ref_bounded_sets(space)
         assert (list(gens.sets), gens.constant_from) == (sets, last), name
+
+
+def fixture_spaces(seed: int):
+    rng = random.Random(seed)
+    fixed = [
+        support.z2_space(1), support.z2_space(0),
+        support.indiscrete_space([[0, 0], [0, 0]]), support.indiscrete_space([[0, 1], [2, 0]]),
+        support.free_arrow_space(0), support.free_arrow_space(1),
+        support.parallel_pair_space(0, 1), support.chain_space([0, 2]), support.one_sided_space(),
+    ]
+    return fixed + [support.rand_space(rng) for _ in range(8)]
+
+
+def functors_between(src, dst, limit):
+    found = [f for f in enumerate_functors(src.category, dst.category) if validate_functor(f).ok]
+    return found[:limit]
+
+
+def test_backward_continuity_matches_the_first_leg_scans():
+    spaces = fixture_spaces(106)
+    rng = random.Random(106)
+    pairs = [(a, b) for a in spaces for b in spaces if rng.random() < 0.25]
+    verdicts = failures = 0
+    for src, dst in pairs:
+        for fun in functors_between(src, dst, 6):
+            op = (opposite_functor(fun), opposite_space(src), opposite_space(dst))
+            cat = src.category
+            for a in cat.arrows:
+                got = forward_continuous_at_arrow(*op, a.id)
+                holds, _ = ref_backward_continuous_at_arrow(fun, src, dst, a.id)
+                assert got.holds == holds
+                verdicts += 1
+                if not got.holds:
+                    psi, rho = got.witness
+                    assert psi == a.id
+                    assert any(first == rho for first, _ in factorizations(src, psi))
+                    assert src.w[rho] == ZERO and dst.w[fun.arr_map[rho]] > ZERO
+                    failures += 1
+            for x in range(len(cat.objects)):
+                got = object_continuity(fun, src, dst, x, BACKWARD)
+                assert (got.holds, got.witness) == ref_backward_object_continuity(fun, src, dst, x)
+                assert got.kind == "backward-at-object"
+                if not got.holds:
+                    rho = got.witness[1]
+                    assert cat.arrows[rho].dom == x
+                    assert src.w[rho] == ZERO and dst.w[fun.arr_map[rho]] > ZERO
+                    failures += 1
+                verdicts += 1
+    assert verdicts > 2000 and failures > 100
+
+
+def test_backward_natural_contractions_match_the_backward_search():
+    rng = random.Random(107)
+    endofunctors = [(sp, f) for sp in fixture_spaces(107) for f in functors_between(sp, sp, 12)]
+    for _ in range(30):
+        sp, f, _ = support.rand_contraction(rng)
+        endofunctors.append((sp, f))
+    found = 0
+    for sp, fun in endofunctors:
+        got = find_natural_contractions(sp, fun, BACKWARD)
+        assert got == ref_backward_natural_contractions(sp, fun)
+        found += len(got)
+    assert found > 80
