@@ -22,17 +22,20 @@ EXIT_INPUT = 2
 EXIT_GUARD = 3
 
 
-def _load(path: str):
+def _load(args, *keys: str) -> dict:
+    """The subcommand's input document: a JSON object holding `keys`."""
+    path = args.input
     try:
         text = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
     try:
-        return json.loads(text)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputFormatError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    return jsonio.json_object(data, f"{args.command} input", keys)
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -44,8 +47,8 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 
 def cmd_validate(args) -> int:
-    data = _load(args.input)
-    if isinstance(data, dict) and "weights" in data:
+    data = _load(args)
+    if "weights" in data:
         space = jsonio.space_from_json(data)
         cat_report = validate_category(space.category)
         met_report = weights.validate_metric1(space)
@@ -64,7 +67,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_lawvere(args) -> int:
-    space = jsonio.space_from_json(_load(args.input))
+    space = jsonio.space_from_json(_load(args))
     report = weights.validate_metric1(space)
     if not report.ok:
         _emit(args, {"error": report.all_messages()}, [report.summary()])
@@ -84,9 +87,7 @@ def cmd_lawvere(args) -> int:
 
 
 def cmd_metrize(args) -> int:
-    data = _load(args.input)
-    if not isinstance(data, dict) or "category" not in data or "generators" not in data:
-        raise InputFormatError("metrize input needs 'category' and 'generators'")
+    data = _load(args, "category", "generators")
     cat = jsonio.category_from_json(data["category"])
     report = validate_category(cat)
     if not report.ok:
@@ -101,9 +102,7 @@ def cmd_metrize(args) -> int:
 
 
 def cmd_map_space(args) -> int:
-    data = _load(args.input)
-    if not isinstance(data, dict) or "source" not in data or "target" not in data:
-        raise InputFormatError("map-space input needs 'source' and 'target'")
+    data = _load(args, "source", "target")
     X = jsonio.space_from_json(data["source"])
     Y = jsonio.space_from_json(data["target"])
     for name, sp in (("source", X), ("target", Y)):
@@ -131,7 +130,7 @@ def cmd_map_space(args) -> int:
 
 
 def cmd_dagger(args) -> int:
-    space = jsonio.space_from_json(_load(args.input))
+    space = jsonio.space_from_json(_load(args))
     report = weights.validate_metric1(space)
     if not report.ok:
         _emit(args, {"error": report.all_messages()}, [report.summary()])
@@ -149,10 +148,7 @@ def cmd_dagger(args) -> int:
 
 
 def cmd_continuity(args) -> int:
-    data = _load(args.input)
-    for key in ("source", "target", "functor"):
-        if key not in data:
-            raise InputFormatError(f"continuity input needs {key!r}")
+    data = _load(args, "source", "target", "functor")
     X = jsonio.space_from_json(data["source"])
     Y = jsonio.space_from_json(data["target"])
     fun = jsonio.functor_from_json(data["functor"], X.category, Y.category)
@@ -187,10 +183,7 @@ def cmd_continuity(args) -> int:
 
 
 def cmd_fixed_point(args) -> int:
-    data = _load(args.input)
-    for key in ("space", "functor", "start"):
-        if not isinstance(data, dict) or key not in data:
-            raise InputFormatError(f"fixed-point input needs {key!r}")
+    data = _load(args, "space", "functor", "start")
     space = jsonio.space_from_json(data["space"])
     fun = jsonio.functor_from_json(data["functor"], space.category, space.category)
     direction = jsonio.direction_from_json(data)
@@ -231,9 +224,7 @@ def cmd_fixed_point(args) -> int:
 
 
 def cmd_limits(args) -> int:
-    data = _load(args.input)
-    if not isinstance(data, dict) or "space" not in data:
-        raise InputFormatError("limits input needs 'space'")
+    data = _load(args, "space")
     space = jsonio.space_from_json(data["space"])
     if jsonio.direction_from_json(data) == weights.BACKWARD:
         # backward data is forward data of the opposite space (same arrow ids)
@@ -292,9 +283,7 @@ def _cert_json(cert) -> dict:
 
 
 def cmd_gh(args) -> int:
-    data = _load(args.input)
-    if "x" not in data or "y" not in data:
-        raise InputFormatError("gh input needs 'x' and 'y'")
+    data = _load(args, "x", "y")
     x = jsonio.metric_space_from_json(data["x"])
     y = jsonio.metric_space_from_json(data["y"])
     value = geometry.gh_distance(x, y)
@@ -303,9 +292,7 @@ def cmd_gh(args) -> int:
 
 
 def cmd_lipschitz(args) -> int:
-    data = _load(args.input)
-    if "x" not in data or "y" not in data:
-        raise InputFormatError("lipschitz input needs 'x' and 'y'")
+    data = _load(args, "x", "y")
     x = jsonio.metric_space_from_json(data["x"])
     y = jsonio.metric_space_from_json(data["y"])
     c = geometry.lipschitz_distance(x, y)
@@ -321,10 +308,10 @@ def cmd_demo(args) -> int:
     if args.what != "bimetric":
         raise InputFormatError(f"unknown demo {args.what!r}")
     if args.input:
-        data = _load(args.input)
-        n = int(data["n"])
-        a1 = {(int(k.split(",")[0]), int(k.split(",")[1])): jsonio.parse_fraction(v) for k, v in data["a1"].items()}
-        a2 = {(int(k.split(",")[0]), int(k.split(",")[1])): jsonio.parse_fraction(v) for k, v in data["a2"].items()}
+        data = _load(args, "n", "a1", "a2", "h")
+        n = jsonio.parse_index(data["n"], "'n'")
+        a1 = jsonio.pair_table_from_json(data["a1"], "'a1'")
+        a2 = jsonio.pair_table_from_json(data["a2"], "'a2'")
         h = jsonio.parse_fraction(data["h"])
     else:
         rng = random.Random(args.seed)

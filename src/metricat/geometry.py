@@ -23,6 +23,33 @@ are required to agree exactly:
 
 Both routes run on a common integer rescaling of the two distance matrices,
 so agreement is exact rational equality.
+
+Neither route visits every pair (f, g).  Each keeps the least value found
+so far (the incumbent) and skips only pairs that provably cannot beat it,
+so the minimum is unchanged.  The first incumbent needs no scan: pairing an
+onto f with a section g of it (g(y) in f^-1(y)) designates only the cells
+of f and induces the correspondence graph(f), so that pair's value is f's
+own bound below; likewise for an onto g.  The bounds:
+
+* per-side bounds.  A pattern's designated set D is the union of the cells
+  of f and of g, so sp(D, p) = min(sp(f, p), sp(g, p)) <= sp(f, p), and
+  2 h*(D) >= LB(f) = max(0, max over lower bounds (v - sp(f,p) - sp(f,q)));
+  likewise for g.  A correspondence graph(f) union transpose-graph(g)
+  contains the pairs of f and of g, so its distortion is at least dis(f)
+  and dis(g).  Each route sorts the f and the g by their own bound and
+  stops a loop once the bound reaches the incumbent: every later pair is
+  bounded below by the incumbent too.  The scan of one pair also stops once
+  its partial maximum reaches the incumbent.
+
+* the diameter bound GH(X, Y) >= |diam X - diam Y| / 2 (Burago-Burago-
+  Ivanov, A Course in Metric Geometry, 2001): a correspondence pairs the
+  two points realising diam X with points at most diam Y apart, and the
+  other way round, so its distortion is at least |diam X - diam Y|; and
+  every pattern's h is at least their minimum, GH.  Both routes return as
+  soon as the incumbent equals the bound.
+
+The Lipschitz distance is likewise a branch-and-bound over bijections that
+cuts a branch once the constant of its fixed pairs reaches the best found.
 """
 from __future__ import annotations
 
@@ -38,6 +65,7 @@ from .weight import Weight, common_denominator
 from .weights import Metric1Space, validate_metric1
 
 GH_POINT_GUARD = 6
+LIPSCHITZ_BIJECTION_GUARD = 720
 
 
 # --- bi-Lipschitz ------------------------------------------------------------
@@ -171,14 +199,50 @@ def bilip_slice(spaces: list[FiniteMetricSpace], guard: int = 5040) -> BiLipSlic
 
 def lipschitz_distance(x: FiniteMetricSpace, y: FiniteMetricSpace) -> Fraction:
     """Least bi-Lipschitz constant among bijections x -> y, reported
-    multiplicatively (its logarithm is the usual additive distance)."""
-    if len(x.points) != len(y.points):
+    multiplicatively (its logarithm is the usual additive distance).
+
+    A depth-first branch-and-bound: the points of x are assigned in order,
+    each branch carries the exact constant of the pairs it has fixed, and it
+    is cut once that constant reaches the best bijection found, since fixing
+    more pairs never lowers a maximum."""
+    n = len(x.points)
+    if n != len(y.points):
         raise PreconditionError("no bijections between spaces of different sizes")
-    slice_ = bilip_slice([x, y])
-    best = slice_.lawvere_factor(0, 1)
+    count = math.factorial(n)
+    if count > LIPSCHITZ_BIJECTION_GUARD:
+        raise SizeGuardError(
+            f"{n}-point spaces have {count} bijections (budget {LIPSCHITZ_BIJECTION_GUARD})"
+        )
+    scale = _common_scale(x, y)
+    dx, dy = _int_matrix(x, scale), _int_matrix(y, scale)
+    image = [0] * n
+    free = [True] * n
+    best = None  # (numerator, denominator) of the least constant found
+
+    def extend(k: int, num: int, den: int) -> None:
+        nonlocal best
+        if k == n:
+            best = (num, den)
+            return
+        for t in range(n):
+            if not free[t]:
+                continue
+            c_num, c_den = num, den
+            for i in range(k):
+                a, b = dx[i][k], dy[image[i]][t]
+                hi, lo = (a, b) if a > b else (b, a)
+                if hi * c_den > c_num * lo:
+                    c_num, c_den = hi, lo
+            if best is not None and c_num * best[1] >= best[0] * c_den:
+                continue
+            image[k], free[t] = t, False
+            extend(k + 1, c_num, c_den)
+            free[t] = True
+
+    extend(0, 1, 1)
     if best is None:
-        raise TheoremViolation("equal-size spaces have a bijection, but the slice holds none")
-    return best
+        raise TheoremViolation("equal-size spaces have a bijection, but none was scanned")
+    return Fraction(*best)
 
 
 # --- Hausdorff and Gromov-Hausdorff ------------------------------------------
@@ -202,40 +266,64 @@ def _int_matrix(space: FiniteMetricSpace, scale: int) -> list[list[int]]:
     return [[int(v * scale) for v in row] for row in space.d]
 
 
+def _diameter_floor(dx: list[list[int]], dy: list[list[int]]) -> int:
+    """|diam X - diam Y| in the integer scale: a lower bound on every
+    correspondence distortion and on twice every gluing pattern's h (see
+    module docstring)."""
+    return abs(max(map(max, dx)) - max(map(max, dy)))
+
+
+def _is_onto(f: tuple[int, ...], size: int) -> bool:
+    return len(set(f)) == size
+
+
+def _by_distortion(d_src: list[list[int]], d_dst: list[list[int]]) -> list[tuple[int, tuple[int, ...]]]:
+    """Every map src -> dst with its distortion, least distortion first."""
+    n = len(d_src)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    maps = []
+    for f in itertools.product(range(len(d_dst)), repeat=n):
+        dis = max((abs(d_src[i][j] - d_dst[f[i]][f[j]]) for i, j in pairs), default=0)
+        maps.append((dis, f))
+    maps.sort()
+    return maps
+
+
 def _gh_correspondences(dx: list[list[int]], dy: list[list[int]]) -> int:
     """Minimal distortion over correspondences, in the integer scale.
 
     Scans pairs (f: X -> Y, g: Y -> X); the induced correspondence is
     graph(f) union transposed graph(g), and this family realises the
-    minimum (see module docstring).
+    minimum (see module docstring).  Its distortion is at least that of f
+    and of g, so both are scanned in distortion order and cut at the
+    incumbent.
     """
     n, m = len(dx), len(dy)
-    f_choices = []
-    for f in itertools.product(range(m), repeat=n):
-        dis_f = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                dis_f = max(dis_f, abs(dx[i][j] - dy[f[i]][f[j]]))
-        f_choices.append((dis_f, f))
-    f_choices.sort()
-    best = None
+    floor = _diameter_floor(dx, dy)
+    f_choices = _by_distortion(dx, dy)
+    g_choices = _by_distortion(dy, dx)
+    # an onto map with a section as its partner induces its own graph
+    best = min([dis for dis, f in f_choices if _is_onto(f, m)]
+               + [dis for dis, g in g_choices if _is_onto(g, n)])
     for dis_f, f in f_choices:
-        if best is not None and dis_f >= best:
+        if best == floor or dis_f >= best:
             break
-        for g in itertools.product(range(n), repeat=m):
-            dis = dis_f
-            if best is not None and dis >= best:
-                continue
-            for j in range(m):
-                for j2 in range(j + 1, m):
-                    dis = max(dis, abs(dx[g[j]][g[j2]] - dy[j][j2]))
-            for i in range(n):
-                for j in range(m):
-                    dis = max(dis, abs(dx[i][g[j]] - dy[f[i]][j]))
-            if best is None or dis < best:
+        # cross terms |d(x_i, g(y_j)) - d(f(x_i), y_j)| as (row of dx, j, value)
+        cross_terms = [(dx[i], j, dy[f[i]][j]) for i in range(n) for j in range(m)]
+        for dis_g, g in g_choices:
+            if dis_g >= best:
+                break
+            dis = max(dis_f, dis_g)
+            for row_x, j, value in cross_terms:
+                cross = abs(row_x[g[j]] - value)
+                if cross > dis:
+                    dis = cross
+                    if dis >= best:
+                        break
+            else:
                 best = dis
-    if best is None:
-        raise TheoremViolation("no correspondence between non-empty spaces was scanned")
+                if best == floor:
+                    break
     return best
 
 
@@ -286,30 +374,46 @@ def _gh_gluings(dx: list[list[int]], dy: list[list[int]]) -> Fraction:
             for y2 in range(y + 1, m):
                 lower.append((cell(x, y), cell(x, y2), dy[y][y2]))
 
-    # designated-set shortest distances, partial per f and per g
-    f_rows = []
-    for f in itertools.product(range(m), repeat=n):
-        row = [min(sp[cell(x, f[x])][p] for x in range(n)) for p in range(cells)]
-        f_rows.append(row)
-    g_rows = []
-    for g in itertools.product(range(n), repeat=m):
-        row = [min(sp[cell(g[y], y)][p] for y in range(m)) for p in range(cells)]
-        g_rows.append(row)
+    def by_bound(patterns):
+        """(bound, row, pattern) for each half pattern, least bound first:
+        the shortest distances to its designated cells, and its own lower
+        bound on twice h."""
+        out = []
+        for pattern, designated in patterns:
+            row = list(map(min, zip(*(sp[c] for c in designated))))
+            out.append((max([0] + [v - row[p] - row[q] for p, q, v in lower]), row, pattern))
+        out.sort(key=lambda entry: entry[0])
+        return out
 
-    best2 = None  # twice the optimal h, integer scale
-    for frow in f_rows:
-        for grow in g_rows:
-            worst = 0
+    f_rows = by_bound(
+        (f, [cell(x, f[x]) for x in range(n)]) for f in itertools.product(range(m), repeat=n)
+    )
+    g_rows = by_bound(
+        (g, [cell(g[y], y) for y in range(m)]) for g in itertools.product(range(n), repeat=m)
+    )
+
+    floor = _diameter_floor(dx, dy)
+    # twice the optimal h, integer scale; an onto half pattern with a section
+    # as its other half designates only its own cells, so its bound is attained
+    best2 = min([bound for bound, _, f in f_rows if _is_onto(f, m)]
+                + [bound for bound, _, g in g_rows if _is_onto(g, n)])
+    for bound_f, frow, _ in f_rows:
+        if best2 == floor or bound_f >= best2:
+            break
+        for bound_g, grow, _ in g_rows:
+            if bound_g >= best2:
+                break
+            worst = max(bound_f, bound_g)
             for p, q, v in lower:
                 slack = v - min(frow[p], grow[p]) - min(frow[q], grow[q])
                 if slack > worst:
                     worst = slack
-                    if best2 is not None and worst >= best2:
+                    if worst >= best2:
                         break
-            if best2 is None or worst < best2:
+            else:
                 best2 = worst
-    if best2 is None:
-        raise TheoremViolation("no gluing pattern between non-empty spaces was scanned")
+                if best2 == floor:
+                    break
     return Fraction(best2, 2)
 
 

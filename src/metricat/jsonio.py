@@ -35,6 +35,15 @@ def _require(cond: bool, msg: str):
         raise InputFormatError(msg)
 
 
+def json_object(data, what: str, keys=()) -> dict:
+    """The document itself, once it is a JSON object holding every key."""
+    _require(isinstance(data, dict), f"{what} must be a JSON object")
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise InputFormatError(f"{what} needs {', '.join(map(repr, missing))}")
+    return data
+
+
 def parse_fraction(value) -> Fraction:
     try:
         if isinstance(value, str):
@@ -54,6 +63,17 @@ def parse_index(value, what: str) -> int:
         value = int(value)
     _require(type(value) is int and value >= 0, f"{what} must be a non-negative integer, not {value!r}")
     return value
+
+
+def pair_table_from_json(data, what: str) -> dict[tuple[int, int], Fraction]:
+    """A table of rationals keyed by index pairs written "x,y"."""
+    table = {}
+    for key, value in json_object(data, what).items():
+        parts = key.split(",")
+        _require(len(parts) == 2, f"{what} key {key!r} is not an index pair 'x,y'")
+        pair = tuple(parse_index(part.strip(), f"{what} key {key!r}") for part in parts)
+        table[pair] = parse_fraction(value)
+    return table
 
 
 def direction_from_json(data: dict) -> str:

@@ -320,3 +320,60 @@ def test_limits_backward_direction_runs_in_the_opposite_space(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["results"]["sequence"]["verdict"] == "exact-yes"
     assert data["results"]["sequence"]["limitingArrow"] == sp.category.hom(1, 0)[0]
+
+
+def test_lipschitz_size_guard_admits_six_points(tmp_path, capsys):
+    rng = __import__("random").Random(7)
+    for n, code in ((7, 3), (6, 0)):
+        x = jsonio.metric_space_to_json(support.rand_metric(rng, n))
+        y = jsonio.metric_space_to_json(support.rand_metric(rng, n))
+        path = write(tmp_path, f"lip{n}.json", {"x": x, "y": y})
+        assert main(["lipschitz", path]) == code
+        err = capsys.readouterr().err
+        if code == 3:
+            assert err.startswith("size guard:") and "5040" in err and "720" in err
+
+
+TOP_LEVEL_LISTS = {
+    "validate": ["category"],
+    "continuity": ["source", "target", "functor"],
+    "gh": ["x", "y"],
+    "lipschitz": ["x", "y"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(TOP_LEVEL_LISTS))
+def test_top_level_list_is_exit_two(tmp_path, capsys, command):
+    # a list naming the keys a handler reads must not reach data[key]
+    path = write(tmp_path, "list.json", TOP_LEVEL_LISTS[command])
+    assert main([command, path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "Traceback" not in err
+
+
+def bimetric_params(**changes):
+    payload = {"n": 2, "a1": {"0,1": 1, "1,0": 1}, "a2": {"0,1": 2, "1,0": 2}, "h": 1}
+    payload.update(changes)
+    return {k: v for k, v in payload.items() if v is not None}
+
+
+BAD_BIMETRIC_PARAMS = {
+    "missing n": bimetric_params(n=None),
+    "missing a1": bimetric_params(a1=None),
+    "missing a2": bimetric_params(a2=None),
+    "missing h": bimetric_params(h=None),
+    "non-integer n": bimetric_params(n="two"),
+    "a1 not an object": bimetric_params(a1=[1, 1]),
+    "a1 key not a pair": bimetric_params(a1={"0;1": 1, "1,0": 1}),
+    "a2 key not an index": bimetric_params(a2={"0,x": 2, "1,0": 2}),
+    "a2 weight not rational": bimetric_params(a2={"0,1": "x/y", "1,0": 2}),
+    "h not rational": bimetric_params(h="inf"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_BIMETRIC_PARAMS))
+def test_malformed_bimetric_parameters_are_exit_two(tmp_path, capsys, case):
+    path = write(tmp_path, "bm.json", BAD_BIMETRIC_PARAMS[case])
+    assert main(["demo", "bimetric", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "Traceback" not in err

@@ -12,7 +12,12 @@ The backward continuity criteria and the backward natural-contraction
 search are likewise compared with the hand-written backward loops that the
 forward code run in the opposite space replaced: same verdicts, a valid
 witness on every failure, and the same contractions in the same order.
+
+The pruned Gromov-Hausdorff routes are compared with the exhaustive scans
+of every pair (f, g), and the branch-and-bound Lipschitz distance with the
+least factor of the bi-Lipschitz slice: the same exact values.
 """
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -20,8 +25,10 @@ from fractions import Fraction
 from metricat import (
     ZERO,
     FiniteCategory,
+    FiniteMetricSpace,
     Metric1Space,
     NatTransformation,
+    TheoremViolation,
     Weight,
     from_metric_space,
     identity_functor,
@@ -36,7 +43,17 @@ from metricat.coarse import arrow_compose_sets, arrow_star, bounded_generators
 from metricat.continuity import BACKWARD, factorizations, forward_continuous_at_arrow, object_continuity
 from metricat.fincat import Arrow, ValidationReport
 from metricat.fixedpoint import NaturalContraction, find_natural_contractions
+from metricat.geometry import (
+    _common_scale,
+    _gh_correspondences,
+    _gh_gluings,
+    _int_matrix,
+    bilip_slice,
+    gh_distance,
+    lipschitz_distance,
+)
 from metricat.mapping import enumerate_functors
+from metricat.metricspace import line_metric, shortest_path_repair
 from metricat.weights import opposite_space
 
 import support
@@ -424,3 +441,215 @@ def test_backward_natural_contractions_match_the_backward_search():
         assert got == ref_backward_natural_contractions(sp, fun)
         found += len(got)
     assert found > 80
+
+
+# --- geometry: the exhaustive scans -------------------------------------------------
+
+def ref_gh_correspondences(dx: list[list[int]], dy: list[list[int]]) -> int:
+    """Minimal distortion over correspondences, in the integer scale.
+
+    Scans pairs (f: X -> Y, g: Y -> X); the induced correspondence is
+    graph(f) union transposed graph(g), and this family realises the
+    minimum (see the `geometry` module docstring).
+    """
+    n, m = len(dx), len(dy)
+    f_choices = []
+    for f in itertools.product(range(m), repeat=n):
+        dis_f = 0
+        for i in range(n):
+            for j in range(i + 1, n):
+                dis_f = max(dis_f, abs(dx[i][j] - dy[f[i]][f[j]]))
+        f_choices.append((dis_f, f))
+    f_choices.sort()
+    best = None
+    for dis_f, f in f_choices:
+        if best is not None and dis_f >= best:
+            break
+        for g in itertools.product(range(n), repeat=m):
+            dis = dis_f
+            if best is not None and dis >= best:
+                continue
+            for j in range(m):
+                for j2 in range(j + 1, m):
+                    dis = max(dis, abs(dx[g[j]][g[j2]] - dy[j][j2]))
+            for i in range(n):
+                for j in range(m):
+                    dis = max(dis, abs(dx[i][g[j]] - dy[f[i]][j]))
+            if best is None or dis < best:
+                best = dis
+    if best is None:
+        raise TheoremViolation("no correspondence between non-empty spaces was scanned")
+    return best
+
+
+def ref_gh_gluings(dx: list[list[int]], dy: list[list[int]]) -> Fraction:
+    """Infimum of the Hausdorff distance over semimetric gluings, in the
+    integer scale, via the per-pattern closed form explained in the
+    `geometry` module docstring.  Returns the exact optimum (possibly half-integral)."""
+    n, m = len(dx), len(dy)
+    cells = n * m
+
+    def cell(x: int, y: int) -> int:
+        return x * m + y
+
+    big = max(max(max(r) for r in dx), max(max(r) for r in dy), 0) * (cells + 1) + 1
+    sp = [[big] * cells for _ in range(cells)]
+    for x in range(n):
+        for y in range(m):
+            sp[cell(x, y)][cell(x, y)] = 0
+    for y in range(m):
+        for x in range(n):
+            for x2 in range(n):
+                if x != x2:
+                    sp[cell(x, y)][cell(x2, y)] = dx[x][x2]
+    for x in range(n):
+        for y in range(m):
+            for y2 in range(m):
+                if y != y2:
+                    c1, c2 = cell(x, y), cell(x, y2)
+                    sp[c1][c2] = min(sp[c1][c2], dy[y][y2])
+    for k in range(cells):
+        spk = sp[k]
+        for i in range(cells):
+            dik = sp[i][k]
+            row = sp[i]
+            for j in range(cells):
+                via = dik + spk[j]
+                if via < row[j]:
+                    row[j] = via
+
+    # lower-bound constraints (p, q, v): r_p + r_q >= v
+    lower: list[tuple[int, int, int]] = []
+    for y in range(m):
+        for x in range(n):
+            for x2 in range(x + 1, n):
+                lower.append((cell(x, y), cell(x2, y), dx[x][x2]))
+    for x in range(n):
+        for y in range(m):
+            for y2 in range(y + 1, m):
+                lower.append((cell(x, y), cell(x, y2), dy[y][y2]))
+
+    # designated-set shortest distances, partial per f and per g
+    f_rows = []
+    for f in itertools.product(range(m), repeat=n):
+        row = [min(sp[cell(x, f[x])][p] for x in range(n)) for p in range(cells)]
+        f_rows.append(row)
+    g_rows = []
+    for g in itertools.product(range(n), repeat=m):
+        row = [min(sp[cell(g[y], y)][p] for y in range(m)) for p in range(cells)]
+        g_rows.append(row)
+
+    best2 = None  # twice the optimal h, integer scale
+    for frow in f_rows:
+        for grow in g_rows:
+            worst = 0
+            for p, q, v in lower:
+                slack = v - min(frow[p], grow[p]) - min(frow[q], grow[q])
+                if slack > worst:
+                    worst = slack
+                    if best2 is not None and worst >= best2:
+                        break
+            if best2 is None or worst < best2:
+                best2 = worst
+    if best2 is None:
+        raise TheoremViolation("no gluing pattern between non-empty spaces was scanned")
+    return Fraction(best2, 2)
+
+
+def ref_lipschitz_distance(x, y) -> Fraction:
+    return bilip_slice([x, y]).lawvere_factor(0, 1)
+
+
+def permuted(space, rng):
+    order = list(range(len(space.points)))
+    rng.shuffle(order)
+    return FiniteMetricSpace.from_matrix(
+        [space.points[i] for i in order], [[space.d[i][j] for j in order] for i in order]
+    )
+
+
+def equilateral(n, c):
+    return FiniteMetricSpace.from_matrix(
+        [f"e{i}" for i in range(n)], [[0 if i == j else c for j in range(n)] for i in range(n)]
+    )
+
+
+def mixed_line(rng, n):
+    """Points on the line at rationals over denominators up to 7."""
+    coords = set()
+    while len(coords) < n:
+        coords.add(Fraction(rng.randint(0, 30), rng.choice((1, 2, 3, 5, 7))))
+    return line_metric(sorted(coords))
+
+
+def int_metric(rng, n, top):
+    """Integer distances up to `top`, repaired to a metric: many exact ties
+    and unit gaps between the values of different patterns."""
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i][j] = m[j][i] = rng.randint(1, top)
+    return FiniteMetricSpace.from_matrix([f"p{i}" for i in range(n)], shortest_path_repair(m))
+
+
+# (seed, top) of 4-point integer pairs, found by a seeded search, whose
+# value lies below every onto pattern: the scans, their cut-offs and the
+# diameter bound decide it (the first one reaches the bound)
+SCAN_DECIDED = [(10, 8), (20, 6), (29, 3)]
+
+
+def scan_decided_pairs():
+    out = []
+    for seed, top in SCAN_DECIDED:
+        rng = random.Random(seed)
+        out.append((int_metric(rng, 4, top), int_metric(rng, 4, top)))
+    return out
+
+
+def geometry_pairs(seed, sizes):
+    """(x, y) pairs for each size pair: random spaces, points on the line
+    at mixed denominators, all-equal distances (many ties) against each
+    other and against a random space, and an isometric copy with its points
+    permuted when the sizes agree."""
+    rng = random.Random(seed)
+    pairs = []
+    for n, m in sizes:
+        pairs.append((support.rand_metric(rng, n), support.rand_metric(rng, m)))
+        pairs.append((mixed_line(rng, n), mixed_line(rng, m)))
+        pairs.append((equilateral(n, 2), equilateral(m, rng.choice((2, Fraction(7, 3))))))
+        pairs.append((equilateral(n, 3), support.rand_metric(rng, m, 4)))
+        if n == m:
+            x = support.rand_metric(rng, n)
+            pairs.append((x, permuted(x, rng)))
+    return pairs
+
+
+def test_gh_routes_match_the_exhaustive_scans():
+    sizes = [(n, m) for n in range(1, 5) for m in range(1, 5)]
+    values = set()
+    for x, y in geometry_pairs(108, sizes) + scan_decided_pairs():
+        scale = _common_scale(x, y)
+        dx, dy = _int_matrix(x, scale), _int_matrix(y, scale)
+        distortion = _gh_correspondences(dx, dy)
+        assert distortion == ref_gh_correspondences(dx, dy), (x, y)
+        assert _gh_gluings(dx, dy) == ref_gh_gluings(dx, dy), (x, y)
+        assert gh_distance(x, y) == Fraction(distortion, 2 * scale)
+        values.add(Fraction(distortion, 2 * scale))
+    assert len(values) > 20
+
+
+def test_lipschitz_branch_and_bound_matches_the_slice():
+    sizes = [(n, n) for n in range(1, 6)]
+    values = set()
+    for x, y in geometry_pairs(109, sizes) + scan_decided_pairs():
+        value = lipschitz_distance(x, y)
+        assert value == ref_lipschitz_distance(x, y), (x, y)
+        values.add(value)
+    assert len(values) > 8
+
+
+def test_gh_5x5_value_is_pinned():
+    # computed once with the exhaustive scans above (about 210 s on a 2-CPU host)
+    rng = random.Random(56)
+    x, y = support.rand_metric(rng, 5), support.rand_metric(rng, 5)
+    assert gh_distance(x, y) == Fraction(13, 6)
