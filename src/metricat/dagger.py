@@ -1,19 +1,21 @@
 """Dagger structures and the four-level symmetry hierarchy.
 
-A dagger is an identity-on-objects contravariant involution.  Compatibility
-with the weights comes in decreasing strength: weight-preserving (iso),
-uniformly continuous, continuous; a space whose category is a groupoid sits
-above all of these, its inverse map being a canonical iso dagger.
+A dagger is an identity-on-objects contravariant involution, that is, an
+identity-on-objects functor C -> C^op whose arrow map is an involution; the
+search for them runs on `fincat.backtrack` and re-checks every dagger it
+finds.  Compatibility with the weights comes in decreasing strength:
+weight-preserving (iso), uniformly continuous, continuous; a space whose
+category is a groupoid sits above all of these, its inverse map being a
+canonical iso dagger.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import IntEnum
 
-from .errors import PreconditionError, SizeGuardError, TheoremViolation
+from .errors import PreconditionError, TheoremViolation
 from .continuity import forward_continuous, uniformly_continuous
-from .fincat import Functor, ValidationReport, is_groupoid, opposite_functor
+from .fincat import Functor, ValidationReport, backtrack, is_groupoid, opposite_functor
 from .weights import Metric1Space, lawvere, opposite_space
 
 DEFAULT_GUARD = 100_000
@@ -121,74 +123,60 @@ def classify_dagger(space: Metric1Space, dag: Dagger) -> SymmetryClass:
 def enumerate_daggers(space: Metric1Space, guard: int = DEFAULT_GUARD) -> list[Dagger]:
     """All valid daggers, in deterministic order.
 
-    Candidates pair hom(x, y) with hom(y, x) bijectively (an involution can
-    do nothing else) and restrict to involutions fixing the identity on the
-    diagonal hom-sets; contravariance is then checked exhaustively.
+    A dagger is an identity-on-objects functor C -> C^op whose arrow map is
+    an involution.  The variables are the arrows block by block, hom(x, y)
+    then hom(y, x) for x <= y.  An identity maps to itself.  An arrow that
+    an earlier arrow took as its image maps back to it; any other arrow
+    takes a non-identity arrow with swapped endpoints that is not yet set
+    and not yet taken (itself included).  Contravariance is checked once per
+    composable pair, when the last of its arrows is set, and every dagger
+    found is re-checked with `validate_dagger`.  Raises SizeGuardError past
+    `guard` search nodes.
     """
     cat = space.category
     n = len(cat.objects)
-    m = len(cat.arrows)
+    order = [
+        a
+        for x in range(n)
+        for y in range(x, n)
+        for a in (cat.hom(x, y) + cat.hom(y, x) if x != y else cat.hom(x, x))
+    ]
+    pos = {a: i for i, a in enumerate(order)}
+    identities = set(cat.identity.values())
 
-    blocks: list[list[dict[int, int]]] = []
-    total = 1
-    for x in range(n):
-        for y in range(x, n):
-            fwd = cat.hom(x, y)
-            bwd = cat.hom(y, x)
-            if x == y:
-                ident = cat.identity[x]
-                rest = [a for a in fwd if a != ident]
-                choices = []
-                for pairing in _involutions(rest):
-                    table = dict(pairing)
-                    table[ident] = ident
-                    choices.append(table)
-            else:
-                if len(fwd) != len(bwd):
-                    return []
-                choices = []
-                for perm in itertools.permutations(bwd):
-                    table = {a: b for a, b in zip(fwd, perm)}
-                    table.update({b: a for a, b in zip(fwd, perm)})
-                    choices.append(table)
-            if not choices:
-                return []
-            blocks.append(choices)
-            total *= len(choices)
-            if total > guard:
-                raise SizeGuardError(
-                    f"dagger enumeration would try {total}+ candidates (budget {guard})"
-                )
+    def domain(a: int):
+        if a in identities:
+            return lambda values: (a,)
+        i, arrow = pos[a], cat.arrows[a]
+        partners = cat.hom(arrow.cod, arrow.dom)
+        earlier = [(b, pos[b]) for b in partners if pos[b] < i]
+        taking = [pos[b] for b in cat.hom(arrow.dom, arrow.cod) if pos[b] < i]
+        later = [c for c in partners if pos[c] >= i and c not in identities]
+
+        def candidates(values):
+            for b, j in earlier:
+                if values[j] == a:
+                    return (b,)
+            taken = {values[j] for j in taking}
+            return [c for c in later if c not in taken]
+
+        return candidates
+
+    table = cat.composition
+    checks = []
+    for f, g in cat.composable_pairs():
+        f, g, h = pos[f], pos[g], pos[table[(f, g)]]
+        # (g after f)^dagger == f^dagger after g^dagger
+        checks.append(((f, g, h), lambda v, f=f, g=g, h=h: table[(v[g], v[f])] == v[h]))
 
     found = []
-    for combo in itertools.product(*blocks):
-        table: dict[int, int] = {}
-        for block in combo:
-            table.update(block)
-        dag = Dagger(tuple(table[a] for a in range(m)))
-        if validate_dagger(space, dag).ok:
-            found.append(dag)
+    for values in backtrack([domain(a) for a in order], checks, guard, "dagger search"):
+        dag = Dagger(tuple(values[pos[a]] for a in range(len(cat.arrows))))
+        rep = validate_dagger(space, dag)
+        if not rep.ok:
+            raise TheoremViolation("enumerated dagger failed validation: " + rep.summary())
+        found.append(dag)
     return found
-
-
-def _involutions(elements: list[int]) -> list[dict[int, int]]:
-    """All involutive self-pairings of a list (fixed points allowed)."""
-    if not elements:
-        return [{}]
-    first, rest = elements[0], elements[1:]
-    out = []
-    for sub in _involutions(rest):
-        fixed = dict(sub)
-        fixed[first] = first
-        out.append(fixed)
-    for i, other in enumerate(rest):
-        remaining = rest[:i] + rest[i + 1 :]
-        for sub in _involutions(remaining):
-            d = dict(sub)
-            d[first] = other
-            d[other] = first
-            out.append(d)
-    return out
 
 
 def symmetry_hierarchy(space: Metric1Space, guard: int = DEFAULT_GUARD) -> SymmetryClass:

@@ -12,13 +12,18 @@ scan walks it: composable pairs are found as (f, each arrow out of cod f),
 and associativity runs over composable triples, never over all m² pairs or
 pairs × m.  All validators stay exhaustive and list their findings in
 lexicographic arrow-id order.
+
+`backtrack` is the one search over functor-shaped tables (functors,
+transformations, natural contractions, daggers): one variable at a time,
+each check run once, when the last variable it reads is set, and one budget
+of search nodes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import TheoremViolation
+from .errors import SizeGuardError, TheoremViolation
 
 
 @dataclass(frozen=True)
@@ -341,6 +346,50 @@ def validate_functor(fun: Functor) -> ValidationReport:
         if lhs != rhs:
             out.append(f"composition not preserved on pair ({f},{g}): {lhs} != {rhs}")
     return report
+
+
+def backtrack(domains, checks, budget: int, what: str):
+    """Yield every assignment of the variables that passes all checks, as a
+    tuple of values, in lexicographic order of the domains.
+
+    Variable i takes the values ``domains[i](values)`` in order, where
+    ``values`` holds the variables before it.  A check is a pair
+    ``(reads, predicate)``: it is attached to the last variable it reads,
+    so ``predicate(values)`` runs exactly once, when that variable is set.
+    One search node is one candidate value tried; past ``budget`` nodes
+    the search raises ``SizeGuardError``.  The loop keeps an explicit
+    stack, so the depth is not bounded by the interpreter's recursion
+    limit.
+    """
+    n = len(domains)
+    if n == 0:
+        yield ()
+        return
+    attached: list[list] = [[] for _ in range(n)]
+    for reads, predicate in checks:
+        attached[max(reads)].append(predicate)
+    values: list = [None] * n
+    candidates = [iter(())] * n
+    candidates[0] = iter(domains[0](values))
+    nodes = 0
+    i = 0
+    while i >= 0:
+        here = attached[i]
+        for value in candidates[i]:
+            nodes += 1
+            if nodes > budget:
+                raise SizeGuardError(f"{what} exceeded its budget of {budget} search nodes")
+            values[i] = value
+            if all(predicate(values) for predicate in here):
+                break
+        else:
+            i -= 1
+            continue
+        if i + 1 == n:
+            yield tuple(values)
+        else:
+            i += 1
+            candidates[i] = iter(domains[i](values))
 
 
 def is_groupoid(cat: FiniteCategory) -> dict[int, int] | None:

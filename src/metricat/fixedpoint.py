@@ -7,19 +7,22 @@ genuine contraction the orbit's terminal cycle collapses to a single fixed
 object, the series is Cauchy, and the window compositions into the fixed
 object assemble a limiting cone whose first leg is the alpha-fixed arrow.
 
-A backward natural contraction (components F(c) -> c) is a forward one of
-the opposite functor on the opposite space; both the search and the
-iteration dualise a backward request once and run the forward body.
+Natural contractions are the transformations Id => F that satisfy the
+coherence law F(c_x) = c_{F(x)}: the transformation search of `mapping`
+with one more check per object.  A backward natural contraction
+(components F(c) -> c) is a forward one of the opposite functor on the
+opposite space; both the search and the iteration dualise a backward
+request once and run the forward body.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .errors import PreconditionError, SizeGuardError, TheoremViolation
+from .errors import PreconditionError, TheoremViolation
 from .continuity import uniformly_continuous
 from .fincat import (
-    FiniteCategory, Functor, NatTransformation, identity_functor, opposite_functor,
+    FiniteCategory, Functor, NatTransformation, backtrack, identity_functor, opposite_functor,
     validate_functor, validate_transformation,
 )
 from .limits import (
@@ -31,6 +34,7 @@ from .limits import (
     check_cauchy,
     check_series_limit,
 )
+from .mapping import naturality_search
 from .weight import ZERO
 from .weights import BACKWARD, FORWARD, Metric1Space, is_backward, is_nondegenerate, opposite_space
 
@@ -102,49 +106,22 @@ class NaturalContraction:
 def find_natural_contractions(
     space: Metric1Space, fun: Functor, direction: str = FORWARD, guard: int = DEFAULT_GUARD
 ) -> list[NaturalContraction]:
-    """Exhaustive search over per-object component choices, filtered by
-    naturality and the coherence law, in lexicographic order.  Backward
-    contractions are the forward ones of the opposite functor."""
+    """The natural transformations Id => F that also satisfy the coherence
+    law, in component-lexicographic order: the search for transformations
+    with one more check per object x, run once x and F(x) are both set.
+    Backward contractions are the forward ones of the opposite functor.
+    Raises SizeGuardError past `guard` search nodes."""
     if is_backward(direction):
         found = find_natural_contractions(opposite_space(space), opposite_functor(fun), FORWARD, guard)
         return [NaturalContraction(BACKWARD, fun, nc.components) for nc in found]
-    cat = space.category
-    n = len(cat.objects)
-    pools = []
-    total = 1
-    for x in range(n):
-        pool = cat.hom(x, fun.obj_map[x])
-        pools.append(pool)
-        total *= max(1, len(pool))
-        if total > guard:
-            raise SizeGuardError(f"natural-contraction search would try {total}+ candidates")
-        if not pool:
-            return []
-
-    out: list[NaturalContraction] = []
-
-    def naturality_ok(comps: list[int], upto: int) -> bool:
-        for a in cat.arrows:
-            if a.dom < upto and a.cod < upto:
-                left = cat.compose(comps[a.dom], fun.arr_map[a.id])
-                right = cat.compose(a.id, comps[a.cod])
-                if left != right:
-                    return False
-        return True
-
-    def rec(x: int, comps: list[int]):
-        if x == n:
-            if all(fun.arr_map[comps[c]] == comps[fun.obj_map[c]] for c in range(n)):
-                out.append(NaturalContraction(FORWARD, fun, tuple(comps)))
-            return
-        for c in pools[x]:
-            comps.append(c)
-            if naturality_ok(comps, x + 1):
-                rec(x + 1, comps)
-            comps.pop()
-
-    rec(0, [])
-    ident = identity_functor(fun.source)
+    ident = identity_functor(space.category)
+    domains, checks = naturality_search(ident, fun)
+    for x, fx in fun.obj_map.items():
+        checks.append(((x, fx), lambda v, x=x, fx=fx: fun.arr_map[v[x]] == v[fx]))
+    out = [
+        NaturalContraction(FORWARD, fun, components)
+        for components in backtrack(domains, checks, guard, "natural-contraction search")
+    ]
     for nc in out:
         rep = validate_transformation(NatTransformation(ident, fun, dict(enumerate(nc.components))))
         if not rep.ok:

@@ -213,11 +213,15 @@ def cone_from_json(data) -> EssentialCone:
 def generators_from_json(data, cat: FiniteCategory) -> CoarseGenerators:
     _require(isinstance(data, dict), "generators must be an object")
     _require("list" in data, "generators need 'list'")
-    sets = [frozenset(int(a) for a in s) for s in data["list"]]
+    _require(isinstance(data["list"], list), "generators 'list' must be a JSON list")
+    sets = []
+    for s in data["list"]:
+        _require(isinstance(s, list), f"generator {s!r} must be a JSON list of arrow ids")
+        sets.append(frozenset(parse_index(a, "generator arrow id") for a in s))
     constant_from = data.get("constantFrom")
-    return CoarseGenerators.normalized(
-        cat, sets, int(constant_from) if constant_from is not None else None
-    )
+    if constant_from is not None:
+        constant_from = parse_index(constant_from, "constantFrom")
+    return CoarseGenerators.normalized(cat, sets, constant_from)
 
 
 def dumps(payload) -> str:

@@ -1,27 +1,30 @@
 """Functor and natural-transformation enumeration, and the mapping space.
 
-Enumeration is plain backtracking over tables in lexicographic order with a
-step budget; identities are forced, composition constraints prune as soon
-as both factors of a pair are assigned.  The mapping space [X, Y] collects
-the uniformly continuous functors (on finite spaces the forward, backward
-and uniform notions agree), all natural transformations between them,
-vertical composition, and the sup-of-component weights.
+Both enumerations run on `fincat.backtrack`, in lexicographic order, with a
+budget of search nodes.  A functor's variables are the objects, then the
+arrows; identities are forced, and each composable pair is checked once,
+when its last arrow is set.  A transformation's variables are its
+components; each naturality square is checked once both are set.  The
+mapping space [X, Y] collects the uniformly continuous functors (on finite
+spaces the forward, backward and uniform notions agree), all natural
+transformations between them, their pointwise composites and the
+sup-of-component weights.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import SizeGuardError
+from .errors import TheoremViolation
 from .fincat import (
     Arrow,
     FiniteCategory,
     Functor,
     NatTransformation,
     Obj,
+    backtrack,
     identity_transformation,
     validate_functor,
     validate_transformation,
-    vertical_compose,
 )
 from .weight import ZERO, Weight
 from .weights import Metric1Space
@@ -36,108 +39,59 @@ def enumerate_functors(
     """All functors source -> target, duplicate-free, ordered
     lexicographically by (object table, arrow table).
 
-    Raises SizeGuardError when the backtracking search would visit more
-    than `guard` nodes.
+    The variables are the objects, then the arrows in id order; an identity
+    can only map to the identity of its image object.  Each composable pair
+    is checked once, when the last of its two factors and its composite is
+    set.  Raises SizeGuardError past `guard` search nodes.
     """
-    n_obj = len(source.objects)
-    out: list[Functor] = []
-    steps = 0
+    n = len(source.objects)
+    objects = range(len(target.objects))
+    forced = {source.identity[x]: x for x in range(n)}
+    domains = [lambda values: objects] * n
+    for a in source.arrows:
+        if a.id in forced:
+            domains.append(lambda values, x=forced[a.id]: (target.identity[values[x]],))
+        else:
+            domains.append(lambda values, x=a.dom, y=a.cod: target.hom(values[x], values[y]))
+    table = target.composition
+    checks = []
+    for f, g in source.composable_pairs():
+        f, g, h = n + f, n + g, n + source.compose(f, g)
+        checks.append(((f, g, h), lambda v, f=f, g=g, h=h: table[(v[f], v[g])] == v[h]))
+    return [
+        Functor(source, target, dict(enumerate(values[:n])), dict(enumerate(values[n:])))
+        for values in backtrack(domains, checks, guard, "functor enumeration")
+    ]
 
-    def bump():
-        nonlocal steps
-        steps += 1
-        if steps > guard:
-            raise SizeGuardError(
-                f"functor enumeration exceeded its budget of {guard} search nodes"
-            )
 
-    target_objects = range(len(target.objects))
-
-    def assign_arrows(obj_map: dict[int, int]):
-        arr_ids = [a.id for a in source.arrows]
-        arr_map: dict[int, int] = {}
-        # identities are forced
-        forced = {source.identity[x]: target.identity[obj_map[x]] for x in range(n_obj)}
-        free = [a for a in arr_ids if a not in forced]
-        arr_map.update(forced)
-
-        def candidates(aid: int) -> tuple[int, ...]:
-            a = source.arrows[aid]
-            return target.hom(obj_map[a.dom], obj_map[a.cod])
-
-        def consistent(aid: int) -> bool:
-            # check every composable pair fully assigned so far
-            for f, g in source.composable_pairs():
-                if f in arr_map and g in arr_map:
-                    h = source.compose(f, g)
-                    if h in arr_map and target.compose(arr_map[f], arr_map[g]) != arr_map[h]:
-                        return False
-            return True
-
-        def rec(i: int):
-            bump()
-            if i == len(free):
-                out.append(Functor(source, target, dict(obj_map), dict(arr_map)))
-                return
-            aid = free[i]
-            for img in candidates(aid):
-                arr_map[aid] = img
-                if consistent(aid):
-                    rec(i + 1)
-                del arr_map[aid]
-
-        rec(0)
-
-    def assign_objects(i: int, obj_map: dict[int, int]):
-        bump()
-        if i == n_obj:
-            assign_arrows(obj_map)
-            return
-        for y in target_objects:
-            obj_map[i] = y
-            assign_objects(i + 1, obj_map)
-            del obj_map[i]
-
-    assign_objects(0, {})
-    return out
+def naturality_search(F: Functor, G: Functor):
+    """Variables and checks of the search for transformations F => G: one
+    component per object, and one naturality square per arrow, checked once
+    both of its components are set."""
+    dst = F.target
+    domains = [
+        lambda values, fx=F.obj_map[x], gx=G.obj_map[x]: dst.hom(fx, gx)
+        for x in range(len(F.source.objects))
+    ]
+    table = dst.composition
+    checks = [
+        ((a.dom, a.cod),
+         lambda v, x=a.dom, y=a.cod, fa=F.arr_map[a.id], ga=G.arr_map[a.id]:
+             table[(v[x], ga)] == table[(fa, v[y])])
+        for a in F.source.arrows
+    ]
+    return domains, checks
 
 
 def enumerate_transformations(
     F: Functor, G: Functor, guard: int = DEFAULT_GUARD
 ) -> list[NatTransformation]:
-    """All natural transformations F -> G in component-lexicographic order."""
-    src, dst = F.source, F.target
-    n_obj = len(src.objects)
-    out: list[NatTransformation] = []
-    steps = 0
-    arrows = list(src.arrows)
-
-    def rec(x: int, comps: dict[int, int]):
-        nonlocal steps
-        steps += 1
-        if steps > guard:
-            raise SizeGuardError(
-                f"transformation enumeration exceeded its budget of {guard} search nodes"
-            )
-        if x == n_obj:
-            out.append(NatTransformation(F, G, dict(comps)))
-            return
-        for c in dst.hom(F.obj_map[x], G.obj_map[x]):
-            comps[x] = c
-            ok = True
-            for a in arrows:
-                if a.dom in comps and a.cod in comps:
-                    left = dst.compose(comps[a.dom], G.arr_map[a.id])
-                    right = dst.compose(F.arr_map[a.id], comps[a.cod])
-                    if left != right:
-                        ok = False
-                        break
-            if ok:
-                rec(x + 1, comps)
-            del comps[x]
-
-    rec(0, {})
-    return out
+    """All natural transformations F -> G in component-lexicographic order.
+    Raises SizeGuardError past `guard` search nodes."""
+    return [
+        NatTransformation(F, G, dict(enumerate(components)))
+        for components in backtrack(*naturality_search(F, G), guard, "transformation enumeration")
+    ]
 
 
 def nat_weight(t: NatTransformation, target_space: Metric1Space) -> Weight:
@@ -176,8 +130,6 @@ def mapping_space(
         for f in enumerate_functors(X.category, Y.category, guard)
         if validate_functor(f).ok and uniformly_continuous(f, X, Y).holds
     ]
-    fun_index = {f.key(): i for i, f in enumerate(funs)}
-
     transformations: list[NatTransformation] = []
     arrow_meta: list[tuple[int, int]] = []  # (source functor index, target functor index)
     for i, F in enumerate(funs):
@@ -188,10 +140,8 @@ def mapping_space(
                 transformations.append(t)
                 arrow_meta.append((i, j))
 
-    key_to_id = {
-        (arrow_meta[k][0], arrow_meta[k][1], tuple(sorted(t.components.items()))): k
-        for k, t in enumerate(transformations)
-    }
+    rows = [tuple(sorted(t.components.items())) for t in transformations]
+    key_to_id = {(*arrow_meta[k], row): k for k, row in enumerate(rows)}
 
     objs = tuple(Obj(i, f"F{i}") for i in range(len(funs)))
     arrs = tuple(
@@ -204,13 +154,19 @@ def mapping_space(
         identity[i] = key_to_id[(i, i, tuple(sorted(ident.components.items())))]
     composition = {}
     cat = FiniteCategory(objs, arrs, identity, composition)
-    # the table is filled in place; the index depends on the arrows alone
-    for a, ta in enumerate(transformations):
-        for b in cat.arrows_from(arrow_meta[a][1]):
-            comp = vertical_compose(ta, transformations[b])
-            cid = key_to_id[
-                (arrow_meta[a][0], arrow_meta[b][1], tuple(sorted(comp.components.items())))
-            ]
-            composition[(a, b)] = cid
+    # The table is filled in place; the index depends on the arrows alone.
+    # Components compose pointwise; every key belongs to an enumerated,
+    # validated transformation, so a found composite is natural.
+    table = Y.category.composition
+    for a, row_a in enumerate(rows):
+        i, j = arrow_meta[a]
+        for b in cat.arrows_from(j):
+            key = (i, arrow_meta[b][1],
+                   tuple((x, table[(ca, cb)]) for (x, ca), (_, cb) in zip(row_a, rows[b])))
+            if key not in key_to_id:
+                raise TheoremViolation(
+                    f"vertical composite of transformations {a} and {b} is not natural"
+                )
+            composition[(a, b)] = key_to_id[key]
     weights = tuple(nat_weight(t, Y) for t in transformations)
     return MappingSpace(Metric1Space(cat, weights), funs, transformations, X, Y)

@@ -110,6 +110,41 @@ def one_sided_space() -> Metric1Space:
     return Metric1Space.from_weights(cat, [0, 0, 0, 5, 5, 4, 2, 3, 2, 7, 4])
 
 
+def monoid_space(k: int, product, weight) -> Metric1Space:
+    """One object with arrows 0..k-1, arrow 0 the identity; non-identity
+    arrows a, b compose to product(a, b) and arrow a weighs weight(a)."""
+    comp = {(a, b): product(a, b) for a in range(1, k) for b in range(1, k)}
+    cat = build_category(1, [(0, 0)] * (k - 1), comp)
+    return Metric1Space.from_weights(cat, [0] + [weight(a) for a in range(1, k)])
+
+
+def max_monoid_space(k: int) -> Metric1Space:
+    """Arrows compose by max and arrow a weighs a: the identity is its only
+    dagger."""
+    return monoid_space(k, max, lambda a: a)
+
+
+def null_product_space(k: int) -> Metric1Space:
+    """Every product of two non-identity arrows is the last arrow, a zero;
+    its daggers are the involutions of arrows 1..k-2."""
+    return monoid_space(k, lambda a, b: k - 1, lambda a: 1)
+
+
+def cyclic_groupoid_space(n: int, m: int) -> Metric1Space:
+    """n objects with hom(x, y) = Z/m for every pair, composing by addition;
+    arrow (x, y, g) has id (x * n + y) * m + g.  Every off-diagonal hom-set
+    has m arrows, and for m >= 3 some daggers pair them by m-cycles."""
+    arrows = [(x, y) for x in range(n) for y in range(n) for _ in range(m)]
+    comp = {
+        ((x * n + y) * m + g, (y * n + z) * m + h): (x * n + z) * m + (g + h) % m
+        for x in range(n) for y in range(n) for z in range(n)
+        for g in range(m) for h in range(m)
+    }
+    identities = {x: (x * n + x) * m for x in range(n)}
+    cat = build_category(n, arrows, comp, identities)
+    return Metric1Space.from_weights(cat, [0 if a in identities.values() else 1 for a in range(len(arrows))])
+
+
 def halving_fixture():
     """Indiscrete space on the line points 0, 1/3, 1 with the halve-then-
     snap-down-to-grid self map (1 -> 1/3 -> 0 -> 0): contraction factor

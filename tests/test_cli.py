@@ -377,3 +377,53 @@ def test_malformed_bimetric_parameters_are_exit_two(tmp_path, capsys, case):
     assert main(["demo", "bimetric", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error:") and "Traceback" not in err
+
+
+def test_map_space_from_a_deep_source_is_exit_zero(tmp_path, capsys):
+    # 40 objects and 1,600 arrows are 1,640 search variables: the search
+    # keeps its own stack, so the depth is not bounded by recursion
+    n = 40
+    src = Metric1Space.from_weights(indiscrete(n), [0 if a % (n + 1) == 0 else 1 for a in range(n * n)])
+    dst = Metric1Space.from_weights(indiscrete(1), [0])
+    path = write(tmp_path, "deep.json", {"source": jsonio.space_to_json(src),
+                                         "target": jsonio.space_to_json(dst)})
+    assert main(["--format", "json", "map-space", path]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert len(data["functors"]) == 1 and len(data["category"]["arrows"]) == 1
+
+
+def test_dagger_guard_counts_search_nodes(tmp_path, capsys):
+    path = write(tmp_path, "monoid.json", jsonio.space_to_json(support.max_monoid_space(4)))
+    assert main(["--format", "json", "dagger", "-v", path]) == 0
+    assert json.loads(capsys.readouterr().out)["daggers"] == [[0, 1, 2, 3]]
+    assert main(["--guard-daggers", "5", "dagger", path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("size guard:") and "dagger search" in err and "5 search nodes" in err
+
+
+def generators_payload(generators):
+    return {"category": jsonio.category_to_json(indiscrete(2)), "generators": generators}
+
+
+BAD_GENERATORS = {
+    "arrow id not an integer": {"list": [["x"]]},
+    "constantFrom not an integer": {"list": [[1]], "constantFrom": "z"},
+    "list not a list": {"list": 5},
+    "generator not a list": {"list": [5]},
+    "fractional arrow id": {"list": [[1.5]]},
+    "boolean arrow id": {"list": [[True]]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_GENERATORS))
+def test_malformed_generators_are_exit_two(tmp_path, capsys, case):
+    path = write(tmp_path, "gen.json", generators_payload(BAD_GENERATORS[case]))
+    assert main(["metrize", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "Traceback" not in err
+
+
+def test_dangling_generator_arrow_is_a_precondition(tmp_path, capsys):
+    path = write(tmp_path, "gen.json", generators_payload({"list": [[99]]}))
+    assert main(["metrize", path]) == 1
+    assert capsys.readouterr().err.startswith("precondition:")

@@ -6,6 +6,7 @@ import pytest
 from metricat import (
     Metric1Space,
     PreconditionError,
+    SizeGuardError,
     build_category,
     is_groupoid,
     lawvere,
@@ -205,3 +206,13 @@ def test_one_sided_space_is_uniform_but_not_iso():
     assert symmetry_hierarchy(sp) == SymmetryClass.UNIFORM
     for dag in enumerate_daggers(sp):
         assert classify_dagger(sp, dag) < SymmetryClass.ISO
+
+
+def test_dagger_budget_counts_search_nodes():
+    # The max-monoid with 13 arrows has 140,152 candidate involutions, which
+    # a product of candidates could not admit; the search settles it at once.
+    assert enumerate_daggers(support.max_monoid_space(13)) == [Dagger(tuple(range(13)))]
+    # The null-product monoid has few contravariance failures to prune on:
+    # with 12 arrows the search passes the default budget and says so.
+    with pytest.raises(SizeGuardError, match="dagger search exceeded its budget of 100000 search nodes"):
+        enumerate_daggers(support.null_product_space(12))

@@ -6,6 +6,7 @@ import pytest
 from metricat import (
     Functor,
     PreconditionError,
+    SizeGuardError,
     Weight,
     build_category,
     identity_functor,
@@ -239,3 +240,12 @@ def test_banach_backward_direction_runs_dually():
     # the dual run produces the arrow 0 -> 1 of the same weight 1
     assert (arrow.dom, arrow.cod) == (0, 2)
     assert space.w[outcome.fixed.arrow] == Weight(1)
+
+
+def test_natural_contraction_budget_counts_search_nodes():
+    # four objects, one candidate component each: exactly four search nodes
+    sp = support.line_space([0, 1, 2, 3])
+    fun = support.indiscrete_endofunctor(sp, [0, 0, 0, 0])
+    assert len(find_natural_contractions(sp, fun, guard=4)) == 1
+    with pytest.raises(SizeGuardError, match="natural-contraction search exceeded its budget of 3 search nodes"):
+        find_natural_contractions(sp, fun, guard=3)

@@ -16,6 +16,13 @@ witness on every failure, and the same contractions in the same order.
 The pruned Gromov-Hausdorff routes are compared with the exhaustive scans
 of every pair (f, g), and the branch-and-bound Lipschitz distance with the
 least factor of the bi-Lipschitz slice: the same exact values.
+
+The functor, transformation, natural-contraction and dagger searches on
+the one backtracking engine are compared with the four hand-written
+searches they replaced (kept verbatim, the candidate product of involutions
+included): the same results in the same order, since the order reaches the
+CLI output.  The mapping space's pointwise composites are compared with
+`vertical_compose`, which re-checks naturality.
 """
 import itertools
 import math
@@ -26,8 +33,10 @@ from metricat import (
     ZERO,
     FiniteCategory,
     FiniteMetricSpace,
+    Functor,
     Metric1Space,
     NatTransformation,
+    SizeGuardError,
     TheoremViolation,
     Weight,
     from_metric_space,
@@ -38,10 +47,12 @@ from metricat import (
     validate_functor,
     validate_metric1,
     validate_transformation,
+    vertical_compose,
 )
 from metricat.coarse import arrow_compose_sets, arrow_star, bounded_generators
-from metricat.continuity import BACKWARD, factorizations, forward_continuous_at_arrow, object_continuity
+from metricat.continuity import BACKWARD, FORWARD, factorizations, forward_continuous_at_arrow, object_continuity
 from metricat.fincat import Arrow, ValidationReport
+from metricat.dagger import Dagger, enumerate_daggers, validate_dagger
 from metricat.fixedpoint import NaturalContraction, find_natural_contractions
 from metricat.geometry import (
     _common_scale,
@@ -52,9 +63,9 @@ from metricat.geometry import (
     gh_distance,
     lipschitz_distance,
 )
-from metricat.mapping import enumerate_functors
+from metricat.mapping import enumerate_functors, enumerate_transformations, mapping_space
 from metricat.metricspace import line_metric, shortest_path_repair
-from metricat.weights import opposite_space
+from metricat.weights import is_backward, opposite_space
 
 import support
 
@@ -653,3 +664,306 @@ def test_gh_5x5_value_is_pinned():
     rng = random.Random(56)
     x, y = support.rand_metric(rng, 5), support.rand_metric(rng, 5)
     assert gh_distance(x, y) == Fraction(13, 6)
+
+
+# --- functor-shaped searches: the hand-written loops ----------------------------
+
+
+def ref_enumerate_functors(
+    source: FiniteCategory, target: FiniteCategory, guard: int = 500_000
+) -> list[Functor]:
+    """All functors source -> target, duplicate-free, ordered
+    lexicographically by (object table, arrow table).
+
+    Raises SizeGuardError when the backtracking search would visit more
+    than `guard` nodes.
+    """
+    n_obj = len(source.objects)
+    out: list[Functor] = []
+    steps = 0
+
+    def bump():
+        nonlocal steps
+        steps += 1
+        if steps > guard:
+            raise SizeGuardError(
+                f"functor enumeration exceeded its budget of {guard} search nodes"
+            )
+
+    target_objects = range(len(target.objects))
+
+    def assign_arrows(obj_map: dict[int, int]):
+        arr_ids = [a.id for a in source.arrows]
+        arr_map: dict[int, int] = {}
+        # identities are forced
+        forced = {source.identity[x]: target.identity[obj_map[x]] for x in range(n_obj)}
+        free = [a for a in arr_ids if a not in forced]
+        arr_map.update(forced)
+
+        def candidates(aid: int) -> tuple[int, ...]:
+            a = source.arrows[aid]
+            return target.hom(obj_map[a.dom], obj_map[a.cod])
+
+        def consistent(aid: int) -> bool:
+            # check every composable pair fully assigned so far
+            for f, g in source.composable_pairs():
+                if f in arr_map and g in arr_map:
+                    h = source.compose(f, g)
+                    if h in arr_map and target.compose(arr_map[f], arr_map[g]) != arr_map[h]:
+                        return False
+            return True
+
+        def rec(i: int):
+            bump()
+            if i == len(free):
+                out.append(Functor(source, target, dict(obj_map), dict(arr_map)))
+                return
+            aid = free[i]
+            for img in candidates(aid):
+                arr_map[aid] = img
+                if consistent(aid):
+                    rec(i + 1)
+                del arr_map[aid]
+
+        rec(0)
+
+    def assign_objects(i: int, obj_map: dict[int, int]):
+        bump()
+        if i == n_obj:
+            assign_arrows(obj_map)
+            return
+        for y in target_objects:
+            obj_map[i] = y
+            assign_objects(i + 1, obj_map)
+            del obj_map[i]
+
+    assign_objects(0, {})
+    return out
+
+
+def ref_enumerate_transformations(
+    F: Functor, G: Functor, guard: int = 500_000
+) -> list[NatTransformation]:
+    """All natural transformations F -> G in component-lexicographic order."""
+    src, dst = F.source, F.target
+    n_obj = len(src.objects)
+    out: list[NatTransformation] = []
+    steps = 0
+    arrows = list(src.arrows)
+
+    def rec(x: int, comps: dict[int, int]):
+        nonlocal steps
+        steps += 1
+        if steps > guard:
+            raise SizeGuardError(
+                f"transformation enumeration exceeded its budget of {guard} search nodes"
+            )
+        if x == n_obj:
+            out.append(NatTransformation(F, G, dict(comps)))
+            return
+        for c in dst.hom(F.obj_map[x], G.obj_map[x]):
+            comps[x] = c
+            ok = True
+            for a in arrows:
+                if a.dom in comps and a.cod in comps:
+                    left = dst.compose(comps[a.dom], G.arr_map[a.id])
+                    right = dst.compose(F.arr_map[a.id], comps[a.cod])
+                    if left != right:
+                        ok = False
+                        break
+            if ok:
+                rec(x + 1, comps)
+            del comps[x]
+
+    rec(0, {})
+    return out
+
+
+def ref_find_natural_contractions(
+    space: Metric1Space, fun: Functor, direction: str = FORWARD, guard: int = 200_000
+) -> list[NaturalContraction]:
+    """Exhaustive search over per-object component choices, filtered by
+    naturality and the coherence law, in lexicographic order.  Backward
+    contractions are the forward ones of the opposite functor."""
+    if is_backward(direction):
+        found = ref_find_natural_contractions(opposite_space(space), opposite_functor(fun), FORWARD, guard)
+        return [NaturalContraction(BACKWARD, fun, nc.components) for nc in found]
+    cat = space.category
+    n = len(cat.objects)
+    pools = []
+    total = 1
+    for x in range(n):
+        pool = cat.hom(x, fun.obj_map[x])
+        pools.append(pool)
+        total *= max(1, len(pool))
+        if total > guard:
+            raise SizeGuardError(f"natural-contraction search would try {total}+ candidates")
+        if not pool:
+            return []
+
+    out: list[NaturalContraction] = []
+
+    def naturality_ok(comps: list[int], upto: int) -> bool:
+        for a in cat.arrows:
+            if a.dom < upto and a.cod < upto:
+                left = cat.compose(comps[a.dom], fun.arr_map[a.id])
+                right = cat.compose(a.id, comps[a.cod])
+                if left != right:
+                    return False
+        return True
+
+    def rec(x: int, comps: list[int]):
+        if x == n:
+            if all(fun.arr_map[comps[c]] == comps[fun.obj_map[c]] for c in range(n)):
+                out.append(NaturalContraction(FORWARD, fun, tuple(comps)))
+            return
+        for c in pools[x]:
+            comps.append(c)
+            if naturality_ok(comps, x + 1):
+                rec(x + 1, comps)
+            comps.pop()
+
+    rec(0, [])
+    ident = identity_functor(fun.source)
+    for nc in out:
+        rep = validate_transformation(NatTransformation(ident, fun, dict(enumerate(nc.components))))
+        if not rep.ok:
+            raise TheoremViolation("enumerated contraction failed validation: " + rep.summary())
+    return out
+
+
+def ref_enumerate_daggers(space: Metric1Space, guard: int = 100_000) -> list[Dagger]:
+    """All valid daggers, in deterministic order.
+
+    Candidates pair hom(x, y) with hom(y, x) bijectively (an involution can
+    do nothing else) and restrict to involutions fixing the identity on the
+    diagonal hom-sets; contravariance is then checked exhaustively.
+    """
+    cat = space.category
+    n = len(cat.objects)
+    m = len(cat.arrows)
+
+    blocks: list[list[dict[int, int]]] = []
+    total = 1
+    for x in range(n):
+        for y in range(x, n):
+            fwd = cat.hom(x, y)
+            bwd = cat.hom(y, x)
+            if x == y:
+                ident = cat.identity[x]
+                rest = [a for a in fwd if a != ident]
+                choices = []
+                for pairing in _involutions(rest):
+                    table = dict(pairing)
+                    table[ident] = ident
+                    choices.append(table)
+            else:
+                if len(fwd) != len(bwd):
+                    return []
+                choices = []
+                for perm in itertools.permutations(bwd):
+                    table = {a: b for a, b in zip(fwd, perm)}
+                    table.update({b: a for a, b in zip(fwd, perm)})
+                    choices.append(table)
+            if not choices:
+                return []
+            blocks.append(choices)
+            total *= len(choices)
+            if total > guard:
+                raise SizeGuardError(
+                    f"dagger enumeration would try {total}+ candidates (budget {guard})"
+                )
+
+    found = []
+    for combo in itertools.product(*blocks):
+        table: dict[int, int] = {}
+        for block in combo:
+            table.update(block)
+        dag = Dagger(tuple(table[a] for a in range(m)))
+        if validate_dagger(space, dag).ok:
+            found.append(dag)
+    return found
+
+
+def _involutions(elements: list[int]) -> list[dict[int, int]]:
+    """All involutive self-pairings of a list (fixed points allowed)."""
+    if not elements:
+        return [{}]
+    first, rest = elements[0], elements[1:]
+    out = []
+    for sub in _involutions(rest):
+        fixed = dict(sub)
+        fixed[first] = first
+        out.append(fixed)
+    for i, other in enumerate(rest):
+        remaining = rest[:i] + rest[i + 1 :]
+        for sub in _involutions(remaining):
+            d = dict(sub)
+            d[first] = other
+            d[other] = first
+            out.append(d)
+    return out
+
+
+def search_spaces(seed: int):
+    rng = random.Random(seed)
+    return fixture_spaces(seed) + [support.rand_space(rng) for _ in range(60)]
+
+
+def test_functor_and_transformation_searches_match_the_loops():
+    spaces = search_spaces(108)
+    lists = functors = transformations = 0
+    # each space into itself and into the next one
+    for src, dst in [(sp, sp) for sp in spaces] + list(zip(spaces, spaces[1:])):
+        got = enumerate_functors(src.category, dst.category)
+        assert got == ref_enumerate_functors(src.category, dst.category)
+        lists += 1
+        functors += len(got)
+        for F in got[:5]:
+            for G in got[:5]:
+                found = enumerate_transformations(F, G)
+                assert found == ref_enumerate_transformations(F, G)
+                lists += 1
+                transformations += len(found)
+    assert lists > 2000 and functors > 1000 and transformations > 2000
+
+
+def test_natural_contraction_search_matches_the_loops():
+    rng = random.Random(109)
+    endofunctors = [(sp, f) for sp in search_spaces(109) for f in enumerate_functors(sp.category, sp.category)]
+    for _ in range(40):
+        sp, f, _ = support.rand_contraction(rng)
+        endofunctors.append((sp, f))
+    lists = found = 0
+    for sp, fun in endofunctors:
+        for direction in (FORWARD, BACKWARD):
+            got = find_natural_contractions(sp, fun, direction)
+            assert got == ref_find_natural_contractions(sp, fun, direction)
+            lists += 1
+            found += len(got)
+    assert lists > 1500 and found > 1200
+
+
+def test_dagger_search_matches_the_candidate_product():
+    spaces = search_spaces(110) + [
+        make(k) for k in range(4, 12) for make in (support.max_monoid_space, support.null_product_space)
+    ] + [support.cyclic_groupoid_space(n, m) for n, m in ((1, 3), (1, 4), (2, 2), (2, 3), (2, 4), (3, 3))]
+    with_daggers = 0
+    for sp in spaces:
+        got = enumerate_daggers(sp)
+        assert got == ref_enumerate_daggers(sp)
+        with_daggers += bool(got)
+    assert with_daggers > 60
+
+
+def test_mapping_space_composes_like_vertical_compose():
+    spaces = fixture_spaces(111)[:9]
+    composites = 0
+    for X in spaces[:5]:
+        for Y in spaces:
+            ms = mapping_space(X, Y)
+            ts = ms.transformations
+            for (a, b), c in ms.space.category.composition.items():
+                assert vertical_compose(ts[a], ts[b]) == ts[c]
+                composites += 1
+    assert composites > 500
