@@ -3,16 +3,20 @@
 Every subcommand reads one JSON document (a file path or '-' for stdin) and
 prints a deterministic report.  Exit codes: 0 success / property holds,
 1 validation failure (report printed), 2 input error, 3 size guard.
+
+A run is mostly interpreter start-up, so each subcommand loads only what it
+runs.  Module-level imports stay limited to argparse, json, sys, errors,
+fincat, jsonio and weights.  A handler imports the module it runs (coarse,
+continuity, dagger, fixedpoint, geometry, limits or mapping) once `_load`
+has returned, so a document rejected at the JSON boundary loads none of them.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
-from fractions import Fraction
 
-from . import coarse, continuity, dagger, fixedpoint, geometry, jsonio, limits, mapping, weights
+from . import jsonio, weights
 from .errors import InputFormatError, PreconditionError, SizeGuardError
 from .fincat import opposite_functor, validate_category, validate_functor
 
@@ -27,7 +31,7 @@ def _load(args, *keys: str) -> dict:
     path = args.input
     try:
         text = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
     try:
         data = json.loads(text)
@@ -35,7 +39,19 @@ def _load(args, *keys: str) -> dict:
         raise InputFormatError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise InputFormatError("JSON nested too deeply") from exc
     return jsonio.json_object(data, f"{args.command} input", keys)
+
+
+def _well_formed(space, what: str):
+    """The space, once its category tables have dense ids and name no
+    missing object or arrow.  The subcommands that compute on a space
+    without validating it index those tables directly."""
+    errors = space.category.structural_errors()
+    if errors:
+        raise InputFormatError(f"{what} category is malformed: {errors[0]}")
+    return space
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -88,6 +104,8 @@ def cmd_lawvere(args) -> int:
 
 def cmd_metrize(args) -> int:
     data = _load(args, "category", "generators")
+    from . import coarse
+
     cat = jsonio.category_from_json(data["category"])
     report = validate_category(cat)
     if not report.ok:
@@ -103,6 +121,8 @@ def cmd_metrize(args) -> int:
 
 def cmd_map_space(args) -> int:
     data = _load(args, "source", "target")
+    from . import mapping
+
     X = jsonio.space_from_json(data["source"])
     Y = jsonio.space_from_json(data["target"])
     for name, sp in (("source", X), ("target", Y)):
@@ -110,7 +130,8 @@ def cmd_map_space(args) -> int:
         if not rep.ok:
             _emit(args, {"error": {name: rep.all_messages()}}, [rep.summary()])
             return EXIT_INVALID
-    ms = mapping.mapping_space(X, Y, guard=args.guard_functors)
+    guard = mapping.DEFAULT_GUARD if args.guard_functors is None else args.guard_functors
+    ms = mapping.mapping_space(X, Y, guard=guard)
     payload = jsonio.space_to_json(ms.space)
     payload["functors"] = [
         {"objMap": {str(k): v for k, v in f.obj_map.items()},
@@ -130,27 +151,35 @@ def cmd_map_space(args) -> int:
 
 
 def cmd_dagger(args) -> int:
-    space = jsonio.space_from_json(_load(args))
+    data = _load(args)
+    from . import dagger
+
+    space = jsonio.space_from_json(data)
     report = weights.validate_metric1(space)
     if not report.ok:
         _emit(args, {"error": report.all_messages()}, [report.summary()])
         return EXIT_INVALID
-    cls = dagger.symmetry_hierarchy(space, guard=args.guard_daggers)
+    guard = dagger.DEFAULT_GUARD if args.guard_daggers is None else args.guard_daggers
+    if args.verbose:
+        cls, classified = dagger.classified_daggers(space, guard)
+    else:
+        cls, classified = dagger.symmetry_hierarchy(space, guard), None
     payload = {"class": str(cls)}
     lines = [f"symmetry class: {cls}"]
-    if args.verbose:
-        daggers = dagger.enumerate_daggers(space, guard=args.guard_daggers)
-        payload["daggers"] = [list(d.mapping) for d in daggers]
-        for i, d in enumerate(daggers):
-            lines.append(f"dagger {i}: {list(d.mapping)} ({dagger.classify_dagger(space, d)})")
+    if classified is not None:
+        payload["daggers"] = [list(d.mapping) for d, _ in classified]
+        for i, (d, d_cls) in enumerate(classified):
+            lines.append(f"dagger {i}: {list(d.mapping)} ({d_cls})")
     _emit(args, payload, lines)
     return EXIT_OK
 
 
 def cmd_continuity(args) -> int:
     data = _load(args, "source", "target", "functor")
-    X = jsonio.space_from_json(data["source"])
-    Y = jsonio.space_from_json(data["target"])
+    from . import continuity
+
+    X = _well_formed(jsonio.space_from_json(data["source"]), "source")
+    Y = _well_formed(jsonio.space_from_json(data["target"]), "target")
     fun = jsonio.functor_from_json(data["functor"], X.category, Y.category)
     rep = validate_functor(fun)
     if not rep.ok:
@@ -184,7 +213,9 @@ def cmd_continuity(args) -> int:
 
 def cmd_fixed_point(args) -> int:
     data = _load(args, "space", "functor", "start")
-    space = jsonio.space_from_json(data["space"])
+    from . import fixedpoint
+
+    space = _well_formed(jsonio.space_from_json(data["space"]), "space")
     fun = jsonio.functor_from_json(data["functor"], space.category, space.category)
     direction = jsonio.direction_from_json(data)
     start = jsonio.parse_index(data["start"], "'start'")
@@ -225,7 +256,9 @@ def cmd_fixed_point(args) -> int:
 
 def cmd_limits(args) -> int:
     data = _load(args, "space")
-    space = jsonio.space_from_json(data["space"])
+    from . import limits
+
+    space = _well_formed(jsonio.space_from_json(data["space"]), "space")
     if jsonio.direction_from_json(data) == weights.BACKWARD:
         # backward data is forward data of the opposite space (same arrow ids)
         space = weights.opposite_space(space)
@@ -284,6 +317,8 @@ def _cert_json(cert) -> dict:
 
 def cmd_gh(args) -> int:
     data = _load(args, "x", "y")
+    from . import geometry
+
     x = jsonio.metric_space_from_json(data["x"])
     y = jsonio.metric_space_from_json(data["y"])
     value = geometry.gh_distance(x, y)
@@ -293,6 +328,8 @@ def cmd_gh(args) -> int:
 
 def cmd_lipschitz(args) -> int:
     data = _load(args, "x", "y")
+    from . import geometry
+
     x = jsonio.metric_space_from_json(data["x"])
     y = jsonio.metric_space_from_json(data["y"])
     c = geometry.lipschitz_distance(x, y)
@@ -314,6 +351,9 @@ def cmd_demo(args) -> int:
         a2 = jsonio.pair_table_from_json(data["a2"], "'a2'")
         h = jsonio.parse_fraction(data["h"])
     else:
+        import random
+        from fractions import Fraction
+
         rng = random.Random(args.seed)
         n = 2
         base = Fraction(rng.randint(1, 6))
@@ -321,6 +361,8 @@ def cmd_demo(args) -> int:
         a1 = {(x, y): base for x in range(n) for y in range(n) if x != y}
         a2 = {(x, y): base + delta for x in range(n) for y in range(n) if x != y}
         h = delta + Fraction(rng.randint(0, 2))
+    from . import geometry
+
     space, report = geometry.try_bimetric_space(n, a1, a2, h)
     if space is None:
         lines = ["bi-metric constraints violated:"] + report.all_messages()
@@ -337,8 +379,8 @@ def cmd_demo(args) -> int:
 _FLAG_DEFAULTS = {
     "format": "text",
     "seed": 0,
-    "guard_functors": mapping.DEFAULT_GUARD,
-    "guard_daggers": dagger.DEFAULT_GUARD,
+    "guard_functors": None,  # the library default, resolved by the handler
+    "guard_daggers": None,
     "verbose": False,
 }
 

@@ -182,25 +182,36 @@ def enumerate_daggers(space: Metric1Space, guard: int = DEFAULT_GUARD) -> list[D
 def symmetry_hierarchy(space: Metric1Space, guard: int = DEFAULT_GUARD) -> SymmetryClass:
     """Best symmetry tier of the space itself.
 
-    Groupoids win outright (their canonical dagger is iso); otherwise the
-    best class over all daggers, or none when no dagger exists.  Whenever
-    the tier reaches iso, the induced point distances must come out
-    symmetric; that implication is re-checked here because downstream code
-    relies on it.
+    Groupoids win outright (their canonical dagger is iso), with no dagger
+    search; otherwise the best class over all daggers, or none when no
+    dagger exists.  Whenever the tier reaches iso, the induced point
+    distances must come out symmetric; that implication is re-checked here
+    because downstream code relies on it.
     """
     if is_groupoid(space.category) is not None:
-        dag = canonical_groupoid_dagger(space)
-        cls = classify_dagger(space, dag)
-        if cls < SymmetryClass.ISO:
-            raise TheoremViolation("the canonical dagger of a groupoid must be iso")
-        _assert_lawvere_symmetric(space)
-        return SymmetryClass.GROUPOIDAL
-    best = SymmetryClass.NONE
-    for dag in enumerate_daggers(space, guard):
-        best = max(best, classify_dagger(space, dag))
+        return _groupoidal(space)
+    return classified_daggers(space, guard)[0]
+
+
+def classified_daggers(
+    space: Metric1Space, guard: int = DEFAULT_GUARD
+) -> tuple[SymmetryClass, list[tuple[Dagger, SymmetryClass]]]:
+    """The tier of `symmetry_hierarchy` and every dagger with its own tier,
+    in `enumerate_daggers` order, from one dagger search."""
+    classified = [(dag, classify_dagger(space, dag)) for dag in enumerate_daggers(space, guard)]
+    if is_groupoid(space.category) is not None:
+        return _groupoidal(space), classified
+    best = max((cls for _, cls in classified), default=SymmetryClass.NONE)
     if best >= SymmetryClass.ISO:
         _assert_lawvere_symmetric(space)
-    return best
+    return best, classified
+
+
+def _groupoidal(space: Metric1Space) -> SymmetryClass:
+    if classify_dagger(space, canonical_groupoid_dagger(space)) < SymmetryClass.ISO:
+        raise TheoremViolation("the canonical dagger of a groupoid must be iso")
+    _assert_lawvere_symmetric(space)
+    return SymmetryClass.GROUPOIDAL
 
 
 def _assert_lawvere_symmetric(space: Metric1Space) -> None:

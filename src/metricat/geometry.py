@@ -601,6 +601,8 @@ def try_bimetric_space(
         table = a1 if s == 1 else a2
         if (x, y) not in table:
             raise PreconditionError(f"a{1 if s == 1 else 2} missing entry for ({x},{y})")
+        if table[(x, y)] < 0:
+            raise PreconditionError(f"a{1 if s == 1 else 2} entry for ({x},{y}) must be non-negative")
         return Weight(Fraction(table[(x, y)]))
 
     weights = tuple(weight_of(s, x, y) for (s, x, y) in (key for key in _arrow_keys(n, signs)))

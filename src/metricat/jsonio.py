@@ -15,16 +15,16 @@ non-empty period, or non-empty bounded {"entries": [ids]}; cones add
 non-negative integers; whether they name arrows or objects of a space is
 checked by the caller, which has the space.
 Rationals are emitted as strings to keep round trips exact.
+The parsers of sequences, cones and generators import `limits` and `coarse`
+themselves, so a CLI run loads those modules only when it reads such data.
 """
 from __future__ import annotations
 
 import json
 from fractions import Fraction
 
-from .coarse import CoarseGenerators
 from .errors import InputFormatError
 from .fincat import Arrow, FiniteCategory, Functor, Obj
-from .limits import BoundedDescription, EssentialCone, EventuallyPeriodic
 from .metricspace import FiniteMetricSpace
 from .weight import Weight
 from .weights import BACKWARD, FORWARD, Metric1Space
@@ -33,6 +33,17 @@ from .weights import BACKWARD, FORWARD, Metric1Space
 def _require(cond: bool, msg: str):
     if not cond:
         raise InputFormatError(msg)
+
+
+def _list(value, what: str) -> list:
+    _require(isinstance(value, list), f"{what} must be a JSON list")
+    return value
+
+
+def _label(entry: dict, what: str) -> str | None:
+    label = entry.get("label")
+    _require(label is None or isinstance(label, str), f"{what} label must be a string")
+    return label
 
 
 def json_object(data, what: str, keys=()) -> dict:
@@ -88,16 +99,20 @@ def category_from_json(data) -> FiniteCategory:
         _require(key in data, f"category is missing {key!r}")
     try:
         objects = tuple(
-            Obj(int(o["id"]), o.get("label")) for o in data["objects"]
+            Obj(int(o["id"]), _label(o, "object"))
+            for o in _list(data["objects"], "category 'objects'")
         )
         arrows = tuple(
-            Arrow(int(a["id"]), int(a["dom"]), int(a["cod"]), a.get("label"))
-            for a in data["arrows"]
+            Arrow(int(a["id"]), int(a["dom"]), int(a["cod"]), _label(a, "arrow"))
+            for a in _list(data["arrows"], "category 'arrows'")
         )
-        identities = {int(k): int(v) for k, v in data["identities"].items()}
+        identities = {
+            int(k): int(v)
+            for k, v in json_object(data["identities"], "category 'identities'").items()
+        }
         compose = {
             (int(first), int(second)): int(result)
-            for first, second, result in data["compose"]
+            for first, second, result in _list(data["compose"], "category 'compose'")
         }
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"malformed category tables: {exc}") from exc
@@ -138,8 +153,11 @@ def space_from_json(data) -> Metric1Space:
                     f"composition table has no entry for the composable pair ({f.id}, {g})"
                 )
     try:
-        weights = {int(k): Weight.parse(v) for k, v in data["weights"].items()}
-    except ValueError as exc:
+        weights = {
+            int(k): Weight.parse(v)
+            for k, v in json_object(data["weights"], "'weights'").items()
+        }
+    except (ValueError, ZeroDivisionError) as exc:
         raise InputFormatError(f"malformed weights: {exc}") from exc
     try:
         return Metric1Space.from_weights(cat, weights)
@@ -157,8 +175,11 @@ def space_to_json(space: Metric1Space) -> dict:
 def metric_space_from_json(data) -> FiniteMetricSpace:
     _require(isinstance(data, dict), "metric space must be an object")
     _require("points" in data and "d" in data, "metric space needs 'points' and 'd'")
-    points = [str(p) for p in data["points"]]
-    matrix = [[parse_fraction(v) for v in row] for row in data["d"]]
+    points = [str(p) for p in _list(data["points"], "metric space 'points'")]
+    matrix = [
+        [parse_fraction(v) for v in _list(row, "a row of 'd'")]
+        for row in _list(data["d"], "metric space 'd'")
+    ]
     try:
         return FiniteMetricSpace.from_matrix(points, matrix)
     except ValueError as exc:
@@ -176,8 +197,8 @@ def functor_from_json(data, source: FiniteCategory, target: FiniteCategory) -> F
     _require(isinstance(data, dict), "functor must be an object")
     _require("objMap" in data and "arrMap" in data, "functor needs 'objMap' and 'arrMap'")
     try:
-        obj_map = {int(k): int(v) for k, v in data["objMap"].items()}
-        arr_map = {int(k): int(v) for k, v in data["arrMap"].items()}
+        obj_map = {int(k): int(v) for k, v in json_object(data["objMap"], "'objMap'").items()}
+        arr_map = {int(k): int(v) for k, v in json_object(data["arrMap"], "'arrMap'").items()}
     except (TypeError, ValueError) as exc:
         raise InputFormatError(f"malformed functor tables: {exc}") from exc
     return Functor(source, target, obj_map, arr_map)
@@ -189,6 +210,8 @@ def _arrow_ids(data, key: str) -> tuple[int, ...]:
 
 
 def description_from_json(data):
+    from .limits import BoundedDescription, EventuallyPeriodic
+
     _require(isinstance(data, dict), "sequence description must be an object")
     if "entries" in data:
         entries = _arrow_ids(data["entries"], "entries")
@@ -201,6 +224,8 @@ def description_from_json(data):
 
 
 def cone_from_json(data) -> EssentialCone:
+    from .limits import EssentialCone
+
     _require(isinstance(data, dict), "cone must be an object")
     _require("apex" in data and "legs" in data, "cone needs 'apex' and 'legs'")
     return EssentialCone(
@@ -211,11 +236,12 @@ def cone_from_json(data) -> EssentialCone:
 
 
 def generators_from_json(data, cat: FiniteCategory) -> CoarseGenerators:
+    from .coarse import CoarseGenerators
+
     _require(isinstance(data, dict), "generators must be an object")
     _require("list" in data, "generators need 'list'")
-    _require(isinstance(data["list"], list), "generators 'list' must be a JSON list")
     sets = []
-    for s in data["list"]:
+    for s in _list(data["list"], "generators 'list'"):
         _require(isinstance(s, list), f"generator {s!r} must be a JSON list of arrow ids")
         sets.append(frozenset(parse_index(a, "generator arrow id") for a in s))
     constant_from = data.get("constantFrom")

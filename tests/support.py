@@ -1,6 +1,7 @@
 """Shared fixtures and seeded random generators for the test suite."""
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from metricat import (
     from_metric_space,
     indiscrete,
 )
+from metricat import jsonio
 from metricat.geometry import try_bimetric_space
 from metricat.metricspace import shortest_path_repair
 
@@ -176,6 +178,74 @@ def bimetric_fixture(a1, a2, h) -> Metric1Space:
     space, report = try_bimetric_space(n, t1, t2, Fraction(h))
     assert space is not None, report.summary()
     return space
+
+
+def functor_json(fun: Functor) -> dict:
+    return {
+        "objMap": {str(k): v for k, v in fun.obj_map.items()},
+        "arrMap": {str(k): v for k, v in fun.arr_map.items()},
+    }
+
+
+def cli_documents() -> dict[str, tuple[list[str], dict]]:
+    """One request per CLI subcommand that ends in exit 0: its argument
+    list, which reads the input from stdin ('-'), and the JSON document."""
+    pair = jsonio.space_to_json(indiscrete_space([[0, 1], [1, 0]]))
+    z2 = jsonio.space_to_json(z2_space(1))
+    line = line_space([0, 1])
+    halving, halve = halving_fixture()
+    point = {"points": ["p"], "d": [[0]]}
+    u = {"points": ["a", "b"], "d": [[0, 1], [1, 0]]}
+    v = {"points": ["c", "d"], "d": [[0, "5/2"], ["5/2", 0]]}
+    identity = indiscrete_endofunctor(indiscrete_space([[0, 1], [1, 0]]), [0, 1])
+    return {
+        "validate": (["validate", "-"], pair),
+        "lawvere": (["lawvere", "-"], pair),
+        "metrize": (["metrize", "-"], {
+            "category": jsonio.category_to_json(indiscrete(2)),
+            "generators": {"list": [[1]], "constantFrom": 0},
+        }),
+        "map-space": (["map-space", "-"], {"source": z2, "target": z2}),
+        "dagger": (["dagger", "-v", "-"], jsonio.space_to_json(max_monoid_space(4))),
+        "continuity": (["continuity", "-"], {
+            "source": pair, "target": pair, "functor": functor_json(identity),
+        }),
+        "fixed-point": (["fixed-point", "-"], {
+            "space": jsonio.space_to_json(halving), "functor": functor_json(halve),
+            "start": 2, "contraction": 0,
+        }),
+        "limits": (["limits", "-"], {
+            "space": jsonio.space_to_json(line),
+            "base": 0,
+            "sequence": {"preperiod": [], "period": [line.category.hom(0, 1)[0]]},
+            "cone": {"apex": 1, "startIndex": 0, "legs": {"period": [line.category.identity[1]]}},
+        }),
+        "gh": (["gh", "-"], {"x": point, "y": v}),
+        "lipschitz": (["lipschitz", "-"], {"x": u, "y": v}),
+        "demo": (["demo", "bimetric", "-"], {
+            "n": 2, "a1": {"0,1": 1, "1,0": 1}, "a2": {"0,1": 2, "1,0": 2}, "h": 1,
+        }),
+    }
+
+
+DELETE = object()
+
+
+def replaced(doc, path, value):
+    """A copy of a JSON document with `value` at `path` (a tuple of keys
+    and list indices; () is the whole document), or with that position
+    deleted when `value` is DELETE."""
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
 
 
 # --- seeded random generators --------------------------------------------------

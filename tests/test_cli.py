@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -65,6 +66,16 @@ def test_malformed_json_is_exit_two(tmp_path, capsys):
 
 def test_missing_file_is_exit_two(tmp_path):
     assert main(["validate", str(tmp_path / "nope.json")]) == 2
+
+
+def test_unreadable_documents_are_exit_two(tmp_path, capsys):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b'{"x": "\xff"}')
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    for path in (binary, deep):
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("input error:")
 
 
 def test_metrize_subcommand_matches_worked_fixture(tmp_path, capsys):
@@ -427,3 +438,73 @@ def test_dangling_generator_arrow_is_a_precondition(tmp_path, capsys):
     path = write(tmp_path, "gen.json", generators_payload({"list": [[99]]}))
     assert main(["metrize", path]) == 1
     assert capsys.readouterr().err.startswith("precondition:")
+
+
+def test_dagger_verbose_runs_one_dagger_search(tmp_path, capsys, monkeypatch):
+    from metricat import dagger
+
+    calls = []
+    search = dagger.enumerate_daggers
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(dagger, "enumerate_daggers", counted)
+    path = write(tmp_path, "monoid.json", jsonio.space_to_json(support.max_monoid_space(6)))
+    assert main(["dagger", "-v", path]) == 0
+    assert capsys.readouterr().out == "symmetry class: iso\ndagger 0: [0, 1, 2, 3, 4, 5] (iso)\n"
+    assert len(calls) == 1
+
+
+# flag -> (module holding DEFAULT_GUARD, subcommand whose search it bounds)
+GUARDED = {"--guard-functors": ("mapping", "map-space"), "--guard-daggers": ("dagger", "dagger")}
+
+
+@pytest.mark.parametrize("flag", sorted(GUARDED))
+def test_a_zero_guard_flag_is_a_budget_of_zero(tmp_path, capsys, flag):
+    _, command = GUARDED[flag]
+    path = write(tmp_path, "doc.json", support.cli_documents()[command][1])
+    assert main([flag, "0", command, path]) == 3
+    assert "budget of 0 search nodes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", sorted(GUARDED))
+def test_an_unset_guard_flag_reads_the_library_default(tmp_path, capsys, monkeypatch, flag):
+    module, command = GUARDED[flag]
+    path = write(tmp_path, "doc.json", support.cli_documents()[command][1])
+    assert main([command, path]) == 0
+    monkeypatch.setattr(f"metricat.{module}.DEFAULT_GUARD", 2)
+    assert main([command, path]) == 3
+    assert "budget of 2 search nodes" in capsys.readouterr().err
+
+
+def changed(command, path, value):
+    """The valid request of `command` with `value` at `path`, read from stdin."""
+    argv, doc = support.cli_documents()[command]
+    return argv, json.dumps(support.replaced(doc, path, value))
+
+
+# documents that used to escape `main` as an exception -> exit code
+ESCAPES = {
+    "identities not an object": (changed("continuity", ("source", "category", "identities"), []), 2),
+    "weights not an object": (changed("dagger", ("weights",), [0, 1]), 2),
+    "points not a list": (changed("lipschitz", ("x", "points"), 3), 2),
+    "distance row not a list": (changed("gh", ("y", "d"), [None]), 2),
+    "arrMap not an object": (changed("fixed-point", ("functor", "arrMap"), "inf"), 2),
+    "label not a string": (changed("fixed-point", ("space", "category", "objects", 0, "label"), {}), 2),
+    "weight with zero denominator": (changed("fixed-point", ("space", "weights", "3"), "3/0"), 2),
+    "dangling composite": (changed("fixed-point", ("space", "category", "compose", 16, 2), -1), 2),
+    "target identity missing": (changed("continuity", ("target", "category", "identities", "0"), support.DELETE), 2),
+    "source arrow missing": (changed("continuity", ("source", "category", "arrows", 1), support.DELETE), 2),
+    "negative bimetric entry": (changed("demo", ("a1", "0,1"), "-1"), 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ESCAPES))
+def test_former_escapes_end_in_an_exit_code(monkeypatch, capsys, case):
+    (argv, text), code = ESCAPES[case]
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("input error:" if code == 2 else "precondition:")
