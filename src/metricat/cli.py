@@ -2,7 +2,8 @@
 
 Every subcommand reads one JSON document (a file path or '-' for stdin) and
 prints a deterministic report.  Exit codes: 0 success / property holds,
-1 validation failure (report printed), 2 input error, 3 size guard.
+1 validation failure (report printed), 2 input error, 3 size guard,
+4 internal error (a bug, such as a TheoremViolation: one line on stderr).
 
 A run is mostly interpreter start-up, so each subcommand loads only what it
 runs.  Module-level imports stay limited to argparse, json, sys, errors,
@@ -24,6 +25,7 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_INPUT = 2
 EXIT_GUARD = 3
+EXIT_INTERNAL = 4
 
 
 def _load(args, *keys: str) -> dict:
@@ -448,6 +450,9 @@ def main(argv: list[str] | None = None) -> int:
     except PreconditionError as exc:
         print(f"precondition: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except Exception as exc:  # a bug: exit 1 keeps meaning "property fails"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

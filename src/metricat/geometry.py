@@ -1,52 +1,51 @@
 """Classical-metric geometry: bi-Lipschitz slices, Hausdorff and
 Gromov-Hausdorff distances, cospan composition, and bi-metric spaces.
 
-The Gromov-Hausdorff distance is computed along two independent routes that
-are required to agree exactly:
+The Gromov-Hausdorff distance is computed along two independent routes, on a
+common integer rescaling of both matrices, that are required to agree exactly:
 
 * gluing route: minimise the Hausdorff distance over semimetric gluings of
   the disjoint union, i.e. over cross matrices r satisfying every mixed
   triangle inequality.  For a fixed "assignment pattern" (a nearest-point
   witness n(x) in Y per x and m(y) in X per y) this is a rational linear
-  program; its optimum has a closed form.  The mixed upper triangles are
-  difference constraints r_p <= r_q + w on the grid of cells (x, y), so for
-  a given cap h on the designated cells the pointwise-largest feasible r is
-  r_p = h + sp(D, p) with sp shortest-path distance to the designated set D;
-  plugging that into the mixed lower triangles (the only lower bounds) gives
-  per pattern   h*(D) = max(0, max over lower bounds (v - sp(D,p) - sp(D,q)) / 2).
-  The pattern minimum is then exact by construction.
+  program with a closed form.  The mixed upper triangles are difference
+  constraints r_p <= r_q + w on the grid of cells (x, y), the product of X
+  and Y, whose shortest paths are sp((x,y), (x',y')) = d(x,x') + d(y,y') by
+  the triangle inequality.  For a cap h on the designated cells D the
+  pointwise-largest feasible r is r_p = h + sp(D, p), and the mixed lower
+  triangles r_p + r_q >= v then give per pattern
+  h*(D) = max(0, max over lower triangles (v - sp(D,p) - sp(D,q)) / 2).
 
 * correspondence route: half the minimal distortion over correspondences.
   Any correspondence contains one of the form graph(f) union
-  transpose-graph(g), and shrinking a correspondence never increases
-  distortion, so scanning function pairs (f, g) is exhaustive.
+  transpose-graph(g), and shrinking it never increases distortion, so the
+  pairs of maps (f, g) are exhaustive.
 
-Both routes run on a common integer rescaling of the two distance matrices,
-so agreement is exact rational equality.
+Each route keeps the least value found so far (the incumbent) and skips
+only what provably cannot beat it, so the minimum is unchanged:
 
-Neither route visits every pair (f, g).  Each keeps the least value found
-so far (the incumbent) and skips only pairs that provably cannot beat it,
-so the minimum is unchanged.  The first incumbent needs no scan: pairing an
-onto f with a section g of it (g(y) in f^-1(y)) designates only the cells
-of f and induces the correspondence graph(f), so that pair's value is f's
-own bound below; likewise for an onto g.  The bounds:
+* half maps.  A pattern's D is the union of the cells of f and of g, so
+  sp(D, p) <= sp(f, p) and 2 h*(D) >= LB(f) = max over lower triangles of
+  v - sp(f,p) - sp(f,q); graph(f) union transpose-graph(g) has distortion at
+  least dis(f).  Both bounds never fall as a partial map grows: a new cell
+  only lowers sp(D, p), and a distortion is a maximum over more pairs.  So a
+  depth-first search builds f and g, cutting a prefix with every completion
+  once its bound reaches the incumbent.  Pairing an onto f with a section g
+  of it (g(y) in f^-1(y)) designates only the cells of f and induces the
+  correspondence graph(f), so f's own bound is attained: each onto map the
+  search completes lowers the incumbent to it.
 
-* per-side bounds.  A pattern's designated set D is the union of the cells
-  of f and of g, so sp(D, p) = min(sp(f, p), sp(g, p)) <= sp(f, p), and
-  2 h*(D) >= LB(f) = max(0, max over lower bounds (v - sp(f,p) - sp(f,q)));
-  likewise for g.  A correspondence graph(f) union transpose-graph(g)
-  contains the pairs of f and of g, so its distortion is at least dis(f)
-  and dis(g).  Each route sorts the f and the g by their own bound and
-  stops a loop once the bound reaches the incumbent: every later pair is
-  bounded below by the incumbent too.  The scan of one pair also stops once
-  its partial maximum reaches the incumbent.
+* pair scans.  The kept f and g are scanned in bound order; a loop stops
+  once the bound reaches the incumbent, and the scan of one pair once its
+  partial maximum does.
 
 * the diameter bound GH(X, Y) >= |diam X - diam Y| / 2 (Burago-Burago-
   Ivanov, A Course in Metric Geometry, 2001): a correspondence pairs the
   two points realising diam X with points at most diam Y apart, and the
   other way round, so its distortion is at least |diam X - diam Y|; and
-  every pattern's h is at least their minimum, GH.  Both routes return as
-  soon as the incumbent equals the bound.
+  every pattern's h is at least their minimum, GH.  Every bound is raised to
+  it, so no lower triangle with v below it binds, and the searches and both
+  pair scans stop once the incumbent reaches it.
 
 The Lipschitz distance is likewise a branch-and-bound over bijections that
 cuts a branch once the constant of its fixed pairs reaches the best found.
@@ -57,6 +56,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter, sub
 
 from .errors import PreconditionError, SizeGuardError, TheoremViolation
 from .fincat import Arrow, FiniteCategory, Obj, ValidationReport
@@ -66,6 +66,8 @@ from .weights import Metric1Space, validate_metric1
 
 GH_POINT_GUARD = 6
 LIPSCHITZ_BIJECTION_GUARD = 720
+# 4 n^3 composition entries of a bi-metric space; n = 40 takes about a second
+BIMETRIC_COMPOSITION_GUARD = 256_000
 
 
 # --- bi-Lipschitz ------------------------------------------------------------
@@ -273,20 +275,46 @@ def _diameter_floor(dx: list[list[int]], dy: list[list[int]]) -> int:
     return abs(max(map(max, dx)) - max(map(max, dy)))
 
 
-def _is_onto(f: tuple[int, ...], size: int) -> bool:
-    return len(set(f)) == size
+def _bounded_maps(length, width, step, cap):
+    """The maps range(length) -> range(width) a depth-first search completes
+    below cap[0], as (bound, map, state), least bound first.  `step(state,
+    prefix, j)` gives the (bound, state) of `prefix` extended by j (state
+    None for the empty prefix).  A prefix is cut once its bound reaches
+    cap[0]; a completed onto map lowers cap[0] to its bound."""
+    kept, prefix = [], []
+
+    def extend(state, covered):
+        children = [(*step(state, prefix, j), j) for j in range(width)]
+        children.sort(key=itemgetter(0))  # least bound first: low caps come early
+        for bound, child, j in children:
+            if bound >= cap[0]:
+                break
+            onto = covered + (j not in prefix)
+            if len(prefix) + 1 == length:
+                kept.append((bound, (*prefix, j), child))
+                if onto == width:
+                    cap[0] = bound
+            else:
+                prefix.append(j)
+                extend(child, onto)
+                prefix.pop()
+
+    extend(None, 0)
+    kept.sort(key=itemgetter(0))
+    return kept
 
 
-def _by_distortion(d_src: list[list[int]], d_dst: list[list[int]]) -> list[tuple[int, tuple[int, ...]]]:
-    """Every map src -> dst with its distortion, least distortion first."""
-    n = len(d_src)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    maps = []
-    for f in itertools.product(range(len(d_dst)), repeat=n):
-        dis = max((abs(d_src[i][j] - d_dst[f[i]][f[j]]) for i, j in pairs), default=0)
-        maps.append((dis, f))
-    maps.sort()
-    return maps
+def _distortion_step(d_src: list[list[int]], d_dst: list[list[int]], floor: int):
+    """Search step for maps src -> dst: bound and state are the distortion
+    of the fixed pairs, raised to the diameter bound."""
+
+    def step(dis, prefix, j):
+        row = d_dst[j]
+        fixed = map(abs, map(sub, d_src[len(prefix)], map(row.__getitem__, prefix)))
+        dis = max(dis, *fixed) if prefix else floor
+        return dis, dis
+
+    return step
 
 
 def _gh_correspondences(dx: list[list[int]], dy: list[list[int]]) -> int:
@@ -300,17 +328,16 @@ def _gh_correspondences(dx: list[list[int]], dy: list[list[int]]) -> int:
     """
     n, m = len(dx), len(dy)
     floor = _diameter_floor(dx, dy)
-    f_choices = _by_distortion(dx, dy)
-    g_choices = _by_distortion(dy, dx)
-    # an onto map with a section as its partner induces its own graph
-    best = min([dis for dis, f in f_choices if _is_onto(f, m)]
-               + [dis for dis, g in g_choices if _is_onto(g, n)])
-    for dis_f, f in f_choices:
+    cap = [max(map(max, dx + dy)) + 1]  # above every distortion
+    f_choices = _bounded_maps(n, m, _distortion_step(dx, dy, floor), cap)
+    g_choices = _bounded_maps(m, n, _distortion_step(dy, dx, floor), cap)
+    best = cap[0]
+    for dis_f, f, _ in f_choices:
         if best == floor or dis_f >= best:
             break
         # cross terms |d(x_i, g(y_j)) - d(f(x_i), y_j)| as (row of dx, j, value)
         cross_terms = [(dx[i], j, dy[f[i]][j]) for i in range(n) for j in range(m)]
-        for dis_g, g in g_choices:
+        for dis_g, g, _ in g_choices:
             if dis_g >= best:
                 break
             dis = max(dis_f, dis_g)
@@ -332,75 +359,43 @@ def _gh_gluings(dx: list[list[int]], dy: list[list[int]]) -> Fraction:
     integer scale, via the per-pattern closed form explained in the module
     docstring.  Returns the exact optimum (possibly half-integral)."""
     n, m = len(dx), len(dy)
-    cells = n * m
+    # shortest distances on the grid of cells (x, y) = x * m + y, the product of X and Y
+    sp = [[dx[x][x2] + dy[y][y2] for x2 in range(n) for y2 in range(m)]
+          for x in range(n) for y in range(m)]
 
-    def cell(x: int, y: int) -> int:
-        return x * m + y
-
-    big = max(max(max(r) for r in dx), max(max(r) for r in dy), 0) * (cells + 1) + 1
-    sp = [[big] * cells for _ in range(cells)]
-    for x in range(n):
-        for y in range(m):
-            sp[cell(x, y)][cell(x, y)] = 0
-    for y in range(m):
-        for x in range(n):
-            for x2 in range(n):
-                if x != x2:
-                    sp[cell(x, y)][cell(x2, y)] = dx[x][x2]
-    for x in range(n):
-        for y in range(m):
-            for y2 in range(m):
-                if y != y2:
-                    c1, c2 = cell(x, y), cell(x, y2)
-                    sp[c1][c2] = min(sp[c1][c2], dy[y][y2])
-    for k in range(cells):
-        spk = sp[k]
-        for i in range(cells):
-            dik = sp[i][k]
-            row = sp[i]
-            for j in range(cells):
-                via = dik + spk[j]
-                if via < row[j]:
-                    row[j] = via
-
-    # lower-bound constraints (p, q, v): r_p + r_q >= v
-    lower: list[tuple[int, int, int]] = []
-    for y in range(m):
-        for x in range(n):
-            for x2 in range(x + 1, n):
-                lower.append((cell(x, y), cell(x2, y), dx[x][x2]))
-    for x in range(n):
-        for y in range(m):
-            for y2 in range(y + 1, m):
-                lower.append((cell(x, y), cell(x, y2), dy[y][y2]))
-
-    def by_bound(patterns):
-        """(bound, row, pattern) for each half pattern, least bound first:
-        the shortest distances to its designated cells, and its own lower
-        bound on twice h."""
-        out = []
-        for pattern, designated in patterns:
-            row = list(map(min, zip(*(sp[c] for c in designated))))
-            out.append((max([0] + [v - row[p] - row[q] for p, q, v in lower]), row, pattern))
-        out.sort(key=lambda entry: entry[0])
-        return out
-
-    f_rows = by_bound(
-        (f, [cell(x, f[x]) for x in range(n)]) for f in itertools.product(range(m), repeat=n)
-    )
-    g_rows = by_bound(
-        (g, [cell(g[y], y) for y in range(m)]) for g in itertools.product(range(n), repeat=m)
-    )
-
+    # lower-bound constraints (p, q, v): r_p + r_q >= v; every bound below is
+    # at least the diameter bound, so those with v <= floor never bind
     floor = _diameter_floor(dx, dy)
-    # twice the optimal h, integer scale; an onto half pattern with a section
-    # as its other half designates only its own cells, so its bound is attained
-    best2 = min([bound for bound, _, f in f_rows if _is_onto(f, m)]
-                + [bound for bound, _, g in g_rows if _is_onto(g, n)])
-    for bound_f, frow, _ in f_rows:
+    lower = [(x * m + y, x2 * m + y, dx[x][x2])
+             for y in range(m) for x in range(n) for x2 in range(x + 1, n)]
+    lower += [(x * m + y, x * m + y2, dy[y][y2])
+              for x in range(n) for y in range(m) for y2 in range(y + 1, m)]
+    lower = [(p, q, v) for p, q, v in lower if v > floor]
+    # two void constraints (0 - 2 r_0 <= 0) keep itemgetter returning tuples
+    ps, qs, vs = zip(*lower, (0, 0, 0), (0, 0, 0))
+    ps, qs = itemgetter(*ps), itemgetter(*qs)
+
+    def pattern_step(designated):
+        """Search step for half patterns: the state is the row of shortest
+        distances to the designated cells, the bound LB raised to the floor."""
+
+        def step(row, prefix, j):
+            near = sp[designated(len(prefix), j)]
+            if row is not None:
+                near = [a if a < b else b for a, b in zip(row, near)]
+            return max(floor, *map(sub, map(sub, vs, ps(near)), qs(near))), near
+
+        return step
+
+    # twice the optimal h in the integer scale, starting above every bound
+    cap = [max(map(max, dx + dy)) + 1]
+    f_rows = _bounded_maps(n, m, pattern_step(lambda x, y: x * m + y), cap)
+    g_rows = _bounded_maps(m, n, pattern_step(lambda y, x: x * m + y), cap)
+    best2 = cap[0]
+    for bound_f, _, frow in f_rows:
         if best2 == floor or bound_f >= best2:
             break
-        for bound_g, grow, _ in g_rows:
+        for bound_g, _, grow in g_rows:
             if bound_g >= best2:
                 break
             worst = max(bound_f, bound_g)
@@ -426,9 +421,12 @@ def gh_distance(x: FiniteMetricSpace, y: FiniteMetricSpace, guard: int = GH_POIN
         raise SizeGuardError(
             f"spaces of {len(x.points)} and {len(y.points)} points exceed the guard {guard}"
         )
+    # the gluing route's grid distances are a closed form only on metrics
+    for name, space in (("x", x), ("y", y)):
+        if space.metric_errors():
+            raise PreconditionError(f"{name} is not a metric space: " + "; ".join(space.metric_errors()))
     scale = _common_scale(x, y)
-    dx = _int_matrix(x, scale)
-    dy = _int_matrix(y, scale)
+    dx, dy = _int_matrix(x, scale), _int_matrix(y, scale)
     via_corr = Fraction(_gh_correspondences(dx, dy), 2 * scale)
     via_glue = _gh_gluings(dx, dy) / scale
     if via_corr != via_glue:
@@ -576,6 +574,17 @@ def try_bimetric_space(
         raise PreconditionError("need at least one object")
     if h < 0:
         raise PreconditionError("h must be non-negative")
+    for name, table in (("a1", a1), ("a2", a2)):
+        for pair in ((x, y) for x in range(n) for y in range(n) if x != y):
+            if pair not in table:
+                raise PreconditionError(f"{name} missing entry for ({pair[0]},{pair[1]})")
+            if table[pair] < 0:
+                raise PreconditionError(f"{name} entry for ({pair[0]},{pair[1]}) must be non-negative")
+    entries = 4 * n**3
+    if entries > BIMETRIC_COMPOSITION_GUARD:
+        raise SizeGuardError(
+            f"{n} objects give {entries} composition entries (budget {BIMETRIC_COMPOSITION_GUARD})"
+        )
     signs = (1, -1)
     ids: dict[tuple[int, int, int], int] = {}
     arrows: list[Arrow] = []
@@ -598,24 +607,12 @@ def try_bimetric_space(
     def weight_of(s: int, x: int, y: int) -> Weight:
         if x == y:
             return Weight(0) if s == 1 else Weight(Fraction(h))
-        table = a1 if s == 1 else a2
-        if (x, y) not in table:
-            raise PreconditionError(f"a{1 if s == 1 else 2} missing entry for ({x},{y})")
-        if table[(x, y)] < 0:
-            raise PreconditionError(f"a{1 if s == 1 else 2} entry for ({x},{y}) must be non-negative")
-        return Weight(Fraction(table[(x, y)]))
+        return Weight(Fraction((a1 if s == 1 else a2)[(x, y)]))
 
-    weights = tuple(weight_of(s, x, y) for (s, x, y) in (key for key in _arrow_keys(n, signs)))
-    space = Metric1Space(cat, weights)
+    # ids lists the arrow keys in arrow-id order
+    space = Metric1Space(cat, tuple(weight_of(*key) for key in ids))
     report = validate_metric1(space)
     return (space if report.ok else None, report)
-
-
-def _arrow_keys(n: int, signs):
-    for x in range(n):
-        for y in range(n):
-            for s in signs:
-                yield (s, x, y)
 
 
 def bimetric_space(n, a1, a2, h) -> Metric1Space:

@@ -8,6 +8,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .weight import common_denominator
+
 
 @dataclass(eq=True)
 class FiniteMetricSpace:
@@ -40,22 +42,25 @@ class FiniteMetricSpace:
         n = len(self.points)
         if len(self.d) != n or any(len(row) != n for row in self.d):
             return [f"distance matrix is not {n}x{n}"]
+        # exact on an integer rescaling, and far cheaper than Fraction sums
+        scale = common_denominator(v for row in self.d for v in row)
+        s = [[v.numerator * (scale // v.denominator) for v in row] for row in self.d]
         for i in range(n):
-            if self.d[i][i] != 0:
+            if s[i][i] != 0:
                 errs.append(f"reflexivity: d({self.points[i]},{self.points[i]}) = {self.d[i][i]} != 0")
         for i in range(n):
             for j in range(i + 1, n):
-                if self.d[i][j] != self.d[j][i]:
+                if s[i][j] != s[j][i]:
                     errs.append(
                         f"symmetry: d({self.points[i]},{self.points[j]}) = {self.d[i][j]} "
                         f"but d({self.points[j]},{self.points[i]}) = {self.d[j][i]}"
                     )
-                if self.d[i][j] <= 0:
+                if s[i][j] <= 0:
                     errs.append(f"positivity: d({self.points[i]},{self.points[j]}) = {self.d[i][j]}")
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    if self.d[i][k] > self.d[i][j] + self.d[j][k]:
+                    if s[i][k] > s[i][j] + s[j][k]:
                         errs.append(
                             "triangle inequality: "
                             f"d({self.points[i]},{self.points[k]}) > "

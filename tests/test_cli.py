@@ -4,8 +4,9 @@ import json
 import pytest
 
 from metricat import Metric1Space, indiscrete
-from metricat import jsonio
+from metricat import geometry, jsonio
 from metricat.cli import main
+from metricat.errors import TheoremViolation
 
 import support
 
@@ -213,6 +214,32 @@ def test_demo_bimetric_seeded(capsys):
     assert main(["--seed", "3", "demo", "bimetric"]) == 0
     second = capsys.readouterr().out
     assert first == second  # flag position does not matter
+
+
+def test_demo_bimetric_past_its_guard_is_exit_three(tmp_path, capsys):
+    # 100 objects would build 4 * 100^3 = 4,000,000 composition entries
+    n = 100
+    pairs = [f"{x},{y}" for x in range(n) for y in range(n) if x != y]
+    payload = {"n": n, "a1": dict.fromkeys(pairs, 1), "a2": dict.fromkeys(pairs, 2), "h": 1}
+    path = write(tmp_path, "bm.json", payload)
+    assert main(["demo", "bimetric", path]) == 3
+    assert capsys.readouterr().err.startswith("size guard:")
+    del payload["a2"]["5,7"]
+    path2 = write(tmp_path, "bm2.json", payload)
+    assert main(["demo", "bimetric", path2]) == 1
+    assert "a2 missing entry for (5,7)" in capsys.readouterr().err
+
+
+def test_internal_error_is_exit_four_without_a_traceback(tmp_path, capsys, monkeypatch):
+    def disagree(x, y):
+        raise TheoremViolation("gluing route 1 disagrees with correspondence route 2")
+
+    monkeypatch.setattr(geometry, "gh_distance", disagree)
+    x = {"points": ["a"], "d": [[0]]}
+    path = write(tmp_path, "gh.json", {"x": x, "y": x})
+    assert main(["gh", path]) == 4
+    err = capsys.readouterr().err
+    assert err == "internal error: TheoremViolation: gluing route 1 disagrees with correspondence route 2\n"
 
 
 def test_size_guard_exit_code(tmp_path):

@@ -176,6 +176,18 @@ def test_gh_symmetry_and_guard():
         gh_distance(big, x)
 
 
+def test_gh_rejects_a_matrix_that_breaks_the_triangle_inequality():
+    # the dataclass constructor skips the checks of from_matrix
+    bent = FiniteMetricSpace(
+        ("a", "b", "c"),
+        tuple(tuple(Fraction(v) for v in row) for row in ((0, 1, 5), (1, 0, 1), (5, 1, 0))),
+    )
+    with pytest.raises(PreconditionError, match="triangle inequality"):
+        gh_distance(bent, line_metric([0, 1]))
+    with pytest.raises(PreconditionError, match="y is not a metric space"):
+        gh_distance(line_metric([0, 1]), bent)
+
+
 def test_gh_routes_agree_on_a_corpus():
     rng = random.Random(83)
     spaces = [support.rand_metric(rng, rng.randint(1, 4)) for _ in range(8)]

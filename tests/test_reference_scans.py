@@ -29,6 +29,8 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from metricat import (
     ZERO,
     FiniteCategory,
@@ -664,6 +666,20 @@ def test_gh_5x5_value_is_pinned():
     rng = random.Random(56)
     x, y = support.rand_metric(rng, 5), support.rand_metric(rng, 5)
     assert gh_distance(x, y) == Fraction(13, 6)
+
+
+@pytest.mark.parametrize("seed, n, m, value", [
+    (61, 6, 6, Fraction(5, 3)),
+    (62, 6, 6, Fraction(13, 6)),
+    (63, 6, 6, Fraction(2, 3)),
+    (64, 4, 6, Fraction(3, 2)),
+])
+def test_gh_values_past_the_exhaustive_scans_are_pinned(seed, n, m, value):
+    # computed once with the searches that bounded only complete half maps
+    # (about 5 s per 6x6 pair on a 2-CPU host)
+    rng = random.Random(seed)
+    x, y = support.rand_metric(rng, n), support.rand_metric(rng, m)
+    assert gh_distance(x, y) == value
 
 
 # --- functor-shaped searches: the hand-written loops ----------------------------
