@@ -172,9 +172,7 @@ def enumerate_daggers(space: Metric1Space, guard: int = DEFAULT_GUARD) -> list[D
     found = []
     for values in backtrack([domain(a) for a in order], checks, guard, "dagger search"):
         dag = Dagger(tuple(values[pos[a]] for a in range(len(cat.arrows))))
-        rep = validate_dagger(space, dag)
-        if not rep.ok:
-            raise TheoremViolation("enumerated dagger failed validation: " + rep.summary())
+        validate_dagger(space, dag).require_ok("enumerated dagger")
         found.append(dag)
     return found
 

@@ -71,6 +71,12 @@ class ValidationReport:
     def all_messages(self) -> list[str]:
         return list(self.fatal) + list(self.violations)
 
+    def require_ok(self, what: str) -> None:
+        """Raise TheoremViolation unless the report is empty: `what` names
+        a result that a theorem or a search guarantees to pass."""
+        if not self.ok:
+            raise TheoremViolation(f"{what} failed validation: " + self.summary())
+
     def summary(self) -> str:
         if self.ok:
             return f"{self.subject}: ok"
@@ -116,9 +122,6 @@ class FiniteCategory:
     def compose(self, first: int, second: int) -> int:
         """Arrow id of "second after first" (second∘first)."""
         return self.composition[(first, second)]
-
-    def arrow(self, aid: int) -> Arrow:
-        return self.arrows[aid]
 
     def is_identity(self, aid: int) -> bool:
         a = self.arrows[aid]
@@ -422,16 +425,6 @@ class NatTransformation:
     G: Functor
     components: dict[int, int]
 
-    def component(self, x: int) -> int:
-        return self.components[x]
-
-    def key(self) -> tuple:
-        return (
-            self.F.key(),
-            self.G.key(),
-            tuple(self.components[i] for i in range(len(self.F.source.objects))),
-        )
-
 
 def validate_transformation(t: NatTransformation) -> ValidationReport:
     report = ValidationReport(subject="natural transformation")
@@ -476,12 +469,7 @@ def vertical_compose(alpha: NatTransformation, beta: NatTransformation) -> NatTr
         for x in alpha.components
     }
     result = NatTransformation(alpha.F, beta.G, comps)
-    rep = validate_transformation(result)
-    if not rep.ok:
-        raise TheoremViolation(
-            "vertical composite of natural transformations failed naturality: "
-            + "; ".join(rep.all_messages())
-        )
+    validate_transformation(result).require_ok("vertical composite of natural transformations")
     return result
 
 

@@ -22,8 +22,8 @@ from fractions import Fraction
 from .errors import PreconditionError, TheoremViolation
 from .continuity import uniformly_continuous
 from .fincat import (
-    FiniteCategory, Functor, NatTransformation, backtrack, identity_functor, opposite_functor,
-    validate_functor, validate_transformation,
+    FiniteCategory, Functor, NatTransformation, backtrack, identity_functor, opposite,
+    opposite_functor, validate_functor, validate_transformation,
 )
 from .limits import (
     EXACT_YES,
@@ -61,7 +61,7 @@ def contraction_factor(space: Metric1Space, fun: Functor) -> ContractionCertific
     """Least alpha with w(F psi) <= alpha * w(psi), certified only when
     alpha < 1, weight 0 transfers to weight 0, and finite weights stay
     finite."""
-    best = Fraction(0)
+    best, worst = Fraction(0), None
     for a in space.category.arrows:
         w = space.w[a.id]
         fw = space.w[fun.arr_map[a.id]]
@@ -74,17 +74,9 @@ def contraction_factor(space: Metric1Space, fun: Functor) -> ContractionCertific
         if fw.is_infinite:
             return ContractionCertificate(None, True, witness=a.id)
         ratio = fw.finite / w.finite
-        if ratio > best:
-            best = ratio
+        if ratio > best:  # strict: the witness is the first arrow at the maximum
+            best, worst = ratio, a.id
     if best >= 1:
-        worst = next(
-            a.id
-            for a in space.category.arrows
-            if not space.w[a.id].is_infinite
-            and space.w[a.id] != ZERO
-            and not space.w[fun.arr_map[a.id]].is_infinite
-            and space.w[fun.arr_map[a.id]].finite / space.w[a.id].finite == best
-        )
         return ContractionCertificate(None, True, witness=worst)
     return ContractionCertificate(best, True)
 
@@ -123,9 +115,8 @@ def find_natural_contractions(
         for components in backtrack(domains, checks, guard, "natural-contraction search")
     ]
     for nc in out:
-        rep = validate_transformation(NatTransformation(ident, fun, dict(enumerate(nc.components))))
-        if not rep.ok:
-            raise TheoremViolation("enumerated contraction failed validation: " + rep.summary())
+        t = NatTransformation(ident, fun, dict(enumerate(nc.components)))
+        validate_transformation(t).require_ok("enumerated contraction")
     return out
 
 
@@ -143,15 +134,9 @@ def is_epimorphism(cat: FiniteCategory, aid: int) -> bool:
 
 
 def is_monomorphism(cat: FiniteCategory, aid: int) -> bool:
-    """Left cancelable: psi after g == psi after h forces g == h."""
-    psi = cat.arrows[aid]
-    incoming = cat.arrows_to(psi.dom)
-    for g in incoming:
-        for h in incoming:
-            if g < h and cat.arrows[g].dom == cat.arrows[h].dom:
-                if cat.compose(g, aid) == cat.compose(h, aid):
-                    return False
-    return True
+    """Left cancelable: psi after g == psi after h forces g == h; that is,
+    psi is an epimorphism of the opposite category."""
+    return is_epimorphism(opposite(cat), aid)
 
 
 @dataclass(frozen=True)

@@ -412,19 +412,21 @@ def _gh_gluings(dx: list[list[int]], dy: list[list[int]]) -> Fraction:
     return Fraction(best2, 2)
 
 
-def gh_distance(x: FiniteMetricSpace, y: FiniteMetricSpace, guard: int = GH_POINT_GUARD) -> Fraction:
+def gh_distance(x: FiniteMetricSpace, y: FiniteMetricSpace) -> Fraction:
     """Gromov-Hausdorff distance, computed along both routes; exact
-    agreement between them is asserted on every call."""
+    agreement between them is asserted on every call.  Spaces of more than
+    GH_POINT_GUARD points raise SizeGuardError."""
     if not x.points or not y.points:
         raise PreconditionError("Gromov-Hausdorff distance needs non-empty spaces")
-    if len(x.points) > guard or len(y.points) > guard:
+    if len(x.points) > GH_POINT_GUARD or len(y.points) > GH_POINT_GUARD:
         raise SizeGuardError(
-            f"spaces of {len(x.points)} and {len(y.points)} points exceed the guard {guard}"
+            f"spaces of {len(x.points)} and {len(y.points)} points exceed the guard {GH_POINT_GUARD}"
         )
     # the gluing route's grid distances are a closed form only on metrics
     for name, space in (("x", x), ("y", y)):
-        if space.metric_errors():
-            raise PreconditionError(f"{name} is not a metric space: " + "; ".join(space.metric_errors()))
+        errs = space.metric_errors()
+        if errs:
+            raise PreconditionError(f"{name} is not a metric space: " + "; ".join(errs))
     scale = _common_scale(x, y)
     dx, dy = _int_matrix(x, scale), _int_matrix(y, scale)
     via_corr = Fraction(_gh_correspondences(dx, dy), 2 * scale)
@@ -500,31 +502,14 @@ def compose_gluings(g1: Gluing, g2: Gluing) -> tuple[Gluing, list[str]]:
     X, Y, Z = g1.x_space, g1.y_space, g2.y_space
     n, k, m = len(X.points), len(Y.points), len(Z.points)
     size = n + k + m
-
-    def block(i: int, j: int) -> Fraction:
-        def who(t: int) -> tuple[str, int]:
-            if t < n:
-                return "x", t
-            if t < n + k:
-                return "y", t - n
-            return "z", t - n - k
-
-        (si, ii), (sj, jj) = who(i), who(j)
-        if si == sj:
-            return {"x": X, "y": Y, "z": Z}[si].d[ii][jj]
-        if (si, sj) == ("x", "y"):
-            return g1.cross[ii][jj]
-        if (si, sj) == ("y", "x"):
-            return g1.cross[jj][ii]
-        if (si, sj) == ("y", "z"):
-            return g2.cross[ii][jj]
-        if (si, sj) == ("z", "y"):
-            return g2.cross[jj][ii]
-        if (si, sj) == ("x", "z"):
-            return min(g1.cross[ii][y] + g2.cross[y][jj] for y in range(k))
-        return min(g1.cross[jj][y] + g2.cross[y][ii] for y in range(k))
-
-    raw = [[block(i, j) for j in range(size)] for i in range(size)]
+    r1, r2 = g1.cross, g2.cross
+    # points ordered X, then Y, then Z; X and Z meet through the middle
+    xz = [[min(r1[x][y] + r2[y][z] for y in range(k)) for z in range(m)] for x in range(n)]
+    raw = (
+        [[*X.d[x], *r1[x], *xz[x]] for x in range(n)]
+        + [[*(r1[x][y] for x in range(n)), *Y.d[y], *r2[y]] for y in range(k)]
+        + [[*(xz[x][z] for x in range(n)), *(r2[y][z] for y in range(k)), *Z.d[z]] for z in range(m)]
+    )
     repaired = shortest_path_repair(raw)
     notes = []
     for i in range(size):

@@ -12,8 +12,9 @@ Metric spaces: {"points": ["p", "q"], "d": [[0, "3/2"], ["3/2", 0]]}.
 Sequences and series: {"preperiod": [ids], "period": [ids]} with a
 non-empty period, or non-empty bounded {"entries": [ids]}; cones add
 {"apex": obj, "startIndex": m, "legs": {...}}.  Ids and indices are
-non-negative integers; whether they name arrows or objects of a space is
-checked by the caller, which has the space.
+non-negative JSON integers or strings of decimal digits (`parse_index`);
+whether they name arrows or objects of a space is checked by the caller,
+which has the space.
 Rationals are emitted as strings to keep round trips exact.
 The parsers of sequences, cones and generators import `limits` and `coarse`
 themselves, so a CLI run loads those modules only when it reads such data.
@@ -76,6 +77,16 @@ def parse_index(value, what: str) -> int:
     return value
 
 
+def _id(value, what: str) -> int:
+    """`parse_index`, with the common case of a JSON integer checked inline."""
+    return value if type(value) is int and value >= 0 else parse_index(value, what)
+
+
+def _index_table(data, what: str) -> dict[int, int]:
+    """A JSON object mapping indices to indices."""
+    return {parse_index(k, f"{what} key"): _id(v, f"{what} value") for k, v in json_object(data, what).items()}
+
+
 def pair_table_from_json(data, what: str) -> dict[tuple[int, int], Fraction]:
     """A table of rationals keyed by index pairs written "x,y"."""
     table = {}
@@ -94,25 +105,23 @@ def direction_from_json(data: dict) -> str:
 
 
 def category_from_json(data) -> FiniteCategory:
-    _require(isinstance(data, dict), "category must be an object")
-    for key in ("objects", "arrows", "identities", "compose"):
-        _require(key in data, f"category is missing {key!r}")
+    json_object(data, "category", ("objects", "arrows", "identities", "compose"))
     try:
         objects = tuple(
-            Obj(int(o["id"]), _label(o, "object"))
+            Obj(_id(o["id"], "object id"), _label(o, "object"))
             for o in _list(data["objects"], "category 'objects'")
         )
         arrows = tuple(
-            Arrow(int(a["id"]), int(a["dom"]), int(a["cod"]), _label(a, "arrow"))
+            Arrow(_id(a["id"], "arrow id"), _id(a["dom"], "arrow 'dom'"), _id(a["cod"], "arrow 'cod'"),
+                  _label(a, "arrow"))
             for a in _list(data["arrows"], "category 'arrows'")
         )
-        identities = {
-            int(k): int(v)
-            for k, v in json_object(data["identities"], "category 'identities'").items()
-        }
-        compose = {
-            (int(first), int(second)): int(result)
-            for first, second, result in _list(data["compose"], "category 'compose'")
+        identities = _index_table(data["identities"], "category 'identities'")
+        compose = {  # n³ entries for n objects, so `_id` is spelled out inline
+            (f if type(f) is int and f >= 0 else parse_index(f, "compose entry"),
+             g if type(g) is int and g >= 0 else parse_index(g, "compose entry")):
+                h if type(h) is int and h >= 0 else parse_index(h, "compose entry")
+            for f, g, h in _list(data["compose"], "category 'compose'")
         }
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"malformed category tables: {exc}") from exc
@@ -142,9 +151,7 @@ def category_to_json(cat: FiniteCategory) -> dict:
 def space_from_json(data) -> Metric1Space:
     """A weighted category.  Its composition table must cover every
     composable pair, because every weight check reads the composite."""
-    _require(isinstance(data, dict), "weighted category must be an object")
-    _require("category" in data, "weighted category is missing 'category'")
-    _require("weights" in data, "weighted category is missing 'weights'")
+    json_object(data, "weighted category", ("category", "weights"))
     cat = category_from_json(data["category"])
     for f in cat.arrows:
         for g in cat.arrows_from(f.cod):
@@ -154,7 +161,7 @@ def space_from_json(data) -> Metric1Space:
                 )
     try:
         weights = {
-            int(k): Weight.parse(v)
+            parse_index(k, "weights key"): Weight.parse(v)
             for k, v in json_object(data["weights"], "'weights'").items()
         }
     except (ValueError, ZeroDivisionError) as exc:
@@ -173,8 +180,7 @@ def space_to_json(space: Metric1Space) -> dict:
 
 
 def metric_space_from_json(data) -> FiniteMetricSpace:
-    _require(isinstance(data, dict), "metric space must be an object")
-    _require("points" in data and "d" in data, "metric space needs 'points' and 'd'")
+    json_object(data, "metric space", ("points", "d"))
     points = [str(p) for p in _list(data["points"], "metric space 'points'")]
     matrix = [
         [parse_fraction(v) for v in _list(row, "a row of 'd'")]
@@ -194,14 +200,10 @@ def metric_space_to_json(space: FiniteMetricSpace) -> dict:
 
 
 def functor_from_json(data, source: FiniteCategory, target: FiniteCategory) -> Functor:
-    _require(isinstance(data, dict), "functor must be an object")
-    _require("objMap" in data and "arrMap" in data, "functor needs 'objMap' and 'arrMap'")
-    try:
-        obj_map = {int(k): int(v) for k, v in json_object(data["objMap"], "'objMap'").items()}
-        arr_map = {int(k): int(v) for k, v in json_object(data["arrMap"], "'arrMap'").items()}
-    except (TypeError, ValueError) as exc:
-        raise InputFormatError(f"malformed functor tables: {exc}") from exc
-    return Functor(source, target, obj_map, arr_map)
+    json_object(data, "functor", ("objMap", "arrMap"))
+    return Functor(
+        source, target, _index_table(data["objMap"], "'objMap'"), _index_table(data["arrMap"], "'arrMap'")
+    )
 
 
 def _arrow_ids(data, key: str) -> tuple[int, ...]:
@@ -212,7 +214,7 @@ def _arrow_ids(data, key: str) -> tuple[int, ...]:
 def description_from_json(data):
     from .limits import BoundedDescription, EventuallyPeriodic
 
-    _require(isinstance(data, dict), "sequence description must be an object")
+    json_object(data, "sequence description")
     if "entries" in data:
         entries = _arrow_ids(data["entries"], "entries")
         _require(bool(entries), "'entries' must not be empty")
@@ -226,8 +228,7 @@ def description_from_json(data):
 def cone_from_json(data) -> EssentialCone:
     from .limits import EssentialCone
 
-    _require(isinstance(data, dict), "cone must be an object")
-    _require("apex" in data and "legs" in data, "cone needs 'apex' and 'legs'")
+    json_object(data, "cone", ("apex", "legs"))
     return EssentialCone(
         parse_index(data.get("startIndex", 0), "'startIndex'"),
         parse_index(data["apex"], "cone 'apex'"),
@@ -238,8 +239,7 @@ def cone_from_json(data) -> EssentialCone:
 def generators_from_json(data, cat: FiniteCategory) -> CoarseGenerators:
     from .coarse import CoarseGenerators
 
-    _require(isinstance(data, dict), "generators must be an object")
-    _require("list" in data, "generators need 'list'")
+    json_object(data, "generators", ("list",))
     sets = []
     for s in _list(data["list"], "generators 'list'"):
         _require(isinstance(s, list), f"generator {s!r} must be a JSON list of arrow ids")

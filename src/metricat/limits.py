@@ -125,10 +125,6 @@ class LimitCertificate:
     witness_index: int | None = None
     detail: str = ""
 
-    @property
-    def holds(self) -> bool:
-        return self.verdict == EXACT_YES
-
 
 def _exact_window(*descriptions: Description, starts: tuple[int, ...] = ()):
     """(K0, L): index where all descriptions have stabilised, and the

@@ -121,22 +121,22 @@ def mapping_space(
     """Construct [X, Y] as a metric 1-space.
 
     Finite spaces are object, forward, and backward compact, so the single
-    uniform-continuity filter is the right notion of continuous here.  That
-    the result satisfies the metric 1-space axioms is a theorem, re-checked
-    by the validation suite rather than assumed.
+    uniform-continuity filter is the right notion of continuous here.  An
+    enumerated functor or transformation that fails validation raises
+    TheoremViolation.  That [X, Y] satisfies the metric 1-space axioms is a
+    theorem, re-checked by the validation suite rather than assumed.
     """
-    funs = [
-        f
-        for f in enumerate_functors(X.category, Y.category, guard)
-        if validate_functor(f).ok and uniformly_continuous(f, X, Y).holds
-    ]
+    funs = []
+    for f in enumerate_functors(X.category, Y.category, guard):
+        validate_functor(f).require_ok("enumerated functor")
+        if uniformly_continuous(f, X, Y).holds:
+            funs.append(f)
     transformations: list[NatTransformation] = []
     arrow_meta: list[tuple[int, int]] = []  # (source functor index, target functor index)
     for i, F in enumerate(funs):
         for j, G in enumerate(funs):
             for t in enumerate_transformations(F, G, guard):
-                if not validate_transformation(t).ok:
-                    continue
+                validate_transformation(t).require_ok("enumerated transformation")
                 transformations.append(t)
                 arrow_meta.append((i, j))
 

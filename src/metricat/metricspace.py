@@ -29,13 +29,6 @@ class FiniteMetricSpace:
     def __len__(self) -> int:
         return len(self.points)
 
-    def distance(self, i: int, j: int) -> Fraction:
-        return self.d[i][j]
-
-    def diameter(self) -> Fraction:
-        n = len(self.points)
-        return max((self.d[i][j] for i in range(n) for j in range(n)), default=Fraction(0))
-
     def metric_errors(self) -> list[str]:
         """Names every violated metric axiom instance."""
         errs: list[str] = []

@@ -40,9 +40,6 @@ class Metric1Space:
                 raise PreconditionError("weight count must match arrow count")
         return cls(category, table)
 
-    def weight(self, aid: int) -> Weight:
-        return self.w[aid]
-
 
 # The axioms are self-dual: reversing every arrow keeps the weights and the
 # full triangle inequality.  So every backward notion is the forward one read
@@ -132,9 +129,6 @@ class LawvereSpace:
 
     points: tuple[str, ...]
     d: tuple[tuple[Weight, ...], ...]
-
-    def distance(self, x: int, y: int) -> Weight:
-        return self.d[x][y]
 
     def is_symmetric(self) -> bool:
         n = len(self.points)

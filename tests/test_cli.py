@@ -310,6 +310,22 @@ def series_only(series):
     return payload
 
 
+@pytest.mark.parametrize("series, legs, verdict", [
+    ({"preperiod": [1], "period": [3]}, {"preperiod": [1], "period": [3]}, "exact-yes"),
+    ({"entries": [1, 3, 3]}, {"entries": [1, 3, 3]}, "verified-to-horizon"),
+])
+def test_limits_series_with_a_cone(tmp_path, capsys, series, legs, verdict):
+    # on the line 0 -- 1: the arrow 0 -> 1 (id 1), then the identity of 1
+    # (id 3) forever; the legs into 1 are that arrow, then the identity
+    payload = dict(series_only(series), cone={"apex": 1, "legs": legs})
+    path = write(tmp_path, "series.json", payload)
+    assert main(["--format", "json", "limits", path]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["cauchy"]["verdict"] == verdict
+    assert results["limit"]["verdict"] == verdict
+    assert results["limit"]["limitingArrow"] == 1
+
+
 BAD_INPUTS = {
     "limits empty period": ("limits", series_only({"period": []})),
     "limits arrow id out of range": ("limits", limits_payload(sequence={"period": [99]})),
@@ -535,3 +551,35 @@ def test_former_escapes_end_in_an_exit_code(monkeypatch, capsys, case):
     assert main(argv) == code
     err = capsys.readouterr().err
     assert err.startswith("input error:" if code == 2 else "precondition:")
+
+
+@pytest.mark.parametrize("command, path, value", [
+    ("validate", ("category", "arrows", 1, "dom"), 0.7),
+    ("validate", ("category", "arrows", 1, "cod"), True),
+    ("lawvere", ("category", "compose", 0, 2), -1),
+    ("map-space", ("source", "category", "objects", 0, "id"), -1),
+    ("dagger", ("category", "identities", "0"), 0.0),
+    ("continuity", ("functor", "arrMap", "0"), False),
+])
+def test_float_boolean_and_negative_ids_are_exit_two(monkeypatch, capsys, command, path, value):
+    argv, text = changed(command, path, value)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+def test_decimal_string_ids_still_parse(monkeypatch, capsys):
+    argv, doc = support.cli_documents()["validate"]
+    cat = doc["category"]
+    as_strings = dict(doc, category={
+        "objects": [{"id": str(o["id"])} for o in cat["objects"]],
+        "arrows": [{key: str(a[key]) for key in ("id", "dom", "cod")} for a in cat["arrows"]],
+        "identities": {k: str(v) for k, v in cat["identities"].items()},
+        "compose": [[str(i) for i in triple] for triple in cat["compose"]],
+    })
+    outputs = []
+    for payload in (doc, as_strings):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+        assert main(["--format", "json", *argv]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]

@@ -41,6 +41,14 @@ def test_identity_mapping_is_not_a_dagger_on_indiscrete():
     assert any("swap" in v for v in report.violations)
 
 
+def test_unfixed_identity_and_broken_involution_are_reported():
+    z2 = support.z2_space(1)  # arrows: identity 0 and g = 1
+    swapped = validate_dagger(z2, Dagger((1, 0)))
+    assert swapped.violations == ["identity of object 0 is not fixed"]
+    collapsed = validate_dagger(z2, Dagger((0, 0)))
+    assert collapsed.violations == ["involution fails at arrow 1"]
+
+
 def test_swap_dagger_on_indiscrete_checked_by_hand():
     sp = support.indiscrete_space([[0, 1], [1, 0]])
     cat = sp.category

@@ -134,6 +134,35 @@ def test_functor_endpoint_mismatch_is_fatal():
     assert report.fatal
 
 
+def test_functor_with_a_missing_or_dangling_map_is_fatal():
+    free = support.free_arrow_category()  # identities 0, 1 and f = 2: 0 -> 1
+    cases = [
+        ({0: 0}, {0: 0, 1: 1, 2: 2}, "object map missing or dangling at object 1"),
+        ({0: 0, 1: 5}, {0: 0, 1: 1, 2: 2}, "object map missing or dangling at object 1"),
+        ({0: 0, 1: 1}, {0: 0, 1: 1}, "arrow map missing or dangling at arrow 2"),
+        ({0: 0, 1: 1}, {0: 0, 1: 1, 2: 9}, "arrow map missing or dangling at arrow 2"),
+    ]
+    for obj_map, arr_map, message in cases:
+        report = validate_functor(Functor(free, free, obj_map, arr_map))
+        assert report.fatal == [message] and not report.violations
+
+
+def test_functor_breaking_identities_or_composition_is_reported():
+    z2 = support.z2_category()
+    everything_to_g = validate_functor(Functor(z2, z2, {0: 0}, {0: 1, 1: 1}))
+    assert not everything_to_g.fatal
+    assert everything_to_g.violations[0] == "identity of object 0 is not preserved"
+    # indiscrete(2) onto Z2 with only 0 -> 1 sent to g: identities are
+    # kept, but both round trips compose to an identity that stays one
+    pair = indiscrete(2)
+    lopsided = validate_functor(Functor(pair, z2, {0: 0, 1: 0}, {0: 0, 1: 1, 2: 0, 3: 0}))
+    assert not lopsided.fatal
+    assert lopsided.violations == [
+        "composition not preserved on pair (1,2): 0 != 1",
+        "composition not preserved on pair (2,1): 0 != 1",
+    ]
+
+
 def test_is_groupoid_examples():
     c2 = indiscrete(2)
     inv = is_groupoid(c2)
@@ -211,6 +240,22 @@ def test_naturality_violation_detected():
     # component id: naturality square needs id*alpha == alpha*g, i.e. g = id
     bad = NatTransformation(ident, collapse, {0: 0})
     assert not validate_transformation(bad).ok
+
+
+def test_malformed_transformations_are_fatal():
+    y = indiscrete(2)
+    t = terminal_category()
+    f0 = Functor(t, y, {0: 0}, {0: y.identity[0]})
+    f1 = Functor(t, y, {0: 1}, {0: y.identity[1]})
+    to_z2 = Functor(t, support.z2_category(), {0: 0}, {0: 0})
+    cases = [
+        (NatTransformation(f0, to_z2, {0: 0}), "functors do not share source and target"),
+        (NatTransformation(f0, f1, {}), "no component at object 0"),
+        (NatTransformation(f0, f1, {0: y.identity[0]}), "component at object 0 is a0:0->0; must go F(0) -> G(0)"),
+    ]
+    for alpha, message in cases:
+        report = validate_transformation(alpha)
+        assert report.fatal == [message] and not report.violations
 
 
 def test_vertical_compose_raises_theorem_violation_on_non_natural_alpha():

@@ -4,7 +4,9 @@ import pytest
 
 from metricat import (
     INF,
+    Functor,
     SizeGuardError,
+    TheoremViolation,
     Weight,
     ZERO,
     identity_functor,
@@ -14,6 +16,7 @@ from metricat import (
     validate_functor,
     validate_metric1,
 )
+from metricat import mapping
 from metricat.fincat import NatTransformation
 from metricat.mapping import (
     enumerate_functors,
@@ -150,3 +153,32 @@ def test_transformation_enumeration_counts():
     assert len(enumerate_transformations(ident, ident)) == 2
     assert len(enumerate_transformations(ident, collapse)) == 0
     assert len(enumerate_transformations(collapse, collapse)) == 2
+
+
+def test_mapping_space_raises_on_an_enumerated_non_functor(monkeypatch):
+    z2 = support.z2_space(1)
+    real = mapping.enumerate_functors
+
+    def with_a_stray(source, target, guard):
+        # sends the identity to g: not a functor
+        return real(source, target, guard) + [Functor(source, target, {0: 0}, {0: 1, 1: 1})]
+
+    monkeypatch.setattr(mapping, "enumerate_functors", with_a_stray)
+    with pytest.raises(TheoremViolation, match="enumerated functor failed validation"):
+        mapping_space(z2, z2)
+
+
+def test_mapping_space_raises_on_an_enumerated_non_natural_transformation(monkeypatch):
+    z2 = support.z2_space(1)
+    real = mapping.enumerate_transformations
+
+    def with_a_stray(F, G, guard):
+        found = real(F, G, guard)
+        if F != G:
+            # between the identity and the collapse of g, no component is natural
+            found.append(NatTransformation(F, G, {0: 0}))
+        return found
+
+    monkeypatch.setattr(mapping, "enumerate_transformations", with_a_stray)
+    with pytest.raises(TheoremViolation, match="enumerated transformation failed validation"):
+        mapping_space(z2, z2)
