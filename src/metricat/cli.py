@@ -132,8 +132,7 @@ def cmd_map_space(args) -> int:
         if not rep.ok:
             _emit(args, {"error": {name: rep.all_messages()}}, [rep.summary()])
             return EXIT_INVALID
-    guard = mapping.DEFAULT_GUARD if args.guard_functors is None else args.guard_functors
-    ms = mapping.mapping_space(X, Y, guard=guard)
+    ms = mapping.mapping_space(X, Y, guard=args.guard)
     payload = jsonio.space_to_json(ms.space)
     payload["functors"] = [
         {"objMap": {str(k): v for k, v in f.obj_map.items()},
@@ -161,11 +160,10 @@ def cmd_dagger(args) -> int:
     if not report.ok:
         _emit(args, {"error": report.all_messages()}, [report.summary()])
         return EXIT_INVALID
-    guard = dagger.DEFAULT_GUARD if args.guard_daggers is None else args.guard_daggers
     if args.verbose:
-        cls, classified = dagger.classified_daggers(space, guard)
+        cls, classified = dagger.classified_daggers(space, args.guard)
     else:
-        cls, classified = dagger.symmetry_hierarchy(space, guard), None
+        cls, classified = dagger.symmetry_hierarchy(space, args.guard), None
     payload = {"class": str(cls)}
     lines = [f"symmetry class: {cls}"]
     if classified is not None:
@@ -227,13 +225,10 @@ def cmd_fixed_point(args) -> int:
     if not rep.ok:
         _emit(args, {"error": rep.all_messages()}, [rep.summary()])
         return EXIT_INVALID
-    contractions = fixedpoint.find_natural_contractions(space, fun, direction)
+    contractions = fixedpoint.find_natural_contractions(space, fun, direction, args.guard)
     if idx >= len(contractions):
-        _emit(
-            args,
-            {"error": f"no natural contraction with index {idx} ({len(contractions)} found)"},
-            [f"no natural contraction with index {idx} ({len(contractions)} found)"],
-        )
+        message = f"no natural contraction with index {idx} ({len(contractions)} found)"
+        _emit(args, {"error": message}, [message])
         return EXIT_INVALID
     try:
         outcome = fixedpoint.banach_iterate(space, fun, contractions[idx], start)
@@ -381,8 +376,7 @@ def cmd_demo(args) -> int:
 _FLAG_DEFAULTS = {
     "format": "text",
     "seed": 0,
-    "guard_functors": None,  # the library default, resolved by the handler
-    "guard_daggers": None,
+    "guard": None,  # the library's errors.DEFAULT_BUDGET
     "verbose": False,
 }
 
@@ -393,8 +387,8 @@ def _common_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--format", choices=("text", "json"))
     common.add_argument("--seed", type=int, help="seed for randomized demos")
-    common.add_argument("--guard-functors", type=int)
-    common.add_argument("--guard-daggers", type=int)
+    common.add_argument("--guard-functors", "--guard-daggers", dest="guard", type=int, metavar="N",
+                        help="work budget of map-space, dagger and fixed-point")
     common.add_argument("-v", "--verbose", action="store_true")
     return common
 

@@ -13,12 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 
-from .errors import PreconditionError, TheoremViolation
+from .errors import Budget, PreconditionError, TheoremViolation
 from .continuity import forward_continuous, uniformly_continuous
 from .fincat import Functor, ValidationReport, backtrack, is_groupoid, opposite_functor
 from .weights import Metric1Space, lawvere, opposite_space
-
-DEFAULT_GUARD = 100_000
 
 
 class SymmetryClass(IntEnum):
@@ -120,7 +118,7 @@ def classify_dagger(space: Metric1Space, dag: Dagger) -> SymmetryClass:
     return SymmetryClass.NONE
 
 
-def enumerate_daggers(space: Metric1Space, guard: int = DEFAULT_GUARD) -> list[Dagger]:
+def enumerate_daggers(space: Metric1Space, guard: int | Budget | None = None) -> list[Dagger]:
     """All valid daggers, in deterministic order.
 
     A dagger is an identity-on-objects functor C -> C^op whose arrow map is
@@ -131,7 +129,7 @@ def enumerate_daggers(space: Metric1Space, guard: int = DEFAULT_GUARD) -> list[D
     and not yet taken (itself included).  Contravariance is checked once per
     composable pair, when the last of its arrows is set, and every dagger
     found is re-checked with `validate_dagger`.  Raises SizeGuardError past
-    `guard` search nodes.
+    the work budget `guard` (`errors.DEFAULT_BUDGET` when None).
     """
     cat = space.category
     n = len(cat.objects)
@@ -177,7 +175,7 @@ def enumerate_daggers(space: Metric1Space, guard: int = DEFAULT_GUARD) -> list[D
     return found
 
 
-def symmetry_hierarchy(space: Metric1Space, guard: int = DEFAULT_GUARD) -> SymmetryClass:
+def symmetry_hierarchy(space: Metric1Space, guard: int | Budget | None = None) -> SymmetryClass:
     """Best symmetry tier of the space itself.
 
     Groupoids win outright (their canonical dagger is iso), with no dagger
@@ -192,7 +190,7 @@ def symmetry_hierarchy(space: Metric1Space, guard: int = DEFAULT_GUARD) -> Symme
 
 
 def classified_daggers(
-    space: Metric1Space, guard: int = DEFAULT_GUARD
+    space: Metric1Space, guard: int | Budget | None = None
 ) -> tuple[SymmetryClass, list[tuple[Dagger, SymmetryClass]]]:
     """The tier of `symmetry_hierarchy` and every dagger with its own tier,
     in `enumerate_daggers` order, from one dagger search."""

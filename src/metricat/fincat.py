@@ -15,15 +15,15 @@ lexicographic arrow-id order.
 
 `backtrack` is the one search over functor-shaped tables (functors,
 transformations, natural contractions, daggers): one variable at a time,
-each check run once, when the last variable it reads is set, and one budget
-of search nodes.
+each check run once, when the last variable it reads is set, and its search
+nodes charged to the caller's `errors.Budget`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import SizeGuardError, TheoremViolation
+from .errors import Budget, TheoremViolation
 
 
 @dataclass(frozen=True)
@@ -257,20 +257,13 @@ def indiscrete(n: int, labels: list[str] | None = None) -> FiniteCategory:
     if labels is not None and len(labels) != n:
         raise ValueError("label count must match object count")
     objects = tuple(Obj(i, labels[i] if labels else None) for i in range(n))
-    arrows = []
-    ids: dict[tuple[int, int], int] = {}
-    for x in range(n):
-        for y in range(n):
-            aid = x * n + y
-            ids[(x, y)] = aid
-            arrows.append(Arrow(aid, x, y))
-    identity = {x: ids[(x, x)] for x in range(n)}
-    composition = {}
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                composition[(ids[(x, y)], ids[(y, z)])] = ids[(x, z)]
-    return FiniteCategory(objects, tuple(arrows), identity, composition)
+    # the arrow x -> y has id x * n + y
+    arrows = tuple(Arrow(x * n + y, x, y) for x in range(n) for y in range(n))
+    identity = {x: x * n + x for x in range(n)}
+    composition = {
+        (x * n + y, y * n + z): x * n + z for x in range(n) for y in range(n) for z in range(n)
+    }
+    return FiniteCategory(objects, arrows, identity, composition)
 
 
 def terminal_category() -> FiniteCategory:
@@ -310,12 +303,7 @@ class Functor:
 
 
 def identity_functor(cat: FiniteCategory) -> Functor:
-    return Functor(
-        cat,
-        cat,
-        {o.index: o.index for o in cat.objects},
-        {a.id: a.id for a in cat.arrows},
-    )
+    return Functor(cat, cat, {o.index: o.index for o in cat.objects}, {a.id: a.id for a in cat.arrows})
 
 
 def validate_functor(fun: Functor) -> ValidationReport:
@@ -351,7 +339,7 @@ def validate_functor(fun: Functor) -> ValidationReport:
     return report
 
 
-def backtrack(domains, checks, budget: int, what: str):
+def backtrack(domains, checks, guard: int | Budget | None, what: str):
     """Yield every assignment of the variables that passes all checks, as a
     tuple of values, in lexicographic order of the domains.
 
@@ -359,11 +347,13 @@ def backtrack(domains, checks, budget: int, what: str):
     ``values`` holds the variables before it.  A check is a pair
     ``(reads, predicate)``: it is attached to the last variable it reads,
     so ``predicate(values)`` runs exactly once, when that variable is set.
-    One search node is one candidate value tried; past ``budget`` nodes
-    the search raises ``SizeGuardError``.  The loop keeps an explicit
-    stack, so the depth is not bounded by the interpreter's recursion
-    limit.
+    One search node is one candidate value tried.  The loop counts them and
+    charges the work budget ``guard`` (see `Budget.of`) once, when the
+    search ends or passes the budget and raises ``SizeGuardError``.  The
+    loop keeps an explicit stack, so the depth is not bounded by the
+    interpreter's recursion limit.
     """
+    budget = Budget.of(guard)
     n = len(domains)
     if n == 0:
         yield ()
@@ -374,14 +364,14 @@ def backtrack(domains, checks, budget: int, what: str):
     values: list = [None] * n
     candidates = [iter(())] * n
     candidates[0] = iter(domains[0](values))
-    nodes = 0
+    nodes, room = 0, budget.limit - budget.used
     i = 0
     while i >= 0:
         here = attached[i]
         for value in candidates[i]:
             nodes += 1
-            if nodes > budget:
-                raise SizeGuardError(f"{what} exceeded its budget of {budget} search nodes")
+            if nodes > room:
+                budget.spend(nodes, what, "search nodes")
             values[i] = value
             if all(predicate(values) for predicate in here):
                 break
@@ -393,6 +383,7 @@ def backtrack(domains, checks, budget: int, what: str):
         else:
             i += 1
             candidates[i] = iter(domains[i](values))
+    budget.spend(nodes, what, "search nodes")
 
 
 def is_groupoid(cat: FiniteCategory) -> dict[int, int] | None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .errors import PreconditionError, TheoremViolation
+from .errors import Budget, PreconditionError, TheoremViolation
 from .continuity import uniformly_continuous
 from .fincat import (
     FiniteCategory, Functor, NatTransformation, backtrack, identity_functor, opposite,
@@ -37,8 +37,6 @@ from .limits import (
 from .mapping import naturality_search
 from .weight import ZERO
 from .weights import BACKWARD, FORWARD, Metric1Space, is_backward, is_nondegenerate, opposite_space
-
-DEFAULT_GUARD = 200_000
 
 
 @dataclass(frozen=True)
@@ -96,13 +94,14 @@ class NaturalContraction:
 
 
 def find_natural_contractions(
-    space: Metric1Space, fun: Functor, direction: str = FORWARD, guard: int = DEFAULT_GUARD
+    space: Metric1Space, fun: Functor, direction: str = FORWARD, guard: int | Budget | None = None
 ) -> list[NaturalContraction]:
     """The natural transformations Id => F that also satisfy the coherence
     law, in component-lexicographic order: the search for transformations
     with one more check per object x, run once x and F(x) are both set.
     Backward contractions are the forward ones of the opposite functor.
-    Raises SizeGuardError past `guard` search nodes."""
+    Raises SizeGuardError past the work budget `guard` (`errors.DEFAULT_BUDGET`
+    when None)."""
     if is_backward(direction):
         found = find_natural_contractions(opposite_space(space), opposite_functor(fun), FORWARD, guard)
         return [NaturalContraction(BACKWARD, fun, nc.components) for nc in found]

@@ -49,6 +49,9 @@ only what provably cannot beat it, so the minimum is unchanged:
 
 The Lipschitz distance is likewise a branch-and-bound over bijections that
 cuts a branch once the constant of its fixed pairs reaches the best found.
+Each call charges one work budget (`errors.Budget`): GH `width` units per
+half-map extension and one per pair of maps scanned, Lipschitz one per
+extension, a slice or bi-metric space its arrows and composition entries.
 """
 from __future__ import annotations
 
@@ -58,16 +61,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter, sub
 
-from .errors import PreconditionError, SizeGuardError, TheoremViolation
+from .errors import Budget, PreconditionError, TheoremViolation
 from .fincat import Arrow, FiniteCategory, Obj, ValidationReport
 from .metricspace import FiniteMetricSpace, shortest_path_repair
 from .weight import Weight, common_denominator
 from .weights import Metric1Space, validate_metric1
-
-GH_POINT_GUARD = 6
-LIPSCHITZ_BIJECTION_GUARD = 720
-# 4 n^3 composition entries of a bi-metric space; n = 40 takes about a second
-BIMETRIC_COMPOSITION_GUARD = 256_000
 
 
 # --- bi-Lipschitz ------------------------------------------------------------
@@ -154,17 +152,16 @@ class BiLipSlice:
         return all(self.factor[inv[a]] == self.factor[a] for a in range(len(self.factor)))
 
 
-def bilip_slice(spaces: list[FiniteMetricSpace], guard: int = 5040) -> BiLipSlice:
+def bilip_slice(spaces: list[FiniteMetricSpace], guard: int | Budget | None = None) -> BiLipSlice:
     """The slice of the bi-Lipschitz groupoid spanned by the given spaces:
     all bijections between them (on finite spaces with positive distances
-    every bijection is bi-Lipschitz), weighted by their exact constants."""
-    total = 0
-    for a in spaces:
-        for b in spaces:
-            if len(a.points) == len(b.points):
-                total += math.factorial(len(a.points))
-                if total > guard:
-                    raise SizeGuardError(f"slice would contain {total}+ arrows (budget {guard})")
+    every bijection is bi-Lipschitz), weighted by their exact constants.
+    Its arrows and composition entries are charged to the work budget
+    `guard` (`errors.DEFAULT_BUDGET` when None) before any is built."""
+    budget, sizes = Budget.of(guard), [len(a.points) for a in spaces]
+    into = [math.factorial(k) * sizes.count(k) for k in sizes]  # arrows into, and out of, each space
+    budget.spend(sum(into), "bi-Lipschitz slice", "arrows")
+    budget.spend(sum(c * c for c in into), "bi-Lipschitz slice", "composition entries")
 
     objs = tuple(Obj(i, f"S{i}") for i in range(len(spaces)))
     arrows: list[Arrow] = []
@@ -210,11 +207,7 @@ def lipschitz_distance(x: FiniteMetricSpace, y: FiniteMetricSpace) -> Fraction:
     n = len(x.points)
     if n != len(y.points):
         raise PreconditionError("no bijections between spaces of different sizes")
-    count = math.factorial(n)
-    if count > LIPSCHITZ_BIJECTION_GUARD:
-        raise SizeGuardError(
-            f"{n}-point spaces have {count} bijections (budget {LIPSCHITZ_BIJECTION_GUARD})"
-        )
+    budget = Budget()
     scale = _common_scale(x, y)
     dx, dy = _int_matrix(x, scale), _int_matrix(y, scale)
     image = [0] * n
@@ -223,6 +216,7 @@ def lipschitz_distance(x: FiniteMetricSpace, y: FiniteMetricSpace) -> Fraction:
 
     def extend(k: int, num: int, den: int) -> None:
         nonlocal best
+        budget.spend(1, "Lipschitz search", "extensions")
         if k == n:
             best = (num, den)
             return
@@ -275,15 +269,17 @@ def _diameter_floor(dx: list[list[int]], dy: list[list[int]]) -> int:
     return abs(max(map(max, dx)) - max(map(max, dy)))
 
 
-def _bounded_maps(length, width, step, cap):
+def _bounded_maps(length, width, step, cap, budget, phase):
     """The maps range(length) -> range(width) a depth-first search completes
     below cap[0], as (bound, map, state), least bound first.  `step(state,
     prefix, j)` gives the (bound, state) of `prefix` extended by j (state
     None for the empty prefix).  A prefix is cut once its bound reaches
-    cap[0]; a completed onto map lowers cap[0] to its bound."""
+    cap[0]; a completed onto map lowers cap[0] to its bound.  Each
+    extension charges `budget` its `width` steps."""
     kept, prefix = [], []
 
     def extend(state, covered):
+        budget.spend(width, phase, "half-map steps")
         children = [(*step(state, prefix, j), j) for j in range(width)]
         children.sort(key=itemgetter(0))  # least bound first: low caps come early
         for bound, child, j in children:
@@ -317,29 +313,33 @@ def _distortion_step(d_src: list[list[int]], d_dst: list[list[int]], floor: int)
     return step
 
 
-def _gh_correspondences(dx: list[list[int]], dy: list[list[int]]) -> int:
+def _gh_correspondences(dx: list[list[int]], dy: list[list[int]], budget=None) -> int:
     """Minimal distortion over correspondences, in the integer scale.
 
     Scans pairs (f: X -> Y, g: Y -> X); the induced correspondence is
     graph(f) union transposed graph(g), and this family realises the
     minimum (see module docstring).  Its distortion is at least that of f
     and of g, so both are scanned in distortion order and cut at the
-    incumbent.
+    incumbent.  The searches and the pairs scanned charge `budget` (a new
+    default one when None).
     """
     n, m = len(dx), len(dy)
+    budget, phase = Budget.of(budget), "Gromov-Hausdorff correspondence route"
     floor = _diameter_floor(dx, dy)
     cap = [max(map(max, dx + dy)) + 1]  # above every distortion
-    f_choices = _bounded_maps(n, m, _distortion_step(dx, dy, floor), cap)
-    g_choices = _bounded_maps(m, n, _distortion_step(dy, dx, floor), cap)
+    f_choices = _bounded_maps(n, m, _distortion_step(dx, dy, floor), cap, budget, phase)
+    g_choices = _bounded_maps(m, n, _distortion_step(dy, dx, floor), cap, budget, phase)
     best = cap[0]
     for dis_f, f, _ in f_choices:
         if best == floor or dis_f >= best:
             break
         # cross terms |d(x_i, g(y_j)) - d(f(x_i), y_j)| as (row of dx, j, value)
         cross_terms = [(dx[i], j, dy[f[i]][j]) for i in range(n) for j in range(m)]
+        scanned = 0
         for dis_g, g, _ in g_choices:
             if dis_g >= best:
                 break
+            scanned += 1
             dis = max(dis_f, dis_g)
             for row_x, j, value in cross_terms:
                 cross = abs(row_x[g[j]] - value)
@@ -351,14 +351,17 @@ def _gh_correspondences(dx: list[list[int]], dy: list[list[int]]) -> int:
                 best = dis
                 if best == floor:
                     break
+        budget.spend(scanned, phase, "map pairs")
     return best
 
 
-def _gh_gluings(dx: list[list[int]], dy: list[list[int]]) -> Fraction:
+def _gh_gluings(dx: list[list[int]], dy: list[list[int]], budget=None) -> Fraction:
     """Infimum of the Hausdorff distance over semimetric gluings, in the
     integer scale, via the per-pattern closed form explained in the module
-    docstring.  Returns the exact optimum (possibly half-integral)."""
+    docstring.  Returns the exact optimum (possibly half-integral).  Charges
+    `budget` as `_gh_correspondences` does."""
     n, m = len(dx), len(dy)
+    budget, phase = Budget.of(budget), "Gromov-Hausdorff gluing route"
     # shortest distances on the grid of cells (x, y) = x * m + y, the product of X and Y
     sp = [[dx[x][x2] + dy[y][y2] for x2 in range(n) for y2 in range(m)]
           for x in range(n) for y in range(m)]
@@ -389,15 +392,17 @@ def _gh_gluings(dx: list[list[int]], dy: list[list[int]]) -> Fraction:
 
     # twice the optimal h in the integer scale, starting above every bound
     cap = [max(map(max, dx + dy)) + 1]
-    f_rows = _bounded_maps(n, m, pattern_step(lambda x, y: x * m + y), cap)
-    g_rows = _bounded_maps(m, n, pattern_step(lambda y, x: x * m + y), cap)
+    f_rows = _bounded_maps(n, m, pattern_step(lambda x, y: x * m + y), cap, budget, phase)
+    g_rows = _bounded_maps(m, n, pattern_step(lambda y, x: x * m + y), cap, budget, phase)
     best2 = cap[0]
     for bound_f, _, frow in f_rows:
         if best2 == floor or bound_f >= best2:
             break
+        scanned = 0
         for bound_g, _, grow in g_rows:
             if bound_g >= best2:
                 break
+            scanned += 1
             worst = max(bound_f, bound_g)
             for p, q, v in lower:
                 slack = v - min(frow[p], grow[p]) - min(frow[q], grow[q])
@@ -409,19 +414,16 @@ def _gh_gluings(dx: list[list[int]], dy: list[list[int]]) -> Fraction:
                 best2 = worst
                 if best2 == floor:
                     break
+        budget.spend(scanned, phase, "map pairs")
     return Fraction(best2, 2)
 
 
 def gh_distance(x: FiniteMetricSpace, y: FiniteMetricSpace) -> Fraction:
     """Gromov-Hausdorff distance, computed along both routes; exact
-    agreement between them is asserted on every call.  Spaces of more than
-    GH_POINT_GUARD points raise SizeGuardError."""
+    agreement between them is asserted on every call.  Both routes charge
+    one work budget and fail with SizeGuardError past it."""
     if not x.points or not y.points:
         raise PreconditionError("Gromov-Hausdorff distance needs non-empty spaces")
-    if len(x.points) > GH_POINT_GUARD or len(y.points) > GH_POINT_GUARD:
-        raise SizeGuardError(
-            f"spaces of {len(x.points)} and {len(y.points)} points exceed the guard {GH_POINT_GUARD}"
-        )
     # the gluing route's grid distances are a closed form only on metrics
     for name, space in (("x", x), ("y", y)):
         errs = space.metric_errors()
@@ -429,8 +431,9 @@ def gh_distance(x: FiniteMetricSpace, y: FiniteMetricSpace) -> Fraction:
             raise PreconditionError(f"{name} is not a metric space: " + "; ".join(errs))
     scale = _common_scale(x, y)
     dx, dy = _int_matrix(x, scale), _int_matrix(y, scale)
-    via_corr = Fraction(_gh_correspondences(dx, dy), 2 * scale)
-    via_glue = _gh_gluings(dx, dy) / scale
+    budget = Budget()
+    via_corr = Fraction(_gh_correspondences(dx, dy, budget), 2 * scale)
+    via_glue = _gh_gluings(dx, dy, budget) / scale
     if via_corr != via_glue:
         raise TheoremViolation(
             f"gluing route {via_glue} disagrees with correspondence route {via_corr}"
@@ -565,11 +568,9 @@ def try_bimetric_space(
                 raise PreconditionError(f"{name} missing entry for ({pair[0]},{pair[1]})")
             if table[pair] < 0:
                 raise PreconditionError(f"{name} entry for ({pair[0]},{pair[1]}) must be non-negative")
-    entries = 4 * n**3
-    if entries > BIMETRIC_COMPOSITION_GUARD:
-        raise SizeGuardError(
-            f"{n} objects give {entries} composition entries (budget {BIMETRIC_COMPOSITION_GUARD})"
-        )
+    budget = Budget()
+    budget.spend(2 * n * n, "bi-metric space", "arrows")
+    budget.spend(4 * n**3, "bi-metric space", "composition entries")
     signs = (1, -1)
     ids: dict[tuple[int, int, int], int] = {}
     arrows: list[Arrow] = []

@@ -73,7 +73,7 @@ def parse_index(value, what: str) -> int:
     """A non-negative integer: a JSON integer or a string of decimal digits."""
     if isinstance(value, str) and value.isdecimal():
         value = int(value)
-    _require(type(value) is int and value >= 0, f"{what} must be a non-negative integer, not {value!r}")
+    _require(type(value) is int and value >= 0, f"{what} must be a non-negative integer, not {json.dumps(value)}")
     return value
 
 

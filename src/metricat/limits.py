@@ -134,17 +134,26 @@ def _exact_window(*descriptions: Description, starts: tuple[int, ...] = ()):
     return K0, math.lcm(*(d.cycle for d in descriptions))
 
 
-def sequence_errors(space: Metric1Space, seq: ForwardSequence, upto: int) -> list[str]:
+def _horizon(*known: tuple[Description, int]) -> int:
+    """The first index at which some (bounded description, offset) pair is
+    unknown."""
+    return min(offset + d.horizon for d, offset in known if not d.is_exact)
+
+
+def require_sequence(space: Metric1Space, seq: ForwardSequence, upto: int) -> None:
+    """Raise PreconditionError unless entries below `upto` share the base."""
     cat = space.category
     errs = []
     for n in range(upto):
         a = cat.arrows[seq.arrows.at(n)]
         if a.dom != seq.base:
             errs.append(f"sequence entry {n} is {a}; domain must be {seq.base}")
-    return errs
+    if errs:
+        raise PreconditionError("; ".join(errs))
 
 
-def series_errors(space: Metric1Space, series: ForwardSeries, upto: int) -> list[str]:
+def require_series(space: Metric1Space, series: ForwardSeries, upto: int) -> None:
+    """Raise PreconditionError unless entries below `upto` compose in turn."""
     cat = space.category
     errs = []
     for n in range(upto - 1):
@@ -152,7 +161,8 @@ def series_errors(space: Metric1Space, series: ForwardSeries, upto: int) -> list
         b = cat.arrows[series.arrows.at(n + 1)]
         if a.cod != b.dom:
             errs.append(f"series entries {n},{n + 1} not composable: {a} then {b}")
-    return errs
+    if errs:
+        raise PreconditionError("; ".join(errs))
 
 
 def check_forward_limiting_cone(
@@ -168,23 +178,11 @@ def check_forward_limiting_cone(
     cat = space.category
     exact = seq.arrows.is_exact and cone.legs.is_exact
     if exact:
-        K0, L = _exact_window(
-            seq.arrows,
-            cone.legs,
-            starts=(cone.start_index + cone.legs.stable_from,),
-        )
+        K0, L = _exact_window(seq.arrows, cone.legs, starts=(cone.start_index + cone.legs.stable_from,))
         upto = max(K0, cone.start_index) + L
     else:
-        horizons = []
-        if not seq.arrows.is_exact:
-            horizons.append(seq.arrows.horizon)
-        if not cone.legs.is_exact:
-            horizons.append(cone.start_index + cone.legs.horizon)
-        upto = min(horizons)
-
-    errs = sequence_errors(space, seq, upto)
-    if errs:
-        raise PreconditionError("; ".join(errs))
+        upto = _horizon((seq.arrows, 0), (cone.legs, cone.start_index))
+    require_sequence(space, seq, upto)
 
     common: int | None = None
     for k in range(cone.start_index, upto):
@@ -228,10 +226,7 @@ def partial_compositions(space: Metric1Space, series: ForwardSeries) -> ForwardS
     """
     cat = space.category
     arr = series.arrows
-    upto = arr.stable_from + arr.cycle + 1 if arr.is_exact else arr.horizon
-    errs = series_errors(space, series, upto)
-    if errs:
-        raise PreconditionError("; ".join(errs))
+    require_series(space, series, arr.stable_from + arr.cycle + 1 if arr.is_exact else arr.horizon)
     if not arr.is_exact:
         accs = []
         acc = None
@@ -275,10 +270,7 @@ def check_cauchy(space: Metric1Space, series: ForwardSeries) -> LimitCertificate
     """
     cat = space.category
     arr = series.arrows
-    upto = arr.stable_from + arr.cycle + 1 if arr.is_exact else arr.horizon
-    errs = series_errors(space, series, upto)
-    if errs:
-        raise PreconditionError("; ".join(errs))
+    require_series(space, series, arr.stable_from + arr.cycle + 1 if arr.is_exact else arr.horizon)
     if not arr.is_exact:
         bad = None
         for m in range(arr.horizon):
@@ -335,16 +327,8 @@ def check_series_limit(
         K0, L = _exact_window(series.arrows, cone.legs)
         upto = K0 + L
     else:
-        horizons = []
-        if not series.arrows.is_exact:
-            horizons.append(series.arrows.horizon)
-        if not cone.legs.is_exact:
-            horizons.append(cone.legs.horizon)
-        upto = min(horizons) - 1
-
-    errs = series_errors(space, series, upto + 1)
-    if errs:
-        raise PreconditionError("; ".join(errs))
+        upto = _horizon((series.arrows, 0), (cone.legs, 0)) - 1
+    require_series(space, series, upto + 1)
 
     for n in range(upto):
         psi = cat.arrows[series.arrows.at(n)]
@@ -407,9 +391,7 @@ def series_converges(
     if not arr.is_exact:
         raise PreconditionError("convergence search needs an eventually periodic series")
     cat = space.category
-    errs = series_errors(space, series, arr.stable_from + arr.cycle + 1)
-    if errs:
-        raise PreconditionError("; ".join(errs))
+    require_series(space, series, arr.stable_from + arr.cycle + 1)
     base = arr.stable_from
     L = arr.cycle
 

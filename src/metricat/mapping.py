@@ -1,20 +1,23 @@
 """Functor and natural-transformation enumeration, and the mapping space.
 
-Both enumerations run on `fincat.backtrack`, in lexicographic order, with a
-budget of search nodes.  A functor's variables are the objects, then the
-arrows; identities are forced, and each composable pair is checked once,
-when its last arrow is set.  A transformation's variables are its
-components; each naturality square is checked once both are set.  The
-mapping space [X, Y] collects the uniformly continuous functors (on finite
-spaces the forward, backward and uniform notions agree), all natural
-transformations between them, their pointwise composites and the
-sup-of-component weights.
+Both enumerations run on `fincat.backtrack`, in lexicographic order, and
+charge their search nodes to a work budget (`errors.Budget`).  A functor's
+variables are the objects, then the arrows; identities are forced, and each
+composable pair is checked once, when its last arrow is set.  A
+transformation's variables are its components; each naturality square is
+checked once both are set.  The mapping space [X, Y] collects the uniformly
+continuous functors (on finite spaces the forward, backward and uniform
+notions agree), all natural transformations between them, their pointwise
+composites and the sup-of-component weights.  One budget bounds all of
+[X, Y]: the functor search, every transformation search, and the arrows
+and composition entries, charged before the table is filled.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from .errors import TheoremViolation
+from .errors import Budget, TheoremViolation
 from .fincat import (
     Arrow,
     FiniteCategory,
@@ -30,11 +33,9 @@ from .weight import ZERO, Weight
 from .weights import Metric1Space
 from .continuity import uniformly_continuous
 
-DEFAULT_GUARD = 500_000
-
 
 def enumerate_functors(
-    source: FiniteCategory, target: FiniteCategory, guard: int = DEFAULT_GUARD
+    source: FiniteCategory, target: FiniteCategory, guard: int | Budget | None = None
 ) -> list[Functor]:
     """All functors source -> target, duplicate-free, ordered
     lexicographically by (object table, arrow table).
@@ -42,7 +43,8 @@ def enumerate_functors(
     The variables are the objects, then the arrows in id order; an identity
     can only map to the identity of its image object.  Each composable pair
     is checked once, when the last of its two factors and its composite is
-    set.  Raises SizeGuardError past `guard` search nodes.
+    set.  `guard` is a work budget or its limit (`errors.DEFAULT_BUDGET`
+    when None); past it the search raises SizeGuardError.
     """
     n = len(source.objects)
     objects = range(len(target.objects))
@@ -84,10 +86,10 @@ def naturality_search(F: Functor, G: Functor):
 
 
 def enumerate_transformations(
-    F: Functor, G: Functor, guard: int = DEFAULT_GUARD
+    F: Functor, G: Functor, guard: int | Budget | None = None
 ) -> list[NatTransformation]:
-    """All natural transformations F -> G in component-lexicographic order.
-    Raises SizeGuardError past `guard` search nodes."""
+    """All natural transformations F -> G in component-lexicographic order,
+    charged to `guard` as in `enumerate_functors`."""
     return [
         NatTransformation(F, G, dict(enumerate(components)))
         for components in backtrack(*naturality_search(F, G), guard, "transformation enumeration")
@@ -116,7 +118,7 @@ class MappingSpace:
 
 
 def mapping_space(
-    X: Metric1Space, Y: Metric1Space, guard: int = DEFAULT_GUARD
+    X: Metric1Space, Y: Metric1Space, guard: int | Budget | None = None
 ) -> MappingSpace:
     """Construct [X, Y] as a metric 1-space.
 
@@ -125,9 +127,11 @@ def mapping_space(
     enumerated functor or transformation that fails validation raises
     TheoremViolation.  That [X, Y] satisfies the metric 1-space axioms is a
     theorem, re-checked by the validation suite rather than assumed.
+    One budget, `guard`, bounds its searches, arrows and composition entries.
     """
+    budget = Budget.of(guard)
     funs = []
-    for f in enumerate_functors(X.category, Y.category, guard):
+    for f in enumerate_functors(X.category, Y.category, budget):
         validate_functor(f).require_ok("enumerated functor")
         if uniformly_continuous(f, X, Y).holds:
             funs.append(f)
@@ -135,11 +139,15 @@ def mapping_space(
     arrow_meta: list[tuple[int, int]] = []  # (source functor index, target functor index)
     for i, F in enumerate(funs):
         for j, G in enumerate(funs):
-            for t in enumerate_transformations(F, G, guard):
+            for t in enumerate_transformations(F, G, budget):
                 validate_transformation(t).require_ok("enumerated transformation")
                 transformations.append(t)
                 arrow_meta.append((i, j))
 
+    # one composition entry per arrow into and arrow out of each functor
+    into, out = Counter(j for _, j in arrow_meta), Counter(i for i, _ in arrow_meta)
+    budget.spend(len(arrow_meta), "mapping space [X, Y]", "arrows")
+    budget.spend(sum(into[j] * out[j] for j in into), "mapping space [X, Y]", "composition entries")
     rows = [tuple(sorted(t.components.items())) for t in transformations]
     key_to_id = {(*arrow_meta[k], row): k for k, row in enumerate(rows)}
 

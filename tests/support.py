@@ -15,7 +15,7 @@ from metricat import (
     indiscrete,
 )
 from metricat import jsonio
-from metricat.geometry import try_bimetric_space
+from metricat.geometry import bimetric_space
 from metricat.metricspace import shortest_path_repair
 
 
@@ -175,9 +175,7 @@ def bimetric_fixture(a1, a2, h) -> Metric1Space:
     n = 2
     t1 = {(x, y): Fraction(a1) for x in range(n) for y in range(n) if x != y}
     t2 = {(x, y): Fraction(a2) for x in range(n) for y in range(n) if x != y}
-    space, report = try_bimetric_space(n, t1, t2, Fraction(h))
-    assert space is not None, report.summary()
-    return space
+    return bimetric_space(n, t1, t2, Fraction(h))  # raises when the gate fails
 
 
 def functor_json(fun: Functor) -> dict:

@@ -376,16 +376,29 @@ def test_limits_backward_direction_runs_in_the_opposite_space(tmp_path, capsys):
     assert data["results"]["sequence"]["limitingArrow"] == sp.category.hom(1, 0)[0]
 
 
+def equilateral_json(n, far=None):
+    """n points at distance 1, but points 0 and 1 at distance `far`."""
+    d = [[0 if i == j else 1 for j in range(n)] for i in range(n)]
+    if far is not None:
+        d[0][1] = d[1][0] = far
+    return {"points": [f"e{i}" for i in range(n)], "d": d}
+
+
 def test_lipschitz_size_guard_admits_six_points(tmp_path, capsys):
+    # the guard counts extensions, not bijections: 7 points (5,040 of them) pass
     rng = __import__("random").Random(7)
-    for n, code in ((7, 3), (6, 0)):
+    for n in (7, 6):
         x = jsonio.metric_space_to_json(support.rand_metric(rng, n))
         y = jsonio.metric_space_to_json(support.rand_metric(rng, n))
         path = write(tmp_path, f"lip{n}.json", {"x": x, "y": y})
-        assert main(["lipschitz", path]) == code
-        err = capsys.readouterr().err
-        if code == 3:
-            assert err.startswith("size guard:") and "5040" in err and "720" in err
+        assert main(["lipschitz", path]) == 0
+    # every bijection has constant 2, and a branch reaches it only once both
+    # ends of the far pair are images, so little is cut at 10 points
+    path = write(tmp_path, "lip10.json", {"x": equilateral_json(10), "y": equilateral_json(10, 2)})
+    assert main(["lipschitz", path]) == 3
+    assert capsys.readouterr().err == (
+        "size guard: Lipschitz search exceeded its budget of 300000 extensions; used 300001\n"
+    )
 
 
 TOP_LEVEL_LISTS = {
@@ -500,13 +513,13 @@ def test_dagger_verbose_runs_one_dagger_search(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
-# flag -> (module holding DEFAULT_GUARD, subcommand whose search it bounds)
-GUARDED = {"--guard-functors": ("mapping", "map-space"), "--guard-daggers": ("dagger", "dagger")}
+# flag -> a subcommand whose search it bounds; both spell one budget
+GUARDED = {"--guard-functors": "map-space", "--guard-daggers": "dagger"}
 
 
 @pytest.mark.parametrize("flag", sorted(GUARDED))
 def test_a_zero_guard_flag_is_a_budget_of_zero(tmp_path, capsys, flag):
-    _, command = GUARDED[flag]
+    command = GUARDED[flag]
     path = write(tmp_path, "doc.json", support.cli_documents()[command][1])
     assert main([flag, "0", command, path]) == 3
     assert "budget of 0 search nodes" in capsys.readouterr().err
@@ -514,12 +527,34 @@ def test_a_zero_guard_flag_is_a_budget_of_zero(tmp_path, capsys, flag):
 
 @pytest.mark.parametrize("flag", sorted(GUARDED))
 def test_an_unset_guard_flag_reads_the_library_default(tmp_path, capsys, monkeypatch, flag):
-    module, command = GUARDED[flag]
+    command = GUARDED[flag]
     path = write(tmp_path, "doc.json", support.cli_documents()[command][1])
     assert main([command, path]) == 0
-    monkeypatch.setattr(f"metricat.{module}.DEFAULT_GUARD", 2)
+    monkeypatch.setattr("metricat.errors.DEFAULT_BUDGET", 2)
     assert main([command, path]) == 3
     assert "budget of 2 search nodes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["map-space", "dagger", "fixed-point"])
+def test_both_guard_flags_set_one_budget(tmp_path, capsys, command):
+    path = write(tmp_path, "doc.json", support.cli_documents()[command][1])
+    for flag in sorted(GUARDED):
+        assert main([flag, "0", command, path]) == 3
+        assert "budget of 0 search nodes" in capsys.readouterr().err
+    # the later spelling wins, as for any repeated option
+    assert main(["--guard-functors", "0", "--guard-daggers", "300000", command, path]) == 0
+
+
+def test_map_space_four_to_four_is_refused_before_its_table(tmp_path, capsys):
+    # 256 functors, 65,536 arrows: the table would hold 16.8M entries
+    n = 4
+    space = jsonio.space_to_json(
+        Metric1Space.from_weights(indiscrete(n), [0 if a % (n + 1) == 0 else 1 for a in range(n * n)])
+    )
+    path = write(tmp_path, "map44.json", {"source": space, "target": space})
+    assert main(["map-space", path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("size guard: mapping space [X, Y] exceeded its budget of 300000")
 
 
 def changed(command, path, value):
@@ -583,3 +618,13 @@ def test_decimal_string_ids_still_parse(monkeypatch, capsys):
         assert main(["--format", "json", *argv]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("value, quoted", [
+    (True, "true"), (False, "false"), (None, "null"), (0.7, "0.7"), ("x", '"x"'),
+])
+def test_a_rejected_id_is_quoted_as_json(monkeypatch, capsys, value, quoted):
+    argv, text = changed("validate", ("category", "arrows", 1, "cod"), value)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(argv) == 2
+    assert capsys.readouterr().err.endswith(f"must be a non-negative integer, not {quoted}\n")

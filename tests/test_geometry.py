@@ -110,6 +110,13 @@ def test_slice_lawvere_factors_are_symmetric():
             assert sl.lawvere_factor(i, j) == sl.lawvere_factor(j, i)
 
 
+def test_seven_point_lipschitz_distance_is_the_least_constant_of_all_bijections():
+    rng = random.Random(7)
+    x, y = support.rand_metric(rng, 7), support.rand_metric(rng, 7)
+    bijections = itertools.permutations(range(7))
+    assert lipschitz_distance(x, y) == min(bilip_constant(BiLipMap(x, y, p)) for p in bijections)
+
+
 def test_slice_guard():
     a = support.rand_metric(random.Random(1), 4)
     with pytest.raises(SizeGuardError):
@@ -171,9 +178,11 @@ def test_gh_symmetry_and_guard():
     x = support.rand_metric(rng, 3)
     y = support.rand_metric(rng, 4)
     assert gh_distance(x, y) == gh_distance(y, x)
+    # the guard counts work, not points: 7x3 is admitted, 10x10 is not
     big = support.rand_metric(rng, 7)
-    with pytest.raises(SizeGuardError):
-        gh_distance(big, x)
+    assert gh_distance(big, x) == gh_distance(x, big) == 1
+    with pytest.raises(SizeGuardError, match="exceeded its budget of 300000 half-map steps"):
+        gh_distance(support.rand_metric(rng, 10), support.rand_metric(rng, 10))
 
 
 def test_gh_rejects_a_matrix_that_breaks_the_triangle_inequality():

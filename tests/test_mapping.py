@@ -70,6 +70,21 @@ def test_enumeration_guard_raises():
         enumerate_functors(indiscrete(3), indiscrete(3), guard=10)
 
 
+def test_one_budget_bounds_the_whole_mapping_space():
+    X = support.indiscrete_space([[0 if i == j else 1 for j in range(3)] for i in range(3)])
+    # 27 functors and 729 transformations: every single search fits in 1,000
+    # nodes, and the call as a whole does not
+    funs = enumerate_functors(X.category, X.category, guard=1000)
+    assert max(len(enumerate_transformations(F, G, guard=1000)) for F in funs for G in funs) == 1
+    with pytest.raises(SizeGuardError, match="exceeded its budget of 1000 search nodes; used 1001"):
+        mapping_space(X, X, guard=1000)
+    # 2,469 search nodes, 729 arrows and 19,683 composition entries, the
+    # last charged before the table is filled
+    assert len(mapping_space(X, X, guard=22881).transformations) == 729
+    with pytest.raises(SizeGuardError, match="composition entries; used 22881"):
+        mapping_space(X, X, guard=22880)
+
+
 def test_nat_weight_examples():
     z2 = support.z2_space(1)
     ident = identity_functor(z2.category)
