@@ -48,7 +48,9 @@ only what provably cannot beat it, so the minimum is unchanged:
   pair scans stop once the incumbent reaches it.
 
 The Lipschitz distance is likewise a branch-and-bound over bijections that
-cuts a branch once the constant of its fixed pairs reaches the best found.
+cuts a branch once the constant of its fixed pairs reaches the best found,
+and stops once the best reaches the diameter floor
+max(diam X / diam Y, diam Y / diam X).
 Each call charges one work budget (`errors.Budget`): GH `width` units per
 half-map extension and one per pair of maps scanned, Lipschitz one per
 extension, a slice or bi-metric space its arrows and composition entries.
@@ -203,23 +205,30 @@ def lipschitz_distance(x: FiniteMetricSpace, y: FiniteMetricSpace) -> Fraction:
     A depth-first branch-and-bound: the points of x are assigned in order,
     each branch carries the exact constant of the pairs it has fixed, and it
     is cut once that constant reaches the best bijection found, since fixing
-    more pairs never lowers a maximum."""
+    more pairs never lowers a maximum.  The search stops once the best
+    reaches the diameter floor max(diam x / diam y, diam y / diam x): a
+    bijection sends the two points realising diam x to points at most
+    diam y apart, and its inverse does the same the other way round."""
     n = len(x.points)
     if n != len(y.points):
         raise PreconditionError("no bijections between spaces of different sizes")
     budget = Budget()
     scale = _common_scale(x, y)
     dx, dy = _int_matrix(x, scale), _int_matrix(y, scale)
+    diameters = max(map(max, dx), default=0), max(map(max, dy), default=0)
+    floor_num, floor_den = max(diameters), min(diameters)
     image = [0] * n
     free = [True] * n
     best = None  # (numerator, denominator) of the least constant found
 
-    def extend(k: int, num: int, den: int) -> None:
+    def extend(k: int, num: int, den: int) -> bool:
+        """Search below the first k points; True once the best found
+        reaches the floor."""
         nonlocal best
         budget.spend(1, "Lipschitz search", "extensions")
         if k == n:
             best = (num, den)
-            return
+            return num * floor_den <= floor_num * den
         for t in range(n):
             if not free[t]:
                 continue
@@ -232,8 +241,11 @@ def lipschitz_distance(x: FiniteMetricSpace, y: FiniteMetricSpace) -> Fraction:
             if best is not None and c_num * best[1] >= best[0] * c_den:
                 continue
             image[k], free[t] = t, False
-            extend(k + 1, c_num, c_den)
+            done = extend(k + 1, c_num, c_den)
             free[t] = True
+            if done:
+                return True
+        return False
 
     extend(0, 1, 1)
     if best is None:

@@ -148,7 +148,9 @@ def mapping_space(
     into, out = Counter(j for _, j in arrow_meta), Counter(i for i, _ in arrow_meta)
     budget.spend(len(arrow_meta), "mapping space [X, Y]", "arrows")
     budget.spend(sum(into[j] * out[j] for j in into), "mapping space [X, Y]", "composition entries")
-    rows = [tuple(sorted(t.components.items())) for t in transformations]
+    # a transformation's row: its component ids in object order
+    n = len(X.category.objects)
+    rows = [tuple(t.components[x] for x in range(n)) for t in transformations]
     key_to_id = {(*arrow_meta[k], row): k for k, row in enumerate(rows)}
 
     objs = tuple(Obj(i, f"F{i}") for i in range(len(funs)))
@@ -158,19 +160,19 @@ def mapping_space(
     )
     identity = {}
     for i, F in enumerate(funs):
-        ident = identity_transformation(F)
-        identity[i] = key_to_id[(i, i, tuple(sorted(ident.components.items())))]
+        ident = identity_transformation(F).components
+        identity[i] = key_to_id[(i, i, tuple(ident[x] for x in range(n)))]
     composition = {}
     cat = FiniteCategory(objs, arrs, identity, composition)
     # The table is filled in place; the index depends on the arrows alone.
-    # Components compose pointwise; every key belongs to an enumerated,
-    # validated transformation, so a found composite is natural.
-    table = Y.category.composition
+    # Components compose pointwise, one table lookup per object; every key
+    # belongs to an enumerated, validated transformation, so a found
+    # composite is natural.
+    lookup = Y.category.composition.__getitem__
     for a, row_a in enumerate(rows):
         i, j = arrow_meta[a]
         for b in cat.arrows_from(j):
-            key = (i, arrow_meta[b][1],
-                   tuple((x, table[(ca, cb)]) for (x, ca), (_, cb) in zip(row_a, rows[b])))
+            key = (i, arrow_meta[b][1], tuple(map(lookup, zip(row_a, rows[b]))))
             if key not in key_to_id:
                 raise TheoremViolation(
                     f"vertical composite of transformations {a} and {b} is not natural"

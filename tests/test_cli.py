@@ -3,12 +3,13 @@ import json
 
 import pytest
 
-from metricat import Metric1Space, indiscrete
+from metricat import Metric1Space, indiscrete, validate_category
 from metricat import geometry, jsonio
 from metricat.cli import main
 from metricat.errors import TheoremViolation
 
 import support
+from test_reference_scans import cyclic_with_composite_middle, ref_validate_category
 
 
 def write(tmp_path, name, payload):
@@ -276,6 +277,16 @@ def test_incomplete_composition_table(tmp_path, capsys):
     assert len(data["category"]) == 1 and "missing from composition table" in data["category"][0]
 
 
+def test_validate_reports_an_associativity_failure(tmp_path, capsys):
+    # endpoints and identities are right, but 1∘1 is moved from 2 to 3 in Z/5
+    cat = cyclic_with_composite_middle()
+    assert validate_category(cat).violations[0].startswith("associativity fails")
+    path = write(tmp_path, "assoc.json", jsonio.category_to_json(cat))
+    assert main(["--format", "json", "validate", path]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data == {"category": ref_validate_category(cat).violations, "ok": False}
+
+
 def limits_payload(**changes):
     sp = support.line_space([0, 1])
     payload = {
@@ -376,11 +387,12 @@ def test_limits_backward_direction_runs_in_the_opposite_space(tmp_path, capsys):
     assert data["results"]["sequence"]["limitingArrow"] == sp.category.hom(1, 0)[0]
 
 
-def equilateral_json(n, far=None):
-    """n points at distance 1, but points 0 and 1 at distance `far`."""
+def equilateral_json(n, *far):
+    """n points at distance 1, but each (i, j, d) in `far` puts points i and
+    j at distance d."""
     d = [[0 if i == j else 1 for j in range(n)] for i in range(n)]
-    if far is not None:
-        d[0][1] = d[1][0] = far
+    for i, j, v in far:
+        d[i][j] = d[j][i] = v
     return {"points": [f"e{i}" for i in range(n)], "d": d}
 
 
@@ -392,13 +404,25 @@ def test_lipschitz_size_guard_admits_six_points(tmp_path, capsys):
         y = jsonio.metric_space_to_json(support.rand_metric(rng, n))
         path = write(tmp_path, f"lip{n}.json", {"x": x, "y": y})
         assert main(["lipschitz", path]) == 0
-    # every bijection has constant 2, and a branch reaches it only once both
-    # ends of the far pair are images, so little is cut at 10 points
-    path = write(tmp_path, "lip10.json", {"x": equilateral_json(10), "y": equilateral_json(10, 2)})
+    # both diameters are 2, so the floor is 1, but the least constant is 3/2:
+    # one of the far pairs of y is the image of a unit pair.  A branch
+    # reaches 3/2 only once both ends of a far pair are images, and the far
+    # pair of x is set last, so little is cut at 10 points
+    far_x = equilateral_json(10, (8, 9, 2))
+    far_y = equilateral_json(10, (0, 1, 2), (2, 3, "3/2"))
+    path = write(tmp_path, "lip10.json", {"x": far_x, "y": far_y})
     assert main(["lipschitz", path]) == 3
     assert capsys.readouterr().err == (
         "size guard: Lipschitz search exceeded its budget of 300000 extensions; used 300001\n"
     )
+
+
+def test_lipschitz_stops_at_the_diameter_floor(tmp_path, capsys):
+    # every bijection has constant 2 = diam y / diam x, so the first one
+    # found ends the search, long before the budget of extensions runs out
+    path = write(tmp_path, "lip10.json", {"x": equilateral_json(10), "y": equilateral_json(10, (0, 1, 2))})
+    assert main(["--format", "json", "lipschitz", path]) == 0
+    assert json.loads(capsys.readouterr().out)["bilipConstant"] == "2"
 
 
 TOP_LEVEL_LISTS = {

@@ -8,6 +8,13 @@ categories, their opposites and deliberately broken tables, the library
 must give the same pair sequences, the same reports (same messages, same
 order) and the same sets.
 
+Associativity checked at the middles of a generating set is compared with
+the full triple scan on max-monoids (every non-identity arrow a generator),
+chains, cyclic groupoids, random spaces and a 729-arrow [X, Y], each also
+with composites moved within their hom-sets: defects of associativity alone
+and defects of neutrality.  The generating set itself is compared with a
+closure computed by rescanning every composable pair.
+
 The backward continuity criteria and the backward natural-contraction
 search are likewise compared with the hand-written backward loops that the
 forward code run in the opposite space replaced: same verdicts, a valid
@@ -53,7 +60,7 @@ from metricat import (
 )
 from metricat.coarse import arrow_compose_sets, arrow_star, bounded_generators
 from metricat.continuity import BACKWARD, FORWARD, factorizations, forward_continuous_at_arrow, object_continuity
-from metricat.fincat import Arrow, ValidationReport
+from metricat.fincat import Arrow, ValidationReport, generating_set, opposite
 from metricat.dagger import Dagger, enumerate_daggers, validate_dagger
 from metricat.fixedpoint import NaturalContraction, find_natural_contractions
 from metricat.geometry import (
@@ -356,6 +363,126 @@ def test_validate_category_matches_the_unindexed_scan():
     # every kind of finding is exercised
     assert {"composable", "composition", "composite", "neutrality", "associativity",
             "arrow"} <= kinds
+
+
+def ref_generating_set(cat) -> list[int]:
+    """Each arrow, in id order, outside the closure of the identities and
+    the earlier generators; the closure grows by rescanning every composable
+    pair until nothing is added."""
+    pairs = ref_composable_pairs(cat)
+    held = set(cat.identity.values())
+    found = []
+    for a in cat.arrows:
+        if a.id in held:
+            continue
+        found.append(a.id)
+        held.add(a.id)
+        new = {a.id}
+        while new:
+            new = {cat.compose(f, g) for f, g in pairs if f in held and g in held} - held
+            held |= new
+    return found
+
+
+def after_rows(cat):
+    return [{g: cat.compose(f.id, g) for g in cat.arrows_from(f.cod)} for f in cat.arrows]
+
+
+def moved_composites(rng, cat, pairs, count):
+    """Up to `count` tables, each with the composite of one pair from
+    `pairs` moved to another arrow of its hom-set: the endpoints stay
+    right."""
+    out = []
+    movable = [(f, g) for f, g in pairs
+               if len(cat.hom(cat.arrows[f].dom, cat.arrows[g].cod)) > 1]
+    for f, g in rng.sample(movable, min(count, len(movable))):
+        table = dict(cat.composition)
+        table[(f, g)] = rng.choice([h for h in cat.hom(cat.arrows[f].dom, cat.arrows[g].cod)
+                                    if h != table[(f, g)]])
+        out.append(with_table(cat, table))
+    return out
+
+
+def associativity_defects(rng, cat, count=4):
+    """Tables whose only defect is associativity: a composite of two
+    non-identity arrows moved within its hom-set keeps the endpoints and
+    the neutrality entries, and the reference scan finds a failing triple."""
+    pairs = [(f, g) for f, g in ref_composable_pairs(cat)
+             if not cat.is_identity(f) and not cat.is_identity(g)]
+    return [t for t in moved_composites(rng, cat, pairs, count)
+            if ref_validate_category(t).violations]
+
+
+def neutrality_defects(rng, cat, count=3):
+    """Tables with a composite with an identity moved within its hom-set."""
+    pairs = [(f, g) for f, g in ref_composable_pairs(cat)
+             if cat.is_identity(f) != cat.is_identity(g)]
+    return moved_composites(rng, cat, pairs, count)
+
+
+def cyclic_with_composite_middle():
+    """Z/5 on one object is generated by arrow 1 alone; moving 1∘1 from 2 to
+    3 breaks triples whose middle is a composite as well as the generator."""
+    cat = support.cyclic_groupoid_space(1, 5).category
+    table = dict(cat.composition)
+    table[(1, 1)] = 3
+    return with_table(cat, table)
+
+
+def generator_spaces(rng):
+    """Max-monoids (every non-identity arrow is a generator), chains, cyclic
+    groupoids, null products, the one-sided space and random spaces."""
+    spaces = [support.max_monoid_space(k) for k in (2, 3, 5, 8)]
+    spaces += [support.chain_space([1] * k) for k in (1, 2, 3, 4)]
+    spaces += [support.cyclic_groupoid_space(n, m) for n, m in ((1, 3), (1, 6), (2, 2), (2, 3), (3, 2))]
+    spaces += [support.null_product_space(k) for k in (3, 5)]
+    spaces.append(support.one_sided_space())
+    return spaces + [support.rand_space(rng) for _ in range(10)]
+
+
+def test_generating_set_matches_the_closure_scan():
+    rng = random.Random(112)
+    cats = [sp.category for sp in generator_spaces(rng)]
+    cats += [opposite_space(sp).category for sp in generator_spaces(rng)]
+    for cat in cats:
+        assert generating_set(cat, after_rows(cat)) == ref_generating_set(cat)
+    mono = support.max_monoid_space(8).category
+    assert generating_set(mono, after_rows(mono)) == list(range(1, 8))
+    chain = support.chain_space([1, 1, 1]).category  # [0,2) comes before [1,2)
+    assert generating_set(chain, after_rows(chain)) == list(range(4, 10))
+    cyclic = support.cyclic_groupoid_space(1, 6).category
+    assert generating_set(cyclic, after_rows(cyclic)) == [1]
+    square = indiscrete(5)  # the arrows out of 0, then one into 0 per object
+    assert generating_set(square, after_rows(square)) == [1, 2, 3, 4, 5, 10, 15, 20]
+
+
+def test_generating_set_associativity_matches_the_triple_scan():
+    rng = random.Random(113)
+    broken = {"associativity": 0, "neutrality": 0}
+    tables = [("composite middle", cyclic_with_composite_middle())]
+    for i, sp in enumerate(generator_spaces(rng)):
+        cat = sp.category
+        tables.append((f"space {i}", cat))
+        for kind, defects in (("associativity", associativity_defects), ("neutrality", neutrality_defects)):
+            for j, table in enumerate(defects(rng, cat)):
+                tables.append((f"space {i} {kind} {j}", table))
+                broken[kind] += 1
+    X = Metric1Space.from_weights(indiscrete(3), [0 if a % 4 == 0 else 1 + a % 3 for a in range(9)])
+    Y = Metric1Space.from_weights(indiscrete(3), [0 if a % 4 == 0 else 2 + a for a in range(9)])
+    xy = mapping_space(X, Y).space.category
+    assert len(xy.arrows) == 729
+    tables.append(("map 3->3", xy))
+    tables += [(f"opposite of {name}", opposite(cat)) for name, cat in tables if len(cat.arrows) < 100]
+    failing = 0
+    for name, cat in tables:
+        got, want = validate_category(cat), ref_validate_category(cat)
+        assert (got.fatal, got.violations) == (want.fatal, want.violations), name
+        failing += any(m.startswith("associativity") for m in got.violations)
+    assert broken["associativity"] > 30 and broken["neutrality"] > 30 and failing > 60
+    # the fallback reports the triples whose middle is a composite too
+    cat = cyclic_with_composite_middle()
+    middles = {int(m.split("(")[1].split(",")[1]) for m in validate_category(cat).violations}
+    assert generating_set(cat, after_rows(cat)) == [1] and middles - {1}
 
 
 def test_validate_metric1_matches_weight_arithmetic():
