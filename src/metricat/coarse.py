@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import PreconditionError
+from .errors import Budget, PreconditionError
 from .fincat import FiniteCategory
 from .weight import Weight
 from .weights import Metric1Space
@@ -172,13 +172,20 @@ def bounded_generators(space: Metric1Space) -> CoarseGenerators:
     finite weight.  Infinite-weight arrows belong to no E_n.
 
     For an integer n, w <= n exactly when ceil(w) <= n, so each arrow joins
-    the family at the ceiling of its weight."""
+    the family at the ceiling of its weight.  The family is charged to a
+    default `Budget` before any set is built: a set costs its members and
+    an empty one costs one.  An arrow entering at k sits in the sets k..last,
+    so the charge is read off the entry stages alone."""
     entering: dict[int, list[int]] = {}
     for a in space.category.arrows:
         w = space.w[a.id]
         if not w.is_infinite:
             entering.setdefault(math.ceil(w.finite), []).append(a.id)
     last = max(entering, default=0)
+    Budget().spend(
+        sum(len(ids) * (last - k + 1) for k, ids in entering.items()) + min(entering, default=1),
+        "bounded generators", "set members",
+    )
     sets = []
     members: set[int] = set()
     for n in range(last + 1):
@@ -189,14 +196,30 @@ def bounded_generators(space: Metric1Space) -> CoarseGenerators:
 
 def metrize_chain(gens: CoarseGenerators) -> list[frozenset[int]]:
     """The staged closure F_0 = identities,
-    F_{n+1} = star(F_n) | F_n o F_n | E_n | star(E_n), listed until it
-    stabilises.  The chain is monotone (identities sit in every F_n, and a
-    set containing them is contained in its own star) and the arrow set is
-    finite, so stabilisation is guaranteed once the generators go constant."""
+    F_{n+1} = star(F_n) | F_n o F_n | E_n | star(E_n) | F_n, listed until it
+    stabilises and at least up to index `constant_from`.  The chain is
+    monotone (identities sit in every F_n, and a set containing them is
+    contained in its own star) and the arrow set is finite, so
+    stabilisation is guaranteed once the generators go constant.
+
+    The loop stops at the first stage from which the chain provably cannot
+    change, and repeats that stage's set up to index `constant_from`:
+
+    (a) F_n holds every arrow: no stage can add one, so the next stage is
+        not computed at all.
+    (b) F_{n+1} = F_n and F_n contains `gens.top`: every later E_k lies in
+        top, which lies in F_n, and star and o are monotone, so star(E_k)
+        lies in star(F_n), which lies in F_{n+1} = F_n.  No later stage
+        adds an arrow, and F_k = F_n for every k > n.
+
+    Exit (b) covers the plain stop past `constant_from`, where E_n = top
+    already lies in F_{n+1} = F_n.  A stage that adds nothing while top is
+    not yet covered is no exit: a later E_k can still grow the chain."""
     cat = gens.category
+    m, top = len(cat.arrows), gens.top
     chain = [arrow_diagonal(cat)]
     n = 0
-    while True:
+    while len(chain[-1]) < m:
         current = chain[-1]
         e_n = gens.at(n)
         nxt = (
@@ -207,9 +230,11 @@ def metrize_chain(gens: CoarseGenerators) -> list[frozenset[int]]:
             | current
         )
         n += 1
-        if nxt == current and n > gens.constant_from:
-            return chain
+        if nxt == current and top <= current:
+            break
         chain.append(nxt)
+    chain.extend([chain[-1]] * (gens.constant_from + 1 - len(chain)))
+    return chain
 
 
 def metrize(gens: CoarseGenerators) -> Metric1Space:
@@ -221,12 +246,20 @@ def metrize(gens: CoarseGenerators) -> Metric1Space:
     half can fail for families that do not dominate the structure they
     generate, so callers who need a valid metric 1-space should
     re-validate.
+
+    Only the members new at each stage are read, and the scan ends at the
+    chain's final set: the stages past it repeat that set.
     """
     cat = gens.category
+    chain = metrize_chain(gens)
+    final = chain[-1]
     entered: dict[int, int] = {}
-    for stage, members in enumerate(metrize_chain(gens)):
-        for a in members:
-            entered.setdefault(a, stage)
+    seen: frozenset[int] = frozenset()
+    for stage, members in enumerate(chain):
+        entered.update(dict.fromkeys(members - seen, stage))
+        if members is final:
+            break
+        seen = members
     weights = tuple(
         Weight(entered[a.id]) if a.id in entered else Weight.infinite()
         for a in cat.arrows

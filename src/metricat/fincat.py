@@ -9,8 +9,11 @@ A category is frozen, and on first use it builds one adjacency index over
 its arrow tuple: the arrows out of and into each object and the hom-sets.
 The index depends on the arrows alone, so it never goes stale.  Every pair
 scan walks it: composable pairs are found as (f, each arrow out of cod f),
-never all m² pairs.  All validators stay exhaustive and list their findings
-in lexicographic arrow-id order.
+never all m² pairs.  Beside the index, the structural errors (dangling ids,
+non-dense indices) are cached on first use, so `validate_category` and
+`validate_metric1` on one category share one scan of the composition
+table.  All validators stay exhaustive and list their findings in
+lexicographic arrow-id order.
 
 Associativity is checked by Light's test (Clifford & Preston, The Algebraic
 Theory of Semigroups, vol. 1, 1961, §1.2): only the triples whose middle
@@ -160,6 +163,14 @@ class FiniteCategory:
                 yield fid, g
 
     def structural_errors(self) -> list[str]:
+        """Dangling ids and non-dense indices, in table order; a fresh list
+        on every call, so a caller may extend it."""
+        return list(self._structural_errors)
+
+    @cached_property
+    def _structural_errors(self) -> tuple[str, ...]:
+        """Scanned once, like `adjacency`: the tables of a frozen category
+        never change."""
         errs: list[str] = []
         n, m = len(self.objects), len(self.arrows)
         for i, o in enumerate(self.objects):
@@ -183,7 +194,7 @@ class FiniteCategory:
                 if not (0 <= aid < m):
                     errs.append(f"composition entry ({f},{g})->{h} has dangling arrow id {aid}")
                     break
-        return errs
+        return tuple(errs)
 
 
 def validate_category(cat: FiniteCategory) -> ValidationReport:

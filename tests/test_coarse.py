@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from metricat import (
+    Metric1Space,
     PreconditionError,
+    SizeGuardError,
     Weight,
     ZERO,
     from_metric_space,
@@ -143,6 +145,30 @@ def test_bounded_generators_skip_infinite_arrows():
     sp = support.free_arrow_space("inf")
     gens = bounded_generators(sp)
     assert 2 not in gens.top
+
+
+def test_bounded_generators_charge_their_members_before_building():
+    # Two arrows of weight 10^6: identities sit in all 10^6 + 1 sets and each
+    # heavy arrow in the last one, 2,000,004 members against 300,000.
+    with pytest.raises(SizeGuardError, match="used 2000004"):
+        bounded_generators(support.indiscrete_space([[0, 10**6], [10**6, 0]]))
+
+
+def test_bounded_generators_admit_weight_ten_to_the_five():
+    # 200,004 members: inside the default budget
+    sp = support.indiscrete_space([[0, 10**5], [10**5, 0]])
+    gens = bounded_generators(sp)
+    assert gens.constant_from == 10**5
+    assert gens.at(10**5 - 1) == arrow_diagonal(sp.category)
+    assert gens.top == frozenset(a.id for a in sp.category.arrows)
+
+
+def test_bounded_generators_charge_empty_sets():
+    # an identity weighing 10^6 (not a metric 1-space) leaves the first
+    # 10^6 sets empty; each costs one, though all the sets hold one member
+    sp = Metric1Space(indiscrete(1), (Weight(10**6),))
+    with pytest.raises(SizeGuardError, match="used 1000001"):
+        bounded_generators(sp)
 
 
 def test_metrize_all_arrows_generator():

@@ -7,6 +7,7 @@ from metricat import (
     Arrow,
     FiniteCategory,
     Functor,
+    Metric1Space,
     NatTransformation,
     Obj,
     build_category,
@@ -19,8 +20,10 @@ from metricat import (
     terminal_category,
     validate_category,
     validate_functor,
+    validate_metric1,
     validate_transformation,
     vertical_compose,
+    Weight,
 )
 
 import support
@@ -75,6 +78,19 @@ def test_structural_malformation_is_fatal_and_skips_axioms():
     cat = FiniteCategory((Obj(0),), (Arrow(0, 0, 5),), {0: 0}, {})
     report = validate_category(cat)
     assert report.fatal and not report.violations
+
+
+def test_structural_errors_are_cached_and_returned_as_fresh_lists():
+    cat = FiniteCategory((Obj(0),), (Arrow(0, 0, 5), Arrow(7, 0, 0)), {0: 0}, {(0, 9): 0})
+    first, second = cat.structural_errors(), cat.structural_errors()
+    assert first == second and len(first) == 3
+    assert first is not second
+    first.append("appended by a caller")
+    assert cat.structural_errors() == second
+    for _ in range(2):
+        fatal = validate_metric1(Metric1Space(cat, (Weight(0),))).fatal
+        assert fatal.count("weight table does not cover the arrows") == 1
+    assert cat.structural_errors() == second
 
 
 def test_missing_composable_pair_reported():

@@ -15,6 +15,13 @@ with composites moved within their hom-sets: defects of associativity alone
 and defects of neutrality.  The generating set itself is compared with a
 closure computed by rescanning every composable pair.
 
+The metrization chain, which stops once it can no longer change, is
+compared with the stage-by-stage loop it replaced (kept verbatim), which
+runs every stage up to the first unchanged one past `constant_from`: the
+same list of sets and the same weights, on kernel-shaped spaces with and
+without a wrong composite, on infinite weights, on a chain F never fills
+and on explicit families that stall below their top set.
+
 The backward continuity criteria and the backward natural-contraction
 search are likewise compared with the hand-written backward loops that the
 forward code run in the opposite space replaced: same verdicts, a valid
@@ -58,7 +65,11 @@ from metricat import (
     validate_transformation,
     vertical_compose,
 )
-from metricat.coarse import arrow_compose_sets, arrow_star, bounded_generators
+from metricat import coarse
+from metricat.coarse import (
+    CoarseGenerators, arrow_compose_sets, arrow_diagonal, arrow_star, bounded_generators, metrize,
+    metrize_chain,
+)
 from metricat.continuity import BACKWARD, FORWARD, factorizations, forward_continuous_at_arrow, object_continuity
 from metricat.fincat import Arrow, ValidationReport, generating_set, opposite
 from metricat.dagger import Dagger, enumerate_daggers, validate_dagger
@@ -69,6 +80,7 @@ from metricat.geometry import (
     _gh_gluings,
     _int_matrix,
     bilip_slice,
+    bimetric_space,
     gh_distance,
     lipschitz_distance,
 )
@@ -202,6 +214,43 @@ def ref_bounded_sets(space):
         frozenset(a.id for a in space.category.arrows if space.w[a.id] <= Weight(Fraction(n)))
         for n in range(last + 1)
     ], last
+
+
+def ref_metrize_chain(gens: CoarseGenerators) -> list[frozenset[int]]:
+    """The staged closure F_0 = identities,
+    F_{n+1} = star(F_n) | F_n o F_n | E_n | star(E_n), listed until it
+    stabilises.  The chain is monotone (identities sit in every F_n, and a
+    set containing them is contained in its own star) and the arrow set is
+    finite, so stabilisation is guaranteed once the generators go constant."""
+    cat = gens.category
+    chain = [arrow_diagonal(cat)]
+    n = 0
+    while True:
+        current = chain[-1]
+        e_n = gens.at(n)
+        nxt = (
+            arrow_star(cat, current)
+            | arrow_compose_sets(cat, current, current)
+            | e_n
+            | arrow_star(cat, e_n)
+            | current
+        )
+        n += 1
+        if nxt == current and n > gens.constant_from:
+            return chain
+        chain.append(nxt)
+
+
+def ref_metrize_weights(gens: CoarseGenerators) -> tuple[Weight, ...]:
+    cat = gens.category
+    entered: dict[int, int] = {}
+    for stage, members in enumerate(ref_metrize_chain(gens)):
+        for a in members:
+            entered.setdefault(a, stage)
+    return tuple(
+        Weight(entered[a.id]) if a.id in entered else Weight.infinite()
+        for a in cat.arrows
+    )
 
 
 def ref_backward_continuous_at_arrow(fun, src, dst, psi):
@@ -518,6 +567,112 @@ def test_bounded_generators_match_threshold_comparisons():
         gens = bounded_generators(space)
         sets, last = ref_bounded_sets(space)
         assert (list(gens.sets), gens.constant_from) == (sets, last), name
+
+
+def wrong_composite(rng, cat) -> FiniteCategory:
+    """The kernel benchmark's defect: the composite of one pair f: x -> y,
+    g: y -> z (x != z, neither an identity) redirected to the identity of x."""
+    idents = set(cat.identity.values())
+    pairs = [
+        (f, g) for f, g in ref_composable_pairs(cat)
+        if f not in idents and g not in idents and cat.arrows[f].dom != cat.arrows[g].cod
+    ]
+    f, g = rng.choice(pairs)
+    table = dict(cat.composition)
+    table[(f, g)] = cat.identity[cat.arrows[f].dom]
+    return with_table(cat, table)
+
+
+def kernel_shaped(rng):
+    """Indiscrete, bi-metric and chain spaces of the kernel benchmark's shapes
+    and sizes, each also with one wrong composite."""
+    spaces = [from_metric_space(support.rand_metric(rng, n)) for n in (3, 8, 12)]
+    for n in (3, 5):
+        d = support.rand_metric(rng, n).d
+        c = Fraction(rng.randint(0, 4), 2)
+        low = min(d[x][y] for x in range(n) for y in range(n) if x != y)
+        t1 = {(x, y): d[x][y] for x in range(n) for y in range(n) if x != y}
+        t2 = {k: v + c for k, v in t1.items()}
+        spaces.append(bimetric_space(n, t1, t2, c + 2 * low * Fraction(rng.randint(0, 4), 4)))
+    spaces += [
+        support.chain_space([Fraction(rng.randint(1, 9), rng.choice((1, 2))) for _ in range(n - 1)])
+        for n in (6, 10, 16)
+    ]
+    return spaces + [Metric1Space(wrong_composite(rng, sp.category), sp.w) for sp in spaces]
+
+
+def counted_stages(monkeypatch) -> list[int]:
+    """Count the stages `metrize_chain` computes: two `arrow_star` calls each."""
+    calls = [0]
+    original = coarse.arrow_star
+
+    def counting(cat, e):
+        calls[0] += 1
+        return original(cat, e)
+
+    monkeypatch.setattr(coarse, "arrow_star", counting)
+    return calls
+
+
+def test_metrize_chain_matches_the_stage_by_stage_loop():
+    rng = random.Random(106)
+    spaces = kernel_shaped(rng) + [
+        sp for _, sp in cases(106) if not sp.category.structural_errors() and total(sp.category)
+    ]
+    unfilled = infinite = 0
+    for space in spaces:
+        gens = bounded_generators(space)
+        chain = metrize_chain(gens)
+        assert chain == ref_metrize_chain(gens)
+        assert metrize(gens).w == ref_metrize_weights(gens)
+        again = bounded_generators(metrize(gens))
+        assert metrize_chain(again) == ref_metrize_chain(again)
+        unfilled += len(chain[-1]) < len(space.category.arrows)
+        infinite += any(w.is_infinite for w in space.w)
+    assert len(spaces) > 100 and unfilled and infinite
+
+
+def test_metrize_chain_exit_a_skips_the_stages_after_every_arrow_entered(monkeypatch):
+    # points 0..8 on a line: the unit steps are in F_2, and star and
+    # composition reach further by more than one unit a stage, so all 81
+    # arrows are in F_4 while E_n goes constant only at 8
+    gens = bounded_generators(support.line_space(range(9)))
+    want = ref_metrize_chain(gens)
+    full = next(i for i, s in enumerate(want) if len(s) == 81)
+    assert (full, gens.constant_from, len(want)) == (4, 8, 9)
+    calls = counted_stages(monkeypatch)
+    assert metrize_chain(gens) == want
+    assert calls[0] == 2 * full
+    assert metrize(gens).w == ref_metrize_weights(gens)
+
+
+def test_metrize_chain_exit_b_stops_when_a_stage_adds_nothing_over_top(monkeypatch):
+    # E_n = identities and [0,1) throughout: F_1 = F_2 holds top, and [1,2)
+    # and [0,2) never enter, so exit (a) cannot fire
+    cat = support.chain_space([1, 1]).category
+    top = arrow_diagonal(cat) | {cat.hom(0, 1)[0]}
+    gens = CoarseGenerators(cat, (top,) * 6, 5)
+    want = ref_metrize_chain(gens)
+    assert len(want) == 6 and want[-1] == top
+    calls = counted_stages(monkeypatch)
+    assert metrize_chain(gens) == want
+    assert calls[0] == 2 * 2  # F_1, then F_2 = F_1
+    assert metrize(gens).w == ref_metrize_weights(gens)
+    assert metrize(gens).w[cat.hom(1, 2)[0]].is_infinite
+
+
+def test_metrize_chain_runs_on_when_a_stage_stalls_below_top():
+    # on the chain 0 -> 1 -> 2, E_0 = E_1 = E_2 = identities and E_n adds
+    # [0,1) from n = 3 on: F_1 = F_0 lies below top, and [0,1) still enters
+    cat = support.chain_space([1, 1]).category
+    ids = arrow_diagonal(cat)
+    first = cat.hom(0, 1)[0]
+    gens = CoarseGenerators(cat, (ids,) * 3 + (ids | {first},) * 3, 3)
+    chain = metrize_chain(gens)
+    assert chain[1] == chain[0] and not gens.top <= chain[0]
+    assert chain == ref_metrize_chain(gens)
+    assert metrize(gens).w == ref_metrize_weights(gens)
+    assert metrize(gens).w[first] == Weight(4)
 
 
 def fixture_spaces(seed: int):
