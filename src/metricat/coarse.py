@@ -9,6 +9,7 @@ of the generated structures needs.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import Budget, PreconditionError
@@ -214,7 +215,11 @@ def metrize_chain(gens: CoarseGenerators) -> list[frozenset[int]]:
 
     Exit (b) covers the plain stop past `constant_from`, where E_n = top
     already lies in F_{n+1} = F_n.  A stage that adds nothing while top is
-    not yet covered is no exit: a later E_k can still grow the chain."""
+    not yet covered is no exit: a later E_k can still grow the chain.  But
+    F_{k+1} depends on F_k and E_k alone, so the stage repeats exactly
+    until E_k grows; the loop lists F_n for those indices and goes on at
+    the first k with E_k larger than E_n (the sets are monotone, so their
+    sizes find it)."""
     cat = gens.category
     m, top = len(cat.arrows), gens.top
     chain = [arrow_diagonal(cat)]
@@ -230,9 +235,14 @@ def metrize_chain(gens: CoarseGenerators) -> list[frozenset[int]]:
             | current
         )
         n += 1
-        if nxt == current and top <= current:
+        if nxt != current:
+            chain.append(nxt)
+        elif top <= current:
             break
-        chain.append(nxt)
+        else:
+            grows = bisect_right(gens.sets, len(e_n), lo=n, key=len)
+            chain.extend([current] * (grows - n + 1))
+            n = grows
     chain.extend([chain[-1]] * (gens.constant_from + 1 - len(chain)))
     return chain
 

@@ -9,11 +9,17 @@ A category is frozen, and on first use it builds one adjacency index over
 its arrow tuple: the arrows out of and into each object and the hom-sets.
 The index depends on the arrows alone, so it never goes stale.  Every pair
 scan walks it: composable pairs are found as (f, each arrow out of cod f),
-never all m² pairs.  Beside the index, the structural errors (dangling ids,
-non-dense indices) are cached on first use, so `validate_category` and
-`validate_metric1` on one category share one scan of the composition
-table.  All validators stay exhaustive and list their findings in
-lexicographic arrow-id order.
+never all m² pairs.  Beside it sits the row index `after`, derived from the
+composition table in one pass: ``after[f]`` maps each arrow g out of cod f,
+in arrow order, to g∘f, or to None where the table has no entry.  Full
+table scans (`validate_category`, `weights.validate_metric1`, the coverage
+check of `jsonio.space_from_json`) read these rows, not tuple keys.  Code
+that fills a table row by row, as `mapping.mapping_space` fills [X, Y],
+hands both indices over through `FiniteCategory.with_index`.  The
+structural errors (dangling ids, non-dense indices) are cached on first
+use too, so the validators of one category share one scan of the table.
+All validators stay exhaustive and list their findings in lexicographic
+arrow-id order.
 
 Associativity is checked by Light's test (Clifford & Preston, The Algebraic
 Theory of Semigroups, vol. 1, 1961, §1.2): only the triples whose middle
@@ -34,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 from .errors import Budget, TheoremViolation
 
@@ -139,11 +146,44 @@ class FiniteCategory:
         a = self.arrows[aid]
         return a.dom == a.cod and self.identity.get(a.dom) == aid
 
+    @classmethod
+    def with_index(
+        cls, objects, arrows, identity, composition, adjacency: Adjacency,
+        after: list[dict[int, int | None]],
+    ) -> "FiniteCategory":
+        """A category whose `adjacency` and `after` were built together with
+        its table, so neither is rebuilt; the caller guarantees that both
+        are what the properties would derive."""
+        cat = cls(objects, arrows, identity, composition)
+        cat.__dict__.update(adjacency=adjacency, after=after)
+        return cat
+
     @cached_property
     def adjacency(self) -> Adjacency:
         """Built on first use; ``cached_property`` stores it past the frozen
         ``__setattr__``."""
         return Adjacency.of(self.arrows)
+
+    @cached_property
+    def after(self) -> list[dict[int, int | None]]:
+        """Row i maps each arrow g out of the codomain of ``arrows[i]``, in
+        arrow order, to the composite g∘f of f = ``arrows[i]``, or to None
+        where the table has no entry.  With dense, in-range ids (no
+        structural errors) the rows are filled in one pass over the table;
+        otherwise each pair is looked up by the arrow's id."""
+        out = self.adjacency.out
+        rows = [dict.fromkeys(out.get(a.cod, ())) for a in self.arrows]
+        comp = self.composition
+        if self._structural_errors:
+            for a, row in zip(self.arrows, rows):
+                for g in row:
+                    row[g] = comp.get((a.id, g))
+            return rows
+        for (f, g), h in comp.items():
+            row = rows[f]
+            if g in row:
+                row[g] = h
+        return rows
 
     def hom(self, x: int, y: int) -> tuple[int, ...]:
         return self.adjacency.hom.get((x, y), ())
@@ -189,11 +229,16 @@ class FiniteCategory:
         for x in self.identity:
             if not (0 <= x < n):
                 errs.append(f"identity table mentions missing object {x}")
-        for (f, g), h in self.composition.items():
-            for aid in (f, g, h):
-                if not (0 <= aid < m):
-                    errs.append(f"composition entry ({f},{g})->{h} has dangling arrow id {aid}")
-                    break
+        comp = self.composition
+        ids = set(chain.from_iterable(comp))
+        ids.update(comp.values())
+        if ids and (min(ids) < 0 or max(ids) >= m):
+            # some id dangles: name each entry holding one, in table order
+            for (f, g), h in comp.items():
+                for aid in (f, g, h):
+                    if not (0 <= aid < m):
+                        errs.append(f"composition entry ({f},{g})->{h} has dangling arrow id {aid}")
+                        break
         return tuple(errs)
 
 
@@ -220,52 +265,50 @@ def validate_category(cat: FiniteCategory) -> ValidationReport:
             out.append(f"identity of object {x} is {ida}, not an endomorphism of {x}")
 
     # Past the structural checks, ids are dense (an id is its position) and
-    # every id in the table is in range.
-    arrows = cat.arrows
-    out_of = cat.adjacency.out
-    comp = cat.composition
-    stray: dict[int, list[int]] = {}  # f -> g for table entries with cod f != dom g
-    for f, g in comp:
-        if arrows[f].cod != arrows[g].dom:
-            stray.setdefault(f, []).append(g)
-    for f in arrows:
-        following = out_of.get(f.cod, ())
-        if f.id in stray:
-            following = sorted((*following, *stray[f.id]))
-        for gid in following:
-            g = arrows[gid]
-            key = (f.id, gid)
-            if f.cod != g.dom:
-                out.append(f"composition table defined on non-composable pair ({f}, {g})")
-            elif key not in comp:
-                out.append(f"composable pair ({f}, {g}) missing from composition table")
-            else:
-                h = arrows[comp[key]]
-                if h.dom != f.dom or h.cod != g.cod:
-                    out.append(f"composite of ({f}, {g}) is {h}; endpoints must be {f.dom}->{g.cod}")
-    if out:
+    # every id in the table is in range.  The rows hold every composable
+    # pair once, so a table without holes has a stray entry (one on a
+    # non-composable pair) exactly when it has more entries than the rows.
+    arrows, out_of, comp, after = cat.arrows, cat.adjacency.out, cat.composition, cat.after
+    composites = [tuple(row.values()) for row in after]
+    if any(None in hs for hs in composites) or len(comp) > sum(map(len, composites)):
+        stray: dict[int, list[int]] = {}  # f -> g for table entries with cod f != dom g
+        for f, g in comp:
+            if arrows[f].cod != arrows[g].dom:
+                stray.setdefault(f, []).append(g)
+        for f in arrows:
+            following = out_of.get(f.cod, ())
+            if f.id in stray:
+                following = sorted((*following, *stray[f.id]))
+            _pair_errors(cat, f, following, out)
         # neutrality/associativity below would chase missing table entries
+        return report
+    doms, cods = [a.dom for a in arrows], [a.cod for a in arrows]
+    ends = {y: tuple(map(cods.__getitem__, gs)) for y, gs in out_of.items()}
+    for f, hs in zip(arrows, composites):
+        # the composites of row f must all run from dom f to cod g
+        if (tuple(map(cods.__getitem__, hs)) != ends.get(f.cod, ())
+                or list(map(doms.__getitem__, hs)).count(f.dom) != len(hs)):
+            _pair_errors(cat, f, out_of.get(f.cod, ()), out)
+    if out:
         return report
 
     for a in arrows:
-        lid = cat.identity[a.dom]
-        rid = cat.identity[a.cod]
-        if comp[(lid, a.id)] != a.id:
-            out.append(f"neutrality fails: {a} after id_{a.dom} is arrow {comp[(lid, a.id)]}")
-        if comp[(a.id, rid)] != a.id:
-            out.append(f"neutrality fails: id_{a.cod} after {a} is arrow {comp[(a.id, rid)]}")
+        left = after[cat.identity[a.dom]][a.id]
+        right = after[a.id][cat.identity[a.cod]]
+        if left != a.id:
+            out.append(f"neutrality fails: {a} after id_{a.dom} is arrow {left}")
+        if right != a.id:
+            out.append(f"neutrality fails: id_{a.cod} after {a} is arrow {right}")
 
     # after[f] maps each g out of cod f to g∘f.  The keys of after[g] and
     # after[g∘f] are both the arrows out of cod g, in the same order, so one
     # tuple comparison settles all h for a pair (f, g) at once: (h∘g)∘f
     # against h∘(g∘f).  With neutrality holding, only the middles g of a
     # generating set need the comparison (see the module docstring).
-    after = [{g: comp[(f.id, g)] for g in out_of.get(f.cod, ())} for f in arrows]
-    composites = [tuple(row.values()) for row in after]
     into = cat.adjacency.into
     if not out and all(
         composites[after[f][g]] == tuple(map(after[f].__getitem__, composites[g]))
-        for g in generating_set(cat, after) for f in into.get(arrows[g].dom, ())
+        for g in generating_set(cat) for f in into.get(arrows[g].dom, ())
     ):
         return report
     # Some middle fails, or neutrality does: scan every composable triple
@@ -281,15 +324,33 @@ def validate_category(cat: FiniteCategory) -> ValidationReport:
     return report
 
 
-def generating_set(cat: FiniteCategory, after: list[dict[int, int]]) -> list[int]:
+def _pair_errors(cat: FiniteCategory, f: Arrow, following, out: list[str]) -> None:
+    """Append the table findings of the pairs (f, g), g in `following`: an
+    entry on a non-composable pair, a missing entry, or a composite with
+    the wrong endpoints."""
+    arrows, comp = cat.arrows, cat.composition
+    for gid in following:
+        g = arrows[gid]
+        key = (f.id, gid)
+        if f.cod != g.dom:
+            out.append(f"composition table defined on non-composable pair ({f}, {g})")
+        elif key not in comp:
+            out.append(f"composable pair ({f}, {g}) missing from composition table")
+        else:
+            h = arrows[comp[key]]
+            if h.dom != f.dom or h.cod != g.cod:
+                out.append(f"composite of ({f}, {g}) is {h}; endpoints must be {f.dom}->{g.cod}")
+
+
+def generating_set(cat: FiniteCategory) -> list[int]:
     """Arrow ids that, with the identities, generate `cat` under composition.
 
     The arrows are walked in id order; each one the closure of the earlier
     generators and the identities does not hold becomes a generator, and
     the closure grows by composing each new member with every held arrow on
-    both sides.  `after[f]` maps each g out of cod f to g∘f, the table of a
+    both sides, read off the rows `cat.after`.  The table must be that of a
     category that passed the endpoint checks."""
-    arrows, into = cat.arrows, cat.adjacency.into
+    arrows, into, after = cat.arrows, cat.adjacency.into, cat.after
     held = [False] * len(arrows)
     for i in cat.identity.values():
         held[i] = True

@@ -14,7 +14,9 @@ non-empty period, or non-empty bounded {"entries": [ids]}; cones add
 {"apex": obj, "startIndex": m, "legs": {...}}.  Ids and indices are
 non-negative JSON integers or strings of decimal digits (`parse_index`);
 whether they name arrows or objects of a space is checked by the caller,
-which has the space.
+which has the space.  A table naming one pair or index twice (`[1,1,0]`
+and `[1,1,1]` in 'compose', or keys "1" and "01") is rejected rather than
+read last-one-wins.
 Rationals are emitted as strings to keep round trips exact.
 The parsers of sequences, cones and generators import `limits` and `coarse`
 themselves, so a CLI run loads those modules only when it reads such data.
@@ -82,9 +84,29 @@ def _id(value, what: str) -> int:
     return value if type(value) is int and value >= 0 else parse_index(value, what)
 
 
+def _no_repeats(parsed: dict, source, key, what: str) -> dict:
+    """`parsed`, built from the entries of `source`, unless two entries gave
+    one key (the last would win): then the first such key and its two
+    entries are named.  `key` reads the key off an entry that parsed.  A
+    size comparison finds a repeat, so a table without one pays nothing
+    more."""
+    if len(parsed) != len(source):
+        seen = {}
+        for entry in source:
+            k = key(entry)
+            if k in seen:
+                raise InputFormatError(
+                    f"{what} {k} appears twice: {json.dumps(seen[k])} and {json.dumps(entry)}"
+                )
+            seen[k] = entry
+    return parsed
+
+
 def _index_table(data, what: str) -> dict[int, int]:
     """A JSON object mapping indices to indices."""
-    return {parse_index(k, f"{what} key"): _id(v, f"{what} value") for k, v in json_object(data, what).items()}
+    json_object(data, what)
+    table = {parse_index(k, f"{what} key"): _id(v, f"{what} value") for k, v in data.items()}
+    return _no_repeats(table, data, int, f"{what} key")
 
 
 def pair_table_from_json(data, what: str) -> dict[tuple[int, int], Fraction]:
@@ -95,7 +117,7 @@ def pair_table_from_json(data, what: str) -> dict[tuple[int, int], Fraction]:
         _require(len(parts) == 2, f"{what} key {key!r} is not an index pair 'x,y'")
         pair = tuple(parse_index(part.strip(), f"{what} key {key!r}") for part in parts)
         table[pair] = parse_fraction(value)
-    return table
+    return _no_repeats(table, data, lambda k: tuple(map(int, k.split(","))), f"{what} pair")
 
 
 def direction_from_json(data: dict) -> str:
@@ -117,12 +139,14 @@ def category_from_json(data) -> FiniteCategory:
             for a in _list(data["arrows"], "category 'arrows'")
         )
         identities = _index_table(data["identities"], "category 'identities'")
+        entries = _list(data["compose"], "category 'compose'")
         compose = {  # n³ entries for n objects, so `_id` is spelled out inline
             (f if type(f) is int and f >= 0 else parse_index(f, "compose entry"),
              g if type(g) is int and g >= 0 else parse_index(g, "compose entry")):
                 h if type(h) is int and h >= 0 else parse_index(h, "compose entry")
-            for f, g, h in _list(data["compose"], "category 'compose'")
+            for f, g, h in entries
         }
+        _no_repeats(compose, entries, lambda e: (int(e[0]), int(e[1])), "category 'compose' pair")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"malformed category tables: {exc}") from exc
     return FiniteCategory(objects, arrows, identities, compose)
@@ -153,19 +177,18 @@ def space_from_json(data) -> Metric1Space:
     composable pair, because every weight check reads the composite."""
     json_object(data, "weighted category", ("category", "weights"))
     cat = category_from_json(data["category"])
-    for f in cat.arrows:
-        for g in cat.arrows_from(f.cod):
-            if (f.id, g) not in cat.composition:
-                raise InputFormatError(
-                    f"composition table has no entry for the composable pair ({f.id}, {g})"
-                )
+    for f, row in zip(cat.arrows, cat.after):
+        if None in row.values():
+            g = next(g for g, h in row.items() if h is None)
+            raise InputFormatError(
+                f"composition table has no entry for the composable pair ({f.id}, {g})"
+            )
+    table = json_object(data["weights"], "'weights'")
     try:
-        weights = {
-            parse_index(k, "weights key"): Weight.parse(v)
-            for k, v in json_object(data["weights"], "'weights'").items()
-        }
+        weights = {parse_index(k, "weights key"): Weight.parse(v) for k, v in table.items()}
     except (ValueError, ZeroDivisionError) as exc:
         raise InputFormatError(f"malformed weights: {exc}") from exc
+    _no_repeats(weights, table, int, "'weights' key")
     try:
         return Metric1Space.from_weights(cat, weights)
     except Exception as exc:

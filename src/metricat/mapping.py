@@ -10,7 +10,9 @@ continuous functors (on finite spaces the forward, backward and uniform
 notions agree), all natural transformations between them, their pointwise
 composites and the sup-of-component weights.  One budget bounds all of
 [X, Y]: the functor search, every transformation search, and the arrows
-and composition entries, charged before the table is filled.
+and composition entries, charged before the table is filled.  The table is
+filled row by row through the target's row index (`FiniteCategory.after`),
+and [X, Y] takes its rows along, so its validators start from a ready index.
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 
 from .errors import Budget, TheoremViolation
 from .fincat import (
+    Adjacency,
     Arrow,
     FiniteCategory,
     Functor,
@@ -162,21 +165,28 @@ def mapping_space(
     for i, F in enumerate(funs):
         ident = identity_transformation(F).components
         identity[i] = key_to_id[(i, i, tuple(ident[x] for x in range(n)))]
-    composition = {}
-    cat = FiniteCategory(objs, arrs, identity, composition)
-    # The table is filled in place; the index depends on the arrows alone.
-    # Components compose pointwise, one table lookup per object; every key
+    # The row index `after` of [X, Y] and its table are built together and
+    # handed to the category.  Components compose pointwise through Y's
+    # rows: column x of arrow a is Y.after[a_x], which maps the component
+    # at x of each following arrow b to the composite component.  Every key
     # belongs to an enumerated, validated transformation, so a found
     # composite is natural.
-    lookup = Y.category.composition.__getitem__
+    adjacency = Adjacency.of(arrs)
+    out_of, y_after, getitem = adjacency.out, Y.category.after, dict.__getitem__
+    composition: dict[tuple[int, int], int] = {}
+    after = []
     for a, row_a in enumerate(rows):
         i, j = arrow_meta[a]
-        for b in cat.arrows_from(j):
-            key = (i, arrow_meta[b][1], tuple(map(lookup, zip(row_a, rows[b]))))
-            if key not in key_to_id:
+        cols = [y_after[c] for c in row_a]
+        after_a = {}
+        for b in out_of.get(j, ()):
+            c = key_to_id.get((i, arrow_meta[b][1], tuple(map(getitem, cols, rows[b]))))
+            if c is None:
                 raise TheoremViolation(
                     f"vertical composite of transformations {a} and {b} is not natural"
                 )
-            composition[(a, b)] = key_to_id[key]
+            after_a[b] = composition[(a, b)] = c
+        after.append(after_a)
+    cat = FiniteCategory.with_index(objs, arrs, identity, composition, adjacency, after)
     weights = tuple(nat_weight(t, Y) for t in transformations)
     return MappingSpace(Metric1Space(cat, weights), funs, transformations, X, Y)

@@ -67,8 +67,10 @@ def validate_metric1(space: Metric1Space) -> ValidationReport:
 
     The check runs on the weights scaled to integers by their common
     denominator (None marks infinity), so it is exact and builds no
-    ``Weight``.  A composable pair missing from the composition table is
-    fatal; the pairs that are present are still checked.
+    ``Weight``.  The pairs are read off the category's row index
+    (`FiniteCategory.after`).  A composable pair missing from the
+    composition table is fatal; the pairs that are present are still
+    checked.
     """
     report = ValidationReport(subject="metric 1-space")
     cat = space.category
@@ -83,25 +85,24 @@ def validate_metric1(space: Metric1Space) -> ValidationReport:
     for x in range(len(cat.objects)):
         if s[cat.identity[x]] != 0:
             out.append(f"reflexivity: w(id_{x}) = {w[cat.identity[x]]} != 0")
-    comp = cat.composition
-    for pair in cat.composable_pairs():
-        h = comp.get(pair)
-        if h is None:
-            report.fatal.append(f"composable pair {pair} missing from composition table")
-            continue
-        f, g = pair
-        a, b, c = s[f], s[g], s[h]
-        if a is not None and b is not None:
-            if c is None or c > a + b:
-                out.append(f"full triangle (upper) on ({f},{g}): w = {w[h]} > {w[f]} + {w[g]}")
+    for f, row in enumerate(cat.after):
+        a = s[f]
+        for g, h in row.items():
+            if h is None:
+                report.fatal.append(f"composable pair {(f, g)} missing from composition table")
                 continue
-            lower = abs(a - b) > c
-        else:
-            # a + b is infinite, so only the lower half can fail: with one
-            # leg infinite, |b - a| is infinite against a finite composite
-            lower = (a is None) != (b is None) and c is not None
-        if lower:
-            out.append(f"full triangle (lower) on ({f},{g}): |{w[g]} - {w[f]}| > w = {w[h]}")
+            b, c = s[g], s[h]
+            if a is not None and b is not None:
+                if c is None or c > a + b:
+                    out.append(f"full triangle (upper) on ({f},{g}): w = {w[h]} > {w[f]} + {w[g]}")
+                    continue
+                lower = abs(a - b) > c
+            else:
+                # a + b is infinite, so only the lower half can fail: with one
+                # leg infinite, |b - a| is infinite against a finite composite
+                lower = (a is None) != (b is None) and c is not None
+            if lower:
+                out.append(f"full triangle (lower) on ({f},{g}): |{w[g]} - {w[f]}| > w = {w[h]}")
     return report
 
 

@@ -66,6 +66,26 @@ def test_malformed_json_is_exit_two(tmp_path, capsys):
     assert "line" in err and "column" in err
 
 
+def test_repeated_compose_pair_is_exit_two(tmp_path, capsys):
+    # g∘g = g is a valid table too, so a last-one-wins parse validated it
+    payload = jsonio.space_to_json(support.z2_space(1))
+    assert [1, 1, 0] in payload["category"]["compose"]
+    payload["category"]["compose"].append([1, 1, 1])
+    assert main(["--format", "json", "validate", write(tmp_path, "z2.json", payload)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "pair (1, 1) appears twice: [1, 1, 0] and [1, 1, 1]" in err
+
+
+@pytest.mark.parametrize("table", ["weights", "identities"])
+def test_repeated_index_key_is_exit_two(tmp_path, capsys, table):
+    payload = jsonio.space_to_json(symmetric_fixture())
+    keys = payload["weights"] if table == "weights" else payload["category"]["identities"]
+    keys["01"] = keys["1"]
+    assert main(["--format", "json", "validate", write(tmp_path, "sp.json", payload)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"'{table}' key 1 appears twice: \"1\" and \"01\"" in err
+
+
 def test_missing_file_is_exit_two(tmp_path):
     assert main(["validate", str(tmp_path / "nope.json")]) == 2
 
@@ -459,6 +479,7 @@ BAD_BIMETRIC_PARAMS = {
     "a2 key not an index": bimetric_params(a2={"0,x": 2, "1,0": 2}),
     "a2 weight not rational": bimetric_params(a2={"0,1": "x/y", "1,0": 2}),
     "h not rational": bimetric_params(h="inf"),
+    "a1 pair named twice": bimetric_params(a1={"0,1": 1, "1,0": 1, "0, 01": 5}),
 }
 
 

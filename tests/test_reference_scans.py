@@ -13,14 +13,18 @@ the full triple scan on max-monoids (every non-identity arrow a generator),
 chains, cyclic groupoids, random spaces and a 729-arrow [X, Y], each also
 with composites moved within their hom-sets: defects of associativity alone
 and defects of neutrality.  The generating set itself is compared with a
-closure computed by rescanning every composable pair.
+closure computed by rescanning every composable pair.  The row index those
+checks read is compared with a lookup of each composable pair, holes of
+broken tables included, and the rows that [X, Y] is built with are compared
+with the rows a fresh category derives from the same tables.
 
 The metrization chain, which stops once it can no longer change, is
 compared with the stage-by-stage loop it replaced (kept verbatim), which
 runs every stage up to the first unchanged one past `constant_from`: the
 same list of sets and the same weights, on kernel-shaped spaces with and
 without a wrong composite, on infinite weights, on a chain F never fills
-and on explicit families that stall below their top set.
+and on explicit families that stall below their top set, for one stage or
+for 10^5.
 
 The backward continuity criteria and the backward natural-contraction
 search are likewise compared with the hand-written backward loops that the
@@ -437,6 +441,36 @@ def after_rows(cat):
     return [{g: cat.compose(f.id, g) for g in cat.arrows_from(f.cod)} for f in cat.arrows]
 
 
+def test_row_index_matches_the_pair_lookups():
+    holes = 0
+    for name, space in cases(107):
+        cat = space.category
+        missing = {pair for pair in ref_composable_pairs(cat) if pair not in cat.composition}
+        if not missing:
+            assert cat.after == after_rows(cat), name
+        found = {(f.id, g) for f, row in zip(cat.arrows, cat.after) for g, h in row.items() if h is None}
+        assert found == missing, name
+        holes += bool(missing)
+    assert holes > 10
+
+
+def test_mapping_space_hands_over_the_rows_of_its_table():
+    rng = random.Random(108)
+    y = from_metric_space(support.rand_metric(rng, 3))
+    sources = {
+        "2->3": from_metric_space(support.rand_metric(rng, 2)),
+        "3->3": from_metric_space(support.rand_metric(rng, 3)),
+        "pseudo3->3": support.indiscrete_space([[0, 2, 0], [2, 0, 2], [0, 2, 0]]),
+        "chain2->3": support.chain_space([3]),
+    }
+    for name, x in sources.items():
+        cat = mapping_space(x, y).space.category
+        assert {"adjacency", "after"} <= vars(cat).keys(), name
+        fresh = FiniteCategory(cat.objects, cat.arrows, dict(cat.identity), dict(cat.composition))
+        assert (cat.after, cat.adjacency) == (fresh.after, fresh.adjacency), name
+        assert len(cat.arrows) > 9 and validate_category(cat).ok, name
+
+
 def moved_composites(rng, cat, pairs, count):
     """Up to `count` tables, each with the composite of one pair from
     `pairs` moved to another arrow of its hom-set: the endpoints stay
@@ -494,15 +528,15 @@ def test_generating_set_matches_the_closure_scan():
     cats = [sp.category for sp in generator_spaces(rng)]
     cats += [opposite_space(sp).category for sp in generator_spaces(rng)]
     for cat in cats:
-        assert generating_set(cat, after_rows(cat)) == ref_generating_set(cat)
+        assert generating_set(cat) == ref_generating_set(cat)
     mono = support.max_monoid_space(8).category
-    assert generating_set(mono, after_rows(mono)) == list(range(1, 8))
+    assert generating_set(mono) == list(range(1, 8))
     chain = support.chain_space([1, 1, 1]).category  # [0,2) comes before [1,2)
-    assert generating_set(chain, after_rows(chain)) == list(range(4, 10))
+    assert generating_set(chain) == list(range(4, 10))
     cyclic = support.cyclic_groupoid_space(1, 6).category
-    assert generating_set(cyclic, after_rows(cyclic)) == [1]
+    assert generating_set(cyclic) == [1]
     square = indiscrete(5)  # the arrows out of 0, then one into 0 per object
-    assert generating_set(square, after_rows(square)) == [1, 2, 3, 4, 5, 10, 15, 20]
+    assert generating_set(square) == [1, 2, 3, 4, 5, 10, 15, 20]
 
 
 def test_generating_set_associativity_matches_the_triple_scan():
@@ -531,7 +565,7 @@ def test_generating_set_associativity_matches_the_triple_scan():
     # the fallback reports the triples whose middle is a composite too
     cat = cyclic_with_composite_middle()
     middles = {int(m.split("(")[1].split(",")[1]) for m in validate_category(cat).violations}
-    assert generating_set(cat, after_rows(cat)) == [1] and middles - {1}
+    assert generating_set(cat) == [1] and middles - {1}
 
 
 def test_validate_metric1_matches_weight_arithmetic():
@@ -673,6 +707,20 @@ def test_metrize_chain_runs_on_when_a_stage_stalls_below_top():
     assert chain == ref_metrize_chain(gens)
     assert metrize(gens).w == ref_metrize_weights(gens)
     assert metrize(gens).w[first] == Weight(4)
+
+
+def test_metrize_chain_jumps_over_stages_that_repeat(monkeypatch):
+    # two arrows of weight w: E_n holds the identities alone below w, so
+    # F_1 = F_0 lies below top and the stage repeats until E_w grows
+    small = bounded_generators(support.indiscrete_space([[0, 50], [50, 0]]))
+    assert metrize_chain(small) == ref_metrize_chain(small)
+    assert metrize(small).w == ref_metrize_weights(small)
+    gens = bounded_generators(support.indiscrete_space([[0, 10**5], [10**5, 0]]))
+    calls = counted_stages(monkeypatch)
+    chain = metrize_chain(gens)
+    assert calls[0] == 2 * 2  # F_1 = F_0, then F_{10^5 + 1} holds every arrow
+    assert len(chain) == 10**5 + 2 and chain[10**5] == chain[0] and len(chain[-1]) == 4
+    assert [w.to_json() for w in metrize(gens).w] == ["0", "100001", "100001", "0"]
 
 
 def fixture_spaces(seed: int):
