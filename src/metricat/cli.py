@@ -7,9 +7,12 @@ prints a deterministic report.  Exit codes: 0 success / property holds,
 
 A run is mostly interpreter start-up, so each subcommand loads only what it
 runs.  Module-level imports stay limited to argparse, json, sys, errors,
-fincat, jsonio and weights.  A handler imports the module it runs (coarse,
-continuity, dagger, fixedpoint, geometry, limits or mapping) once `_load`
-has returned, so a document rejected at the JSON boundary loads none of them.
+fincat, jsonio and weights, which bring in metricspace, record and weight
+and, from the standard library, fractions, functools and itertools.  A
+handler imports the module it runs (coarse, continuity, dagger, fixedpoint,
+geometry, limits or mapping) once `_load` has returned, so a document
+rejected at the JSON boundary loads none of them.  All but coarse also load
+`typing`, for NamedTuple results.  No path loads `dataclasses` or `inspect`.
 """
 from __future__ import annotations
 
@@ -28,6 +31,19 @@ EXIT_GUARD = 3
 EXIT_INTERNAL = 4
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's members, refusing a key named twice, which
+    `json.loads` alone would read last-one-wins."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise InputFormatError(f"key {json.dumps(key)} appears twice in one JSON object")
+            seen.add(key)
+    return obj
+
+
 def _load(args, *keys: str) -> dict:
     """The subcommand's input document: a JSON object holding `keys`."""
     path = args.input
@@ -36,7 +52,7 @@ def _load(args, *keys: str) -> dict:
     except (OSError, UnicodeDecodeError) as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise InputFormatError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

@@ -10,27 +10,27 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 
 from .errors import Budget, PreconditionError
 from .fincat import FiniteCategory
+from .record import FrozenRecord, Record
 from .weight import Weight
 from .weights import Metric1Space
 
 
 # --- set-level calculus ------------------------------------------------------
 
-@dataclass(frozen=True)
-class RelationSet:
+class RelationSet(FrozenRecord):
     """A relation on the ground set {0, ..., n-1}."""
 
-    n: int
-    pairs: frozenset[tuple[int, int]]
+    __slots__ = _fields = ("n", "pairs")
 
-    def __post_init__(self):
-        for x, y in self.pairs:
-            if not (0 <= x < self.n and 0 <= y < self.n):
-                raise ValueError(f"pair ({x},{y}) outside ground set of size {self.n}")
+    def __init__(self, n: int, pairs: frozenset[tuple[int, int]]):
+        for x, y in pairs:
+            if not (0 <= x < n and 0 <= y < n):
+                raise ValueError(f"pair ({x},{y}) outside ground set of size {n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "pairs", pairs)
 
 
 def rel_identity(n: int) -> RelationSet:
@@ -113,33 +113,34 @@ def arrow_diagonal(cat: FiniteCategory) -> frozenset[int]:
 
 # --- generating families -----------------------------------------------------
 
-@dataclass(eq=True)
-class CoarseGenerators:
+class CoarseGenerators(Record):
     """A monotone generating family E_0 <= E_1 <= ..., constant from
     index `constant_from` on (the listed sets cover indices 0..len-1 and
     the last listed set repeats forever)."""
 
-    category: FiniteCategory
-    sets: tuple[frozenset[int], ...]
-    constant_from: int
+    __slots__ = _fields = ("category", "sets", "constant_from")
 
-    def __post_init__(self):
-        if not self.sets:
+    def __init__(self, category: FiniteCategory, sets: tuple[frozenset[int], ...],
+                 constant_from: int):
+        if not sets:
             raise PreconditionError("at least one generator set required")
-        if not (0 <= self.constant_from < len(self.sets)):
+        if not (0 <= constant_from < len(sets)):
             raise PreconditionError("constant_from must index into the listed sets")
-        m = len(self.category.arrows)
-        for i, s in enumerate(self.sets):
+        m = len(category.arrows)
+        for i, s in enumerate(sets):
             for a in s:
                 if not (0 <= a < m):
                     raise PreconditionError(f"generator {i} mentions dangling arrow {a}")
-            if i > 0 and not (self.sets[i - 1] <= s):
+            if i > 0 and not (sets[i - 1] <= s):
                 raise PreconditionError(
                     f"generators not monotone: set {i - 1} is not contained in set {i}"
                 )
-        for i in range(self.constant_from, len(self.sets)):
-            if self.sets[i] != self.sets[self.constant_from]:
+        for i in range(constant_from, len(sets)):
+            if sets[i] != sets[constant_from]:
                 raise PreconditionError("sets past constant_from must repeat the constant set")
+        self.category = category
+        self.sets = sets
+        self.constant_from = constant_from
 
     @classmethod
     def normalized(cls, category: FiniteCategory, raw_sets, constant_from: int | None = None):

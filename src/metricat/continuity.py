@@ -18,7 +18,7 @@ independent oracle (`epsdelta_*`); it spells out both directions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import PreconditionError, TheoremViolation
 from .fincat import Functor, opposite_functor
@@ -34,20 +34,21 @@ from .limits import (
     map_sequence,
     series_converges,
 )
+from .record import FrozenRecord
 from .weight import ZERO, Weight
 # BACKWARD and FORWARD are re-exported: callers name directions from here
 from .weights import BACKWARD, FORWARD, Metric1Space, is_backward, opposite_space
 
 
-@dataclass(frozen=True)
-class ContinuityVerdict:
-    kind: str
-    holds: bool
-    witness: tuple | None = None
+class ContinuityVerdict(FrozenRecord):
+    __slots__ = _fields = ("kind", "holds", "witness")
 
-    def __post_init__(self):
-        if (self.witness is not None) != (not self.holds):
-            raise TheoremViolation(f"{self.kind} verdict: a witness must come exactly with a failure")
+    def __init__(self, kind: str, holds: bool, witness: tuple | None = None):
+        if (witness is not None) != (not holds):
+            raise TheoremViolation(f"{kind} verdict: a witness must come exactly with a failure")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "witness", witness)
 
 
 def factorizations(space: Metric1Space, psi: int) -> list[tuple[int, int]]:
@@ -164,8 +165,7 @@ def epsdelta_uniform(fun: Functor, src: Metric1Space, dst: Metric1Space) -> bool
 
 # --- compactness and completeness certificates ------------------------------
 
-@dataclass(frozen=True)
-class SubsequenceWitness:
+class SubsequenceWitness(NamedTuple):
     """A convergent subsequence: strictly increasing indices hitting a
     constant arrow, certified by an identity-leg cone."""
 
@@ -176,8 +176,7 @@ class SubsequenceWitness:
     certificate: LimitCertificate
 
 
-@dataclass(frozen=True)
-class ObjectWitness:
+class ObjectWitness(NamedTuple):
     """A recurring object reachable both ways by identity arrows below any
     epsilon, at indices first_index + t * step."""
 
@@ -186,8 +185,7 @@ class ObjectWitness:
     step: int
 
 
-@dataclass
-class CompactnessCertificate:
+class CompactnessCertificate(NamedTuple):
     """Constructive compactness of a finite metric 1-space.
 
     Finiteness does all the work: an eventually periodic sequence hits
@@ -228,8 +226,7 @@ def compactness_certificate(space: Metric1Space) -> CompactnessCertificate:
     return CompactnessCertificate(space)
 
 
-@dataclass(frozen=True)
-class CompletenessVerdict:
+class CompletenessVerdict(NamedTuple):
     """Per-series completeness evidence, restricted to eventually periodic
     series (the only infinite data this library represents exactly)."""
 

@@ -10,8 +10,8 @@ canonical iso dagger.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 from .errors import Budget, PreconditionError, TheoremViolation
 from .continuity import forward_continuous, uniformly_continuous
@@ -30,8 +30,7 @@ class SymmetryClass(IntEnum):
         return self.name.lower()
 
 
-@dataclass(frozen=True)
-class Dagger:
+class Dagger(NamedTuple):
     """An arrow involution on one category; validate before trusting."""
 
     mapping: tuple[int, ...]  # arrow id -> arrow id

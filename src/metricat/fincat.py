@@ -38,40 +38,43 @@ nodes charged to the caller's `errors.Budget`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 
 from .errors import Budget, TheoremViolation
+from .record import FrozenRecord, Record
 
 
-@dataclass(frozen=True)
-class Obj:
+class Obj(FrozenRecord):
     """An object: a dense index within its category plus an optional label."""
 
-    index: int
-    label: str | None = None
+    __slots__ = _fields = ("index", "label")
+
+    def __init__(self, index: int, label: str | None = None):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "label", label)
 
     def __str__(self) -> str:
         return self.label if self.label is not None else f"o{self.index}"
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(FrozenRecord):
     """An arrow with a dense id and object indices for its endpoints."""
 
-    id: int
-    dom: int
-    cod: int
-    label: str | None = None
+    __slots__ = _fields = ("id", "dom", "cod", "label")
+
+    def __init__(self, id: int, dom: int, cod: int, label: str | None = None):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "dom", dom)
+        object.__setattr__(self, "cod", cod)
+        object.__setattr__(self, "label", label)
 
     def __str__(self) -> str:
         name = self.label if self.label is not None else f"a{self.id}"
         return f"{name}:{self.dom}->{self.cod}"
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(Record):
     """Outcome of an exhaustive axiom check.
 
     ``fatal`` lists structural malformations (dangling ids and the like)
@@ -79,9 +82,13 @@ class ValidationReport:
     individual axiom failure found.  Empty report == the axioms hold.
     """
 
-    subject: str
-    fatal: list[str] = field(default_factory=list)
-    violations: list[str] = field(default_factory=list)
+    __slots__ = _fields = ("subject", "fatal", "violations")
+
+    def __init__(self, subject: str, fatal: list[str] | None = None,
+                 violations: list[str] | None = None):
+        self.subject = subject
+        self.fatal = [] if fatal is None else fatal
+        self.violations = [] if violations is None else violations
 
     @property
     def ok(self) -> bool:
@@ -105,13 +112,20 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class Adjacency:
+class Adjacency(FrozenRecord):
     """Arrow ids grouped by endpoint, each group in arrow order."""
 
-    out: dict[int, tuple[int, ...]]  # object -> arrows with that domain
-    into: dict[int, tuple[int, ...]]  # object -> arrows with that codomain
-    hom: dict[tuple[int, int], tuple[int, ...]]  # (dom, cod) -> sorted arrow ids
+    __slots__ = _fields = ("out", "into", "hom")
+
+    def __init__(
+        self,
+        out: dict[int, tuple[int, ...]],  # object -> arrows with that domain
+        into: dict[int, tuple[int, ...]],  # object -> arrows with that codomain
+        hom: dict[tuple[int, int], tuple[int, ...]],  # (dom, cod) -> sorted arrow ids
+    ):
+        object.__setattr__(self, "out", out)
+        object.__setattr__(self, "into", into)
+        object.__setattr__(self, "hom", hom)
 
     @classmethod
     def of(cls, arrows: tuple[Arrow, ...]) -> "Adjacency":
@@ -129,14 +143,23 @@ class Adjacency:
         )
 
 
-@dataclass(frozen=True)
-class FiniteCategory:
-    """Objects, arrows, identities, and a total table on composable pairs."""
+class FiniteCategory(FrozenRecord):
+    """Objects, arrows, identities, and a total table on composable pairs.
 
-    objects: tuple[Obj, ...]
-    arrows: tuple[Arrow, ...]
-    identity: dict[int, int]  # object index -> identity arrow id
-    composition: dict[tuple[int, int], int]  # (f, g) -> "g after f"
+    No ``__slots__``: the ``cached_property`` indices live in the instance
+    ``__dict__``, past the frozen ``__setattr__``."""
+
+    _fields = ("objects", "arrows", "identity", "composition")
+
+    def __init__(
+        self,
+        objects: tuple[Obj, ...],
+        arrows: tuple[Arrow, ...],
+        identity: dict[int, int],  # object index -> identity arrow id
+        composition: dict[tuple[int, int], int],  # (f, g) -> "g after f"
+    ):
+        self.__dict__.update(objects=objects, arrows=arrows, identity=identity,
+                             composition=composition)
 
     def compose(self, first: int, second: int) -> int:
         """Arrow id of "second after first" (second∘first)."""
@@ -160,8 +183,7 @@ class FiniteCategory:
 
     @cached_property
     def adjacency(self) -> Adjacency:
-        """Built on first use; ``cached_property`` stores it past the frozen
-        ``__setattr__``."""
+        """Built on first use."""
         return Adjacency.of(self.arrows)
 
     @cached_property
@@ -409,12 +431,15 @@ def opposite_functor(fun: Functor) -> Functor:
     return Functor(src, dst, fun.obj_map, fun.arr_map)
 
 
-@dataclass(eq=True)
-class Functor:
-    source: FiniteCategory
-    target: FiniteCategory
-    obj_map: dict[int, int]
-    arr_map: dict[int, int]
+class Functor(Record):
+    __slots__ = _fields = ("source", "target", "obj_map", "arr_map")
+
+    def __init__(self, source: FiniteCategory, target: FiniteCategory,
+                 obj_map: dict[int, int], arr_map: dict[int, int]):
+        self.source = source
+        self.target = target
+        self.obj_map = obj_map
+        self.arr_map = arr_map
 
     def key(self) -> tuple:
         """Deterministic identity among functors with the same endpoints."""
@@ -530,13 +555,15 @@ def is_groupoid(cat: FiniteCategory) -> dict[int, int] | None:
     return inverse
 
 
-@dataclass(eq=True)
-class NatTransformation:
+class NatTransformation(Record):
     """A family of target arrows indexed by source objects."""
 
-    F: Functor
-    G: Functor
-    components: dict[int, int]
+    __slots__ = _fields = ("F", "G", "components")
+
+    def __init__(self, F: Functor, G: Functor, components: dict[int, int]):
+        self.F = F
+        self.G = G
+        self.components = components
 
 
 def validate_transformation(t: NatTransformation) -> ValidationReport:

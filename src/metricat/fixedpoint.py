@@ -16,8 +16,8 @@ request once and run the forward body.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import Budget, PreconditionError, TheoremViolation
 from .continuity import uniformly_continuous
@@ -39,8 +39,7 @@ from .weight import ZERO
 from .weights import BACKWARD, FORWARD, Metric1Space, is_backward, is_nondegenerate, opposite_space
 
 
-@dataclass(frozen=True)
-class ContractionCertificate:
+class ContractionCertificate(NamedTuple):
     """factor present iff w(F psi) <= factor * w(psi) holds everywhere with
     factor < 1; infinite-weight arrows impose no constraint (alpha * inf
     is inf for alpha > 0, and the alpha = 0 reading adopted here is also
@@ -79,8 +78,7 @@ def contraction_factor(space: Metric1Space, fun: Functor) -> ContractionCertific
     return ContractionCertificate(best, True)
 
 
-@dataclass(frozen=True)
-class NaturalContraction:
+class NaturalContraction(NamedTuple):
     """Components c -> F(c) (forward) or F(c) -> c (backward) forming a
     natural transformation that additionally satisfies the coherence law
     F(component at c) == component at F(c)."""
@@ -138,8 +136,7 @@ def is_monomorphism(cat: FiniteCategory, aid: int) -> bool:
     return is_epimorphism(opposite(cat), aid)
 
 
-@dataclass(frozen=True)
-class AlphaFixedArrow:
+class AlphaFixedArrow(NamedTuple):
     """An arrow into a fixed object of the functor such that applying the
     functor and precomposing the contraction component gives the arrow
     back."""
@@ -149,8 +146,7 @@ class AlphaFixedArrow:
     direction: str = FORWARD
 
 
-@dataclass(frozen=True)
-class BanachOutcome:
+class BanachOutcome(NamedTuple):
     fixed: AlphaFixedArrow
     series: ForwardSeries
     cone: EssentialCone
@@ -179,7 +175,7 @@ def banach_iterate(
         op_fun = opposite_functor(fun)
         fwd = NaturalContraction(FORWARD, op_fun, contraction.components)
         outcome = banach_iterate(opposite_space(space), op_fun, fwd, x0)
-        return replace(outcome, fixed=replace(outcome.fixed, direction=BACKWARD))
+        return outcome._replace(fixed=outcome.fixed._replace(direction=BACKWARD))
 
     if contraction.functor is not fun and contraction.functor != fun:
         raise PreconditionError("natural contraction does not belong to the functor")

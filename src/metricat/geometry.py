@@ -59,21 +59,21 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter, sub
+from typing import NamedTuple
 
 from .errors import Budget, PreconditionError, TheoremViolation
 from .fincat import Arrow, FiniteCategory, Obj, ValidationReport
 from .metricspace import FiniteMetricSpace, shortest_path_repair
+from .record import Record
 from .weight import Weight, common_denominator
 from .weights import Metric1Space, validate_metric1
 
 
 # --- bi-Lipschitz ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BiLipMap:
+class BiLipMap(NamedTuple):
     source: FiniteMetricSpace
     target: FiniteMetricSpace
     point_map: tuple[int, ...]
@@ -103,18 +103,27 @@ def log_weight(c: Fraction) -> str:
     return f"{math.log(c):.12g}"
 
 
-@dataclass
-class BiLipSlice:
+class BiLipSlice(Record):
     """A groupoid of bi-Lipschitz bijections between finitely many spaces,
     weighted multiplicatively by the exact constants C (the additive
     picture would need ln C, which is irrational; the multiplicative
     triangle below is its exact equivalent)."""
 
-    category: FiniteCategory
-    spaces: list[FiniteMetricSpace]
-    arrow_space: tuple[tuple[int, int], ...]  # arrow id -> (source idx, target idx)
-    arrow_perm: tuple[tuple[int, ...], ...]  # arrow id -> point bijection
-    factor: tuple[Fraction, ...]  # arrow id -> C
+    __slots__ = _fields = ("category", "spaces", "arrow_space", "arrow_perm", "factor")
+
+    def __init__(
+        self,
+        category: FiniteCategory,
+        spaces: list[FiniteMetricSpace],
+        arrow_space: tuple[tuple[int, int], ...],  # arrow id -> (source idx, target idx)
+        arrow_perm: tuple[tuple[int, ...], ...],  # arrow id -> point bijection
+        factor: tuple[Fraction, ...],  # arrow id -> C
+    ):
+        self.category = category
+        self.spaces = spaces
+        self.arrow_space = arrow_space
+        self.arrow_perm = arrow_perm
+        self.factor = factor
 
     def validate_multiplicative(self) -> ValidationReport:
         """Identities carry factor 1; every composable pair satisfies
@@ -455,17 +464,20 @@ def gh_distance(x: FiniteMetricSpace, y: FiniteMetricSpace) -> Fraction:
 
 # --- gluings and cospan composition ------------------------------------------
 
-@dataclass
-class Gluing:
+class Gluing(Record):
     """A cross matrix turning the disjoint union of two spaces into a
     semimetric: every mixed triangle inequality holds.  Zero cross
     distances are allowed (the Hausdorff objective is continuous in the
     cross matrix, so the semimetric optimum realises the infimum over
     honest metric gluings)."""
 
-    x_space: FiniteMetricSpace
-    y_space: FiniteMetricSpace
-    cross: tuple[tuple[Fraction, ...], ...]
+    __slots__ = _fields = ("x_space", "y_space", "cross")
+
+    def __init__(self, x_space: FiniteMetricSpace, y_space: FiniteMetricSpace,
+                 cross: tuple[tuple[Fraction, ...], ...]):
+        self.x_space = x_space
+        self.y_space = y_space
+        self.cross = cross
 
     def errors(self) -> list[str]:
         errs = []

@@ -16,7 +16,8 @@ non-negative JSON integers or strings of decimal digits (`parse_index`);
 whether they name arrows or objects of a space is checked by the caller,
 which has the space.  A table naming one pair or index twice (`[1,1,0]`
 and `[1,1,1]` in 'compose', or keys "1" and "01") is rejected rather than
-read last-one-wins.
+read last-one-wins.  A key written twice in one JSON object never reaches
+these parsers as two entries: the CLI refuses it while parsing the text.
 Rationals are emitted as strings to keep round trips exact.
 The parsers of sequences, cones and generators import `limits` and `coarse`
 themselves, so a CLI run loads those modules only when it reads such data.

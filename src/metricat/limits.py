@@ -19,10 +19,11 @@ composing the other way, legs out of the apex) is forward data of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import PreconditionError, TheoremViolation
 from .fincat import Functor
+from .record import FrozenRecord
 from .weight import ZERO
 from .weights import Metric1Space
 
@@ -31,16 +32,16 @@ EXACT_NO = "exact-no"
 TO_HORIZON = "verified-to-horizon"
 
 
-@dataclass(frozen=True)
-class EventuallyPeriodic:
+class EventuallyPeriodic(FrozenRecord):
     """n -> preperiod[n] for small n, then the period repeats forever."""
 
-    preperiod: tuple[int, ...]
-    period: tuple[int, ...]
+    __slots__ = _fields = ("preperiod", "period")
 
-    def __post_init__(self):
-        if not self.period:
+    def __init__(self, preperiod: tuple[int, ...], period: tuple[int, ...]):
+        if not period:
             raise ValueError("period must be non-empty")
+        object.__setattr__(self, "preperiod", preperiod)
+        object.__setattr__(self, "period", period)
 
     is_exact = True
 
@@ -65,8 +66,7 @@ class EventuallyPeriodic:
         return EventuallyPeriodic((), self.period[shift:] + self.period[:shift])
 
 
-@dataclass(frozen=True)
-class BoundedDescription:
+class BoundedDescription(NamedTuple):
     """The first `horizon` entries of an otherwise unknown sequence."""
 
     entries: tuple[int, ...]
@@ -88,23 +88,20 @@ class BoundedDescription:
 Description = EventuallyPeriodic | BoundedDescription
 
 
-@dataclass(frozen=True)
-class ForwardSequence:
+class ForwardSequence(NamedTuple):
     """Arrows with common domain `base`: n -> (base -> x_n)."""
 
     base: int
     arrows: Description
 
 
-@dataclass(frozen=True)
-class ForwardSeries:
+class ForwardSeries(NamedTuple):
     """Consecutively composable arrows: cod of entry n = dom of entry n+1."""
 
     arrows: Description
 
 
-@dataclass(frozen=True)
-class EssentialCone:
+class EssentialCone(NamedTuple):
     """Legs x_k -> apex from index `start_index` onwards, indexed relative
     to it: leg(k) = legs.at(k - start_index).  (Legs apex -> x_k are the
     same legs in the opposite space.)
@@ -118,8 +115,7 @@ class EssentialCone:
         return self.legs.at(k - self.start_index)
 
 
-@dataclass(frozen=True)
-class LimitCertificate:
+class LimitCertificate(NamedTuple):
     verdict: str
     limiting_arrow: int | None = None
     witness_index: int | None = None
@@ -497,8 +493,7 @@ def find_mediating_arrows(
     return tuple(found)
 
 
-@dataclass(frozen=True)
-class MediatingReport:
+class MediatingReport(NamedTuple):
     """Outcome of a universal-property check against supplied competitor cones."""
 
     holds: bool

@@ -17,7 +17,6 @@ and [X, Y] takes its rows along, so its validators start from a ready index.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .errors import Budget, TheoremViolation
 from .fincat import (
@@ -32,6 +31,7 @@ from .fincat import (
     validate_functor,
     validate_transformation,
 )
+from .record import Record
 from .weight import ZERO, Weight
 from .weights import Metric1Space
 from .continuity import uniformly_continuous
@@ -108,16 +108,20 @@ def nat_weight(t: NatTransformation, target_space: Metric1Space) -> Weight:
     )
 
 
-@dataclass
-class MappingSpace:
+class MappingSpace(Record):
     """[X, Y]: continuous functors as objects, all natural transformations
     between them as arrows, sup weights."""
 
-    space: Metric1Space
-    functors: list[Functor]
-    transformations: list[NatTransformation]
-    source: Metric1Space
-    target: Metric1Space
+    __slots__ = _fields = ("space", "functors", "transformations", "source", "target")
+
+    def __init__(self, space: Metric1Space, functors: list[Functor],
+                 transformations: list[NatTransformation], source: Metric1Space,
+                 target: Metric1Space):
+        self.space = space
+        self.functors = functors
+        self.transformations = transformations
+        self.source = source
+        self.target = target
 
 
 def mapping_space(

@@ -5,16 +5,18 @@ operations (Hausdorff, Gromov-Hausdorff, bi-Lipschitz).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .record import Record
 from .weight import common_denominator
 
 
-@dataclass(eq=True)
-class FiniteMetricSpace:
-    points: tuple[str, ...]
-    d: tuple[tuple[Fraction, ...], ...]
+class FiniteMetricSpace(Record):
+    __slots__ = _fields = ("points", "d")
+
+    def __init__(self, points: tuple[str, ...], d: tuple[tuple[Fraction, ...], ...]):
+        self.points = points
+        self.d = d
 
     @classmethod
     def from_matrix(cls, points, matrix) -> "FiniteMetricSpace":

@@ -12,18 +12,19 @@ induced distance, which is why no symmetry axiom appears anywhere here.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import PreconditionError
 from .fincat import FiniteCategory, ValidationReport, indiscrete, opposite
 from .metricspace import FiniteMetricSpace
+from .record import Record
 from .weight import INF, ZERO, Weight, integer_weights
 
 
-@dataclass(eq=True)
-class Metric1Space:
-    category: FiniteCategory
-    w: tuple[Weight, ...]  # indexed by arrow id
+class Metric1Space(Record):
+    __slots__ = _fields = ("category", "w")
+
+    def __init__(self, category: FiniteCategory, w: tuple[Weight, ...]):
+        self.category = category
+        self.w = w  # indexed by arrow id
 
     @classmethod
     def from_weights(cls, category: FiniteCategory, weights) -> "Metric1Space":
@@ -123,13 +124,15 @@ def is_nondegenerate(space: Metric1Space) -> bool:
     )
 
 
-@dataclass(eq=True)
-class LawvereSpace:
+class LawvereSpace(Record):
     """Point set with a reflexive distance satisfying the restricted
     triangle inequality; possibly asymmetric, possibly infinite."""
 
-    points: tuple[str, ...]
-    d: tuple[tuple[Weight, ...], ...]
+    __slots__ = _fields = ("points", "d")
+
+    def __init__(self, points: tuple[str, ...], d: tuple[tuple[Weight, ...], ...]):
+        self.points = points
+        self.d = d
 
     def is_symmetric(self) -> bool:
         n = len(self.points)

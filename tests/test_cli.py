@@ -86,6 +86,20 @@ def test_repeated_index_key_is_exit_two(tmp_path, capsys, table):
     assert out == "" and f"'{table}' key 1 appears twice: \"1\" and \"01\"" in err
 
 
+def test_repeated_json_key_is_exit_two(tmp_path, capsys):
+    # json.loads alone keeps the last "1", and 1 is a valid weight there
+    category = json.dumps(jsonio.category_to_json(indiscrete(2)))
+    text = ('{"category": %s, "weights": {"0": "0", "1": "7", "1": "1", "2": "1", "3": "0"}}'
+            % category)
+    p = tmp_path / "repeated.json"
+    p.write_text(text)
+    assert main(["--format", "json", "validate", str(p)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == 'input error: key "1" appears twice in one JSON object\n'
+    p.write_text(text.replace('"1": "7", ', ""))
+    assert main(["--format", "json", "validate", str(p)]) == 0
+
+
 def test_missing_file_is_exit_two(tmp_path):
     assert main(["validate", str(tmp_path / "nope.json")]) == 2
 

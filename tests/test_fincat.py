@@ -1,5 +1,6 @@
+import copy
+import pickle
 import random
-from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -289,8 +290,20 @@ def test_vertical_compose_raises_theorem_violation_on_non_natural_alpha():
 
 def test_category_is_frozen_and_indexes_its_arrows():
     cat = support.one_sided_space().category
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         cat.composition = {}
+    arrow, obj = cat.arrows[1], cat.objects[0]
+    with pytest.raises(AttributeError):
+        arrow.cod = 0
+    with pytest.raises(AttributeError):
+        obj.label = "x"
+    twin = Arrow(arrow.id, arrow.dom, arrow.cod, arrow.label)
+    assert twin == arrow and hash(twin) == hash(arrow) and len({twin, arrow}) == 1
+    assert Arrow(arrow.id, arrow.dom, arrow.cod, "other") != arrow
+    assert Obj(obj.index, obj.label) == obj and hash(Obj(obj.index, obj.label)) == hash(obj)
+    # copies are rebuilt through the constructor, past the refused assignment
+    for frozen in (arrow, obj, cat):
+        assert copy.deepcopy(frozen) == frozen == pickle.loads(pickle.dumps(frozen))
     for x in range(len(cat.objects)):
         assert cat.arrows_from(x) == tuple(a.id for a in cat.arrows if a.dom == x)
         assert cat.arrows_to(x) == tuple(a.id for a in cat.arrows if a.cod == x)

@@ -186,7 +186,7 @@ def test_gh_symmetry_and_guard():
 
 
 def test_gh_rejects_a_matrix_that_breaks_the_triangle_inequality():
-    # the dataclass constructor skips the checks of from_matrix
+    # the plain constructor skips the checks of from_matrix
     bent = FiniteMetricSpace(
         ("a", "b", "c"),
         tuple(tuple(Fraction(v) for v in row) for row in ((0, 1, 5), (1, 0, 1), (5, 1, 0))),
