@@ -14,7 +14,7 @@ from bisect import bisect_right
 from .errors import Budget, PreconditionError
 from .fincat import FiniteCategory
 from .record import FrozenRecord, Record
-from .weight import Weight
+from .weight import INF, Weight
 from .weights import Metric1Space
 
 
@@ -80,12 +80,14 @@ def arrow_compose_sets(cat: FiniteCategory, e1: frozenset[int], e2: frozenset[in
 
     Mirrors the set-level composition; pairs that do not compose simply
     contribute nothing (the composition of generators with nothing in
-    common is the empty set, not an error).
+    common is the empty set, not an error).  The composites of f2 are read
+    off its row ``cat.after[f2]``; the table must cover every composable
+    pair.
     """
-    arrows, out_of, comp = cat.arrows, cat.adjacency.out, cat.composition
+    after = cat.after
     out = set()
     for f2 in e2:
-        out.update([comp[(f2, f1)] for f1 in out_of.get(arrows[f2].cod, ()) if f1 in e1])
+        out.update([h for f1, h in after[f2].items() if f1 in e1])
     return frozenset(out)
 
 
@@ -95,15 +97,16 @@ def arrow_star(cat: FiniteCategory, e: frozenset[int]) -> frozenset[int]:
     {psi : exists phi in e with phi after psi in e}.
 
     Only the neighbours of members are candidates: psi after phi needs
-    dom psi == cod phi, phi after psi needs cod psi == dom phi."""
-    arrows, adj, comp = cat.arrows, cat.adjacency, cat.composition
+    dom psi == cod phi, phi after psi needs cod psi == dom phi.  Both halves
+    read the rows `cat.after`: psi after phi is ``after[phi][psi]``, over
+    the row of phi, and phi after psi is ``after[psi][phi]``, for each psi
+    into dom phi.  The table must cover every composable pair."""
+    arrows, into, after = cat.arrows, cat.adjacency.into, cat.after
     out = set()
     for phi in e:
-        ph = arrows[phi]
-        out.update([psi for psi in adj.out.get(ph.cod, ())
-                    if psi not in out and comp[(phi, psi)] in e])
-        out.update([psi for psi in adj.into.get(ph.dom, ())
-                    if psi not in out and comp[(psi, phi)] in e])
+        out.update([psi for psi, h in after[phi].items() if psi not in out and h in e])
+        out.update([psi for psi in into.get(arrows[phi].dom, ())
+                    if psi not in out and after[psi][phi] in e])
     return frozenset(out)
 
 
@@ -264,18 +267,16 @@ def metrize(gens: CoarseGenerators) -> Metric1Space:
     cat = gens.category
     chain = metrize_chain(gens)
     final = chain[-1]
-    entered: dict[int, int] = {}
+    weights = [INF] * len(cat.arrows)
     seen: frozenset[int] = frozenset()
     for stage, members in enumerate(chain):
-        entered.update(dict.fromkeys(members - seen, stage))
+        weight = Weight(stage)  # one per stage: a Weight is immutable
+        for a in members - seen:
+            weights[a] = weight
         if members is final:
             break
         seen = members
-    weights = tuple(
-        Weight(entered[a.id]) if a.id in entered else Weight.infinite()
-        for a in cat.arrows
-    )
-    return Metric1Space(cat, weights)
+    return Metric1Space(cat, tuple(weights))
 
 
 def dominated_by(a: CoarseGenerators, b: CoarseGenerators) -> bool:

@@ -1,21 +1,24 @@
 """Finite categories, functors, and natural transformations as explicit tables.
 
 A category is stored as dense object/arrow lists, an identity assignment and
-a composition table keyed by composable pairs.  The stored order is
-diagrammatic: ``composition[(f, g)]`` is the arrow "g after f", rendered as
-g∘f.
+a composition table on composable pairs.  The stored order is diagrammatic:
+the composite of f then g is the arrow "g after f", rendered as g∘f.
 
-A category is frozen, and on first use it builds one adjacency index over
-its arrow tuple: the arrows out of and into each object and the hom-sets.
-The index depends on the arrows alone, so it never goes stale.  Every pair
-scan walks it: composable pairs are found as (f, each arrow out of cod f),
-never all m² pairs.  Beside it sits the row index `after`, derived from the
-composition table in one pass: ``after[f]`` maps each arrow g out of cod f,
-in arrow order, to g∘f, or to None where the table has no entry.  Full
-table scans (`validate_category`, `weights.validate_metric1`, the coverage
-check of `jsonio.space_from_json`) read these rows, not tuple keys.  Code
-that fills a table row by row, as `mapping.mapping_space` fills [X, Y],
-hands both indices over through `FiniteCategory.with_index`.  The
+The table has two forms.  The row index `after` maps each arrow f to a row
+holding each arrow g out of cod f, in arrow order, with g∘f, or None where
+the table has no entry.  The tuple-keyed dict `composition` holds
+``composition[(f, g)] = g∘f``.  A category built from a dict derives its
+rows from it in one pass on first use.  A category built from rows
+(`FiniteCategory.with_index`, as `jsonio.category_from_json` and
+`mapping.mapping_space` build theirs) derives the dict only when a reader
+asks for it; its entries on pairs that do not compose, which no row holds,
+sit in a side record.  The validators (`validate_category`,
+`validate_functor`, `weights.validate_metric1`), the coverage check of
+`jsonio.space_from_json` and metrization (`coarse`) read the rows alone.
+Beside the rows sits one adjacency index over the arrow tuple: the arrows
+out of and into each object and the hom-sets.  It depends on the arrows
+alone, so it never goes stale.  Every pair scan walks it: composable pairs
+are found as (f, each arrow out of cod f), never all m² pairs.  The
 structural errors (dangling ids, non-dense indices) are cached on first
 use too, so the validators of one category share one scan of the table.
 All validators stay exhaustive and list their findings in lexicographic
@@ -150,6 +153,7 @@ class FiniteCategory(FrozenRecord):
     ``__dict__``, past the frozen ``__setattr__``."""
 
     _fields = ("objects", "arrows", "identity", "composition")
+    _from_rows = False  # set by `with_index`
 
     def __init__(
         self,
@@ -171,15 +175,31 @@ class FiniteCategory(FrozenRecord):
 
     @classmethod
     def with_index(
-        cls, objects, arrows, identity, composition, adjacency: Adjacency,
-        after: list[dict[int, int | None]],
+        cls, objects, arrows, identity, adjacency: Adjacency,
+        after: list[dict[int, int | None]], stray: dict[tuple[int, int], int] | None = None,
     ) -> "FiniteCategory":
-        """A category whose `adjacency` and `after` were built together with
-        its table, so neither is rebuilt; the caller guarantees that both
-        are what the properties would derive."""
-        cat = cls(objects, arrows, identity, composition)
-        cat.__dict__.update(adjacency=adjacency, after=after)
+        """A category whose table is given as its rows `after`, built over
+        `adjacency`, with the entries on pairs that do not compose in the
+        side record `stray`.  The caller guarantees dense arrow ids, ids in
+        range throughout the table, and rows that are what the `after`
+        property would derive from the table.  The tuple-keyed
+        `composition` is derived only when a reader asks for it."""
+        cat = cls.__new__(cls)
+        cat.__dict__.update(objects=objects, arrows=arrows, identity=identity,
+                            adjacency=adjacency, after=after, _stray={} if stray is None else stray,
+                            _from_rows=True)
         return cat
+
+    @cached_property
+    def composition(self) -> dict[tuple[int, int], int]:
+        """The table keyed by pairs, for a category built from its rows
+        (`with_index`): derived on first read, the row entries in arrow
+        order and then the side record.  A category built from a dict keeps
+        that dict here."""
+        table = {(f, g): h for f, row in enumerate(self.after) for g, h in row.items()
+                 if h is not None}
+        table.update(self._stray)
+        return table
 
     @cached_property
     def adjacency(self) -> Adjacency:
@@ -206,6 +226,19 @@ class FiniteCategory(FrozenRecord):
             if g in row:
                 row[g] = h
         return rows
+
+    @cached_property
+    def _stray(self) -> dict[tuple[int, int], int]:
+        """The side record: table entries on pairs (f, g) with cod f !=
+        dom g, which no row holds.  Read only past the structural checks.
+        Every entry on a composable pair fills one slot of the rows, so a
+        table without stray entries has exactly as many entries as filled
+        slots, and only a table with more is scanned."""
+        comp = self.composition
+        if len(comp) == sum(len(row) - list(row.values()).count(None) for row in self.after):
+            return {}
+        arrows = self.arrows
+        return {(f, g): h for (f, g), h in comp.items() if arrows[f].cod != arrows[g].dom}
 
     def hom(self, x: int, y: int) -> tuple[int, ...]:
         return self.adjacency.hom.get((x, y), ())
@@ -251,6 +284,8 @@ class FiniteCategory(FrozenRecord):
         for x in self.identity:
             if not (0 <= x < n):
                 errs.append(f"identity table mentions missing object {x}")
+        if self._from_rows:
+            return tuple(errs)  # a table given as rows holds in-range ids only
         comp = self.composition
         ids = set(chain.from_iterable(comp))
         ids.update(comp.values())
@@ -288,15 +323,13 @@ def validate_category(cat: FiniteCategory) -> ValidationReport:
 
     # Past the structural checks, ids are dense (an id is its position) and
     # every id in the table is in range.  The rows hold every composable
-    # pair once, so a table without holes has a stray entry (one on a
-    # non-composable pair) exactly when it has more entries than the rows.
-    arrows, out_of, comp, after = cat.arrows, cat.adjacency.out, cat.composition, cat.after
+    # pair once; an entry on a non-composable pair sits in the side record.
+    arrows, out_of, after = cat.arrows, cat.adjacency.out, cat.after
     composites = [tuple(row.values()) for row in after]
-    if any(None in hs for hs in composites) or len(comp) > sum(map(len, composites)):
+    if any(None in hs for hs in composites) or cat._stray:
         stray: dict[int, list[int]] = {}  # f -> g for table entries with cod f != dom g
-        for f, g in comp:
-            if arrows[f].cod != arrows[g].dom:
-                stray.setdefault(f, []).append(g)
+        for f, g in cat._stray:
+            stray.setdefault(f, []).append(g)
         for f in arrows:
             following = out_of.get(f.cod, ())
             if f.id in stray:
@@ -349,17 +382,16 @@ def validate_category(cat: FiniteCategory) -> ValidationReport:
 def _pair_errors(cat: FiniteCategory, f: Arrow, following, out: list[str]) -> None:
     """Append the table findings of the pairs (f, g), g in `following`: an
     entry on a non-composable pair, a missing entry, or a composite with
-    the wrong endpoints."""
-    arrows, comp = cat.arrows, cat.composition
+    the wrong endpoints.  The composable pairs are read off the row of f."""
+    arrows, row = cat.arrows, cat.after[f.id]
     for gid in following:
         g = arrows[gid]
-        key = (f.id, gid)
         if f.cod != g.dom:
             out.append(f"composition table defined on non-composable pair ({f}, {g})")
-        elif key not in comp:
+        elif row[gid] is None:
             out.append(f"composable pair ({f}, {g}) missing from composition table")
         else:
-            h = arrows[comp[key]]
+            h = arrows[row[gid]]
             if h.dom != f.dom or h.cod != g.cod:
                 out.append(f"composite of ({f}, {g}) is {h}; endpoints must be {f.dom}->{g.cod}")
 
@@ -367,17 +399,28 @@ def _pair_errors(cat: FiniteCategory, f: Arrow, following, out: list[str]) -> No
 def generating_set(cat: FiniteCategory) -> list[int]:
     """Arrow ids that, with the identities, generate `cat` under composition.
 
-    The arrows are walked in id order; each one the closure of the earlier
-    generators and the identities does not hold becomes a generator, and
-    the closure grows by composing each new member with every held arrow on
-    both sides, read off the rows `cat.after`.  The table must be that of a
-    category that passed the endpoint checks."""
+    The non-identity arrows that are no composite of two non-identity
+    arrows come first, then the others, each group in id order: every
+    generating set holds the first group, so a chain gives its steps.  Each
+    arrow the closure of the earlier generators and the identities does not
+    hold becomes a generator, and the closure grows by composing each new
+    member with every held arrow on both sides, read off the rows
+    `cat.after`.  The table must be that of a category that passed the
+    endpoint and neutrality checks: the row of f holds f once as the
+    composite with the identity of cod f, and any further f is the
+    composite of two non-identity arrows."""
     arrows, into, after = cat.arrows, cat.adjacency.into, cat.after
     held = [False] * len(arrows)
     for i in cat.identity.values():
         held[i] = True
+    composite: set[int] = set()
+    for f, row in enumerate(after):
+        if not held[f]:
+            hs = [*row.values()]
+            hs.remove(f)  # the composite with the identity of cod f
+            composite.update(hs)
     found = []
-    for a in range(len(arrows)):
+    for a in sorted(range(len(arrows)), key=composite.__contains__):
         if held[a]:
             continue
         found.append(a)
@@ -478,11 +521,14 @@ def validate_functor(fun: Functor) -> ValidationReport:
     for x in range(len(src.objects)):
         if fun.arr_map[src.identity[x]] != dst.identity[fun.obj_map[x]]:
             out.append(f"identity of object {x} is not preserved")
-    for f, g in src.composable_pairs():
-        lhs = fun.arr_map[src.compose(f, g)]
-        rhs = dst.compose(fun.arr_map[f], fun.arr_map[g])
-        if lhs != rhs:
-            out.append(f"composition not preserved on pair ({f},{g}): {lhs} != {rhs}")
+    # the pairs (f, g) in lexicographic order, from the rows of both sides
+    arr_map, dst_after = fun.arr_map, dst.after
+    for f, row in zip(src.arrows, src.after):
+        image_row = dst_after[arr_map[f.id]]
+        for g, fg in row.items():
+            lhs, rhs = arr_map[fg], image_row[arr_map[g]]
+            if lhs != rhs:
+                out.append(f"composition not preserved on pair ({f.id},{g}): {lhs} != {rhs}")
     return report
 
 

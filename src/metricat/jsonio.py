@@ -28,7 +28,7 @@ import json
 from fractions import Fraction
 
 from .errors import InputFormatError
-from .fincat import Arrow, FiniteCategory, Functor, Obj
+from .fincat import Adjacency, Arrow, FiniteCategory, Functor, Obj
 from .metricspace import FiniteMetricSpace
 from .weight import Weight
 from .weights import BACKWARD, FORWARD, Metric1Space
@@ -76,8 +76,9 @@ def parse_index(value, what: str) -> int:
     """A non-negative integer: a JSON integer or a string of decimal digits."""
     if isinstance(value, str) and value.isdecimal():
         value = int(value)
-    _require(type(value) is int and value >= 0, f"{what} must be a non-negative integer, not {json.dumps(value)}")
-    return value
+    if type(value) is int and value >= 0:
+        return value
+    raise InputFormatError(f"{what} must be a non-negative integer, not {json.dumps(value)}")
 
 
 def _id(value, what: str) -> int:
@@ -128,6 +129,12 @@ def direction_from_json(data: dict) -> str:
 
 
 def category_from_json(data) -> FiniteCategory:
+    """A category, its 'compose' entries read straight into the rows
+    `FiniteCategory.after` in one pass.  An entry on a pair that does not
+    compose goes to the category's side record.  A table with a dangling
+    id, non-dense arrow ids or a pair named twice is read into the
+    tuple-keyed dict instead, so that its structural errors keep their
+    table order and a repeat is named as before."""
     json_object(data, "category", ("objects", "arrows", "identities", "compose"))
     try:
         objects = tuple(
@@ -141,7 +148,31 @@ def category_from_json(data) -> FiniteCategory:
         )
         identities = _index_table(data["identities"], "category 'identities'")
         entries = _list(data["compose"], "category 'compose'")
-        compose = {  # n³ entries for n objects, so `_id` is spelled out inline
+        m = len(arrows)
+        if all(a.id == i for i, a in enumerate(arrows)):
+            adjacency = Adjacency.of(arrows)
+            out = adjacency.out
+            rows = [dict.fromkeys(out.get(a.cod, ())) for a in arrows]
+            stray: dict[tuple[int, int], int] = {}
+            for f, g, h in entries:  # n³ entries for n objects, so `_id` is spelled out inline
+                if type(f) is not int or f < 0:
+                    f = parse_index(f, "compose entry")
+                if type(g) is not int or g < 0:
+                    g = parse_index(g, "compose entry")
+                if type(h) is not int or h < 0:
+                    h = parse_index(h, "compose entry")
+                if f < m and h < m:
+                    row = rows[f]
+                    if row.get(g, 0) is None:  # a composable pair, not yet filled
+                        row[g] = h
+                        continue
+                    if g not in row and g < m and (f, g) not in stray:
+                        stray[f, g] = h
+                        continue
+                break  # a dangling id or a repeated pair: read the dict below
+            else:
+                return FiniteCategory.with_index(objects, arrows, identities, adjacency, rows, stray)
+        compose = {
             (f if type(f) is int and f >= 0 else parse_index(f, "compose entry"),
              g if type(g) is int and g >= 0 else parse_index(g, "compose entry")):
                 h if type(h) is int and h >= 0 else parse_index(h, "compose entry")

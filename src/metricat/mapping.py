@@ -12,7 +12,8 @@ composites and the sup-of-component weights.  One budget bounds all of
 [X, Y]: the functor search, every transformation search, and the arrows
 and composition entries, charged before the table is filled.  The table is
 filled row by row through the target's row index (`FiniteCategory.after`),
-and [X, Y] takes its rows along, so its validators start from a ready index.
+and [X, Y] is built from its rows: its tuple-keyed table is derived only when
+a reader asks for it.
 """
 from __future__ import annotations
 
@@ -169,15 +170,13 @@ def mapping_space(
     for i, F in enumerate(funs):
         ident = identity_transformation(F).components
         identity[i] = key_to_id[(i, i, tuple(ident[x] for x in range(n)))]
-    # The row index `after` of [X, Y] and its table are built together and
-    # handed to the category.  Components compose pointwise through Y's
-    # rows: column x of arrow a is Y.after[a_x], which maps the component
-    # at x of each following arrow b to the composite component.  Every key
-    # belongs to an enumerated, validated transformation, so a found
-    # composite is natural.
+    # The row index `after` of [X, Y] is its table, handed to the category.
+    # Components compose pointwise through Y's rows: column x of arrow a is
+    # Y.after[a_x], which maps the component at x of each following arrow b
+    # to the composite component.  Every key belongs to an enumerated,
+    # validated transformation, so a found composite is natural.
     adjacency = Adjacency.of(arrs)
     out_of, y_after, getitem = adjacency.out, Y.category.after, dict.__getitem__
-    composition: dict[tuple[int, int], int] = {}
     after = []
     for a, row_a in enumerate(rows):
         i, j = arrow_meta[a]
@@ -189,8 +188,8 @@ def mapping_space(
                 raise TheoremViolation(
                     f"vertical composite of transformations {a} and {b} is not natural"
                 )
-            after_a[b] = composition[(a, b)] = c
+            after_a[b] = c
         after.append(after_a)
-    cat = FiniteCategory.with_index(objs, arrs, identity, composition, adjacency, after)
+    cat = FiniteCategory.with_index(objs, arrs, identity, adjacency, after)
     weights = tuple(nat_weight(t, Y) for t in transformations)
     return MappingSpace(Metric1Space(cat, weights), funs, transformations, X, Y)

@@ -31,23 +31,33 @@ class Weight:
 
     @classmethod
     def parse(cls, data) -> "Weight":
-        """Accept JSON forms: int, float, "3/2", "1.5", "inf"."""
+        """Accept JSON forms: int, float, "3/2", "1.5", "inf".  Each value
+        builds one ``Fraction``."""
         if isinstance(data, Weight):
             return data
         if isinstance(data, str):
             if data.strip().lower() in ("inf", "infinity"):
                 return cls(None)
-            return cls(Fraction(data))
+            return cls._exact(Fraction(data))
         if isinstance(data, bool):
             raise ValueError(f"not a weight: {data!r}")
         if isinstance(data, (int, Fraction)):
-            return cls(Fraction(data))
+            return cls._exact(Fraction(data))
         if isinstance(data, float):
             if data == float("inf"):
                 return cls(None)
             # exact binary value of the float, no rounding step
-            return cls(Fraction(data))
+            return cls._exact(Fraction(data))
         raise ValueError(f"not a weight: {data!r}")
+
+    @classmethod
+    def _exact(cls, v: Fraction) -> "Weight":
+        """The weight of a ``Fraction`` v, which is not copied."""
+        if v < 0:
+            raise ValueError(f"weights must be non-negative, got {v}")
+        w = object.__new__(cls)
+        w._v = v
+        return w
 
     @property
     def is_infinite(self) -> bool:
