@@ -20,7 +20,8 @@ class Weight:
         if value is None:
             self._v: Fraction | None = None
         else:
-            v = Fraction(value)
+            # a Fraction is immutable, so one is kept, not copied
+            v = value if type(value) is Fraction else Fraction(value)
             if v < 0:
                 raise ValueError(f"weights must be non-negative, got {v}")
             self._v = v
@@ -38,26 +39,17 @@ class Weight:
         if isinstance(data, str):
             if data.strip().lower() in ("inf", "infinity"):
                 return cls(None)
-            return cls._exact(Fraction(data))
+            return cls(Fraction(data))
         if isinstance(data, bool):
             raise ValueError(f"not a weight: {data!r}")
         if isinstance(data, (int, Fraction)):
-            return cls._exact(Fraction(data))
+            return cls(Fraction(data))
         if isinstance(data, float):
             if data == float("inf"):
                 return cls(None)
             # exact binary value of the float, no rounding step
-            return cls._exact(Fraction(data))
+            return cls(Fraction(data))
         raise ValueError(f"not a weight: {data!r}")
-
-    @classmethod
-    def _exact(cls, v: Fraction) -> "Weight":
-        """The weight of a ``Fraction`` v, which is not copied."""
-        if v < 0:
-            raise ValueError(f"weights must be non-negative, got {v}")
-        w = object.__new__(cls)
-        w._v = v
-        return w
 
     @property
     def is_infinite(self) -> bool:
