@@ -148,11 +148,9 @@ def category_from_json(data) -> FiniteCategory:
         )
         identities = _index_table(data["identities"], "category 'identities'")
         entries = _list(data["compose"], "category 'compose'")
-        m = len(arrows)
         if all(a.id == i for i, a in enumerate(arrows)):
-            adjacency = Adjacency.of(arrows)
-            out = adjacency.out
-            rows = [dict.fromkeys(out.get(a.cod, ())) for a in arrows]
+            m, adjacency = len(arrows), Adjacency.of(arrows)
+            rows = [dict.fromkeys(adjacency.out.get(a.cod, ())) for a in arrows]
             stray: dict[tuple[int, int], int] = {}
             for f, g, h in entries:  # n³ entries for n objects, so `_id` is spelled out inline
                 if type(f) is not int or f < 0:
