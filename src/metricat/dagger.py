@@ -62,12 +62,12 @@ def validate_dagger(space: Metric1Space, dag: Dagger) -> ValidationReport:
             out.append(f"involution fails at arrow {a.id}")
     if out:
         return report
-    for f, g in cat.composable_pairs():
-        # (g after f)^dagger == f^dagger after g^dagger
-        lhs = dag.apply(cat.compose(f, g))
-        rhs = cat.compose(dag.apply(g), dag.apply(f))
-        if lhs != rhs:
-            out.append(f"contravariance fails on pair ({f},{g})")
+    after, mapping = cat.after, dag.mapping
+    for f, row in enumerate(after):
+        for g, h in row.items():
+            # (g after f)^dagger == f^dagger after g^dagger
+            if mapping[h] != after[mapping[g]][mapping[f]]:
+                out.append(f"contravariance fails on pair ({f},{g})")
     return report
 
 
@@ -159,12 +159,13 @@ def enumerate_daggers(space: Metric1Space, guard: int | Budget | None = None) ->
 
         return candidates
 
-    table = cat.composition
+    after = cat.after
     checks = []
-    for f, g in cat.composable_pairs():
-        f, g, h = pos[f], pos[g], pos[table[(f, g)]]
-        # (g after f)^dagger == f^dagger after g^dagger
-        checks.append(((f, g, h), lambda v, f=f, g=g, h=h: table[(v[g], v[f])] == v[h]))
+    for f, row in enumerate(after):
+        for g, h in row.items():
+            fv, gv, hv = pos[f], pos[g], pos[h]  # the variables of f, g and g∘f
+            # (g after f)^dagger == f^dagger after g^dagger
+            checks.append(((fv, gv, hv), lambda v, f=fv, g=gv, h=hv: after[v[g]][v[f]] == v[h]))
 
     found = []
     for values in backtrack([domain(a) for a in order], checks, guard, "dagger search"):

@@ -4,17 +4,16 @@ A category is stored as dense object/arrow lists, an identity assignment and
 a composition table on composable pairs.  The stored order is diagrammatic:
 the composite of f then g is the arrow "g after f", rendered as g∘f.
 
-The table has two forms.  The row index `after` maps each arrow f to a row
-holding each arrow g out of cod f, in arrow order, with g∘f, or None where
-the table has no entry.  The tuple-keyed dict `composition` holds
-``composition[(f, g)] = g∘f``.  A category built from a dict derives its
-rows from it in one pass on first use.  A category built from rows
-(`FiniteCategory.with_index`, as `jsonio.category_from_json` and
-`mapping.mapping_space` build theirs) derives the dict only when a reader
-asks for it; its entries on pairs that do not compose, which no row holds,
-sit in a side record.  The validators (`validate_category`,
-`validate_functor`, `weights.validate_metric1`), the coverage check of
-`jsonio.space_from_json` and metrization (`coarse`) read the rows alone.
+The table has one form, its rows.  The row index `after` maps each arrow f
+to a row holding each arrow g out of cod f, in arrow order, with g∘f, or
+None where the table has no entry.  The entries no row can hold (on pairs
+that do not compose, or naming an id outside the arrows) sit in a side
+record, in table order.  `FiniteCategory.from_triples` reads a table given
+as (f, g, h) triples into both in one pass; `jsonio.category_from_json` and
+`build_category` build through it, while `indiscrete`, `opposite` and the
+mapping-space and geometry constructors build their rows directly.  Every
+reader in the library reads the rows; the tuple-keyed ``composition[(f, g)]
+= g∘f`` is a read-only view derived on first read, for readers outside it.
 Beside the rows sits one adjacency index over the arrow tuple: the arrows
 out of and into each object and the hom-sets.  It depends on the arrows
 alone, so it never goes stale.  Every pair scan walks it: composable pairs
@@ -42,7 +41,7 @@ nodes charged to the caller's `errors.Budget`.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain
+from types import MappingProxyType
 
 from .errors import Budget, TheoremViolation
 from .record import FrozenRecord, Record
@@ -147,98 +146,86 @@ class Adjacency(FrozenRecord):
 
 
 class FiniteCategory(FrozenRecord):
-    """Objects, arrows, identities, and a total table on composable pairs.
+    """Objects, arrows, identities, and a composition table kept as rows.
+
+    ``after[i]`` maps each arrow g out of the codomain of ``arrows[i]``, in
+    arrow order, to the composite g∘f of f = ``arrows[i]``, or to None where
+    the table has no entry; every id in a row is an arrow's position.  The
+    side record `side` holds, in table order, the entries no row can hold:
+    those on pairs that do not compose and those naming an id outside the
+    arrows (all of them when the arrow ids are not their positions).
 
     No ``__slots__``: the ``cached_property`` indices live in the instance
     ``__dict__``, past the frozen ``__setattr__``."""
 
-    _fields = ("objects", "arrows", "identity", "composition")
-    _from_rows = False  # set by `with_index`
+    _fields = ("objects", "arrows", "identity", "after", "side")
 
     def __init__(
         self,
         objects: tuple[Obj, ...],
         arrows: tuple[Arrow, ...],
         identity: dict[int, int],  # object index -> identity arrow id
-        composition: dict[tuple[int, int], int],  # (f, g) -> "g after f"
+        after: list[dict[int, int | None]],  # after[f][g] = g∘f
+        side: dict[tuple[int, int], int],  # (f, g) -> "g after f", off the rows
     ):
         self.__dict__.update(objects=objects, arrows=arrows, identity=identity,
-                             composition=composition)
+                             after=after, side=side)
+
+    @classmethod
+    def from_triples(cls, objects, arrows, identity, triples) -> "FiniteCategory":
+        """The category whose table holds h = g∘f for each (f, g, h) of
+        `triples`, read in one pass into the rows and the side record.
+        Raises ValueError on an id that is not a non-negative int, and on
+        a pair given twice."""
+        cat = cls(objects, arrows, identity, [], {})
+        # the rows are filled through the category's own adjacency index
+        out, rows, side = cat.adjacency.out, cat.after, cat.side
+        rows += [dict.fromkeys(out.get(a.cod, ())) for a in arrows]
+        # ids below m fill the rows, by position; with arrow ids that are not
+        # their positions, m is 0 and the whole table goes to the side record
+        m = len(arrows) if all(a.id == i for i, a in enumerate(arrows)) else 0
+        for f, g, h in triples:
+            if (type(f) is not int or type(g) is not int or type(h) is not int
+                    or f < 0 or g < 0 or h < 0):
+                raise ValueError(f"composition entry {[f, g, h]} holds a non-index id")
+            if f < m and h < m:
+                row = rows[f]
+                if row.get(g, 0) is None and not (side and (f, g) in side):
+                    row[g] = h  # a composable pair, not yet filled
+                    continue
+            # a repeat is in the side record already, or fills its row slot
+            if (f, g) in side or (f < m and rows[f].get(g) is not None):
+                raise ValueError(f"composition table names the pair {(f, g)} twice")
+            side[f, g] = h
+        return cat
 
     def compose(self, first: int, second: int) -> int:
-        """Arrow id of "second after first" (second∘first)."""
-        return self.composition[(first, second)]
+        """Arrow id of "second after first" (second∘first).  Raises KeyError
+        on a pair that does not compose or has no entry in the rows."""
+        after = self.after
+        h = after[first].get(second) if 0 <= first < len(after) else None
+        if h is None:
+            raise KeyError((first, second))
+        return h
 
     def is_identity(self, aid: int) -> bool:
         a = self.arrows[aid]
         return a.dom == a.cod and self.identity.get(a.dom) == aid
 
-    @classmethod
-    def with_index(
-        cls, objects, arrows, identity, adjacency: Adjacency,
-        after: list[dict[int, int | None]], stray: dict[tuple[int, int], int] | None = None,
-    ) -> "FiniteCategory":
-        """A category whose table is given as its rows `after`, built over
-        `adjacency`, with the entries on pairs that do not compose in the
-        side record `stray`.  The caller guarantees dense arrow ids, ids in
-        range throughout the table, and rows that are what the `after`
-        property would derive from the table.  The tuple-keyed
-        `composition` is derived only when a reader asks for it."""
-        cat = cls.__new__(cls)
-        cat.__dict__.update(objects=objects, arrows=arrows, identity=identity,
-                            adjacency=adjacency, after=after, _stray={} if stray is None else stray,
-                            _from_rows=True)
-        return cat
-
     @cached_property
-    def composition(self) -> dict[tuple[int, int], int]:
-        """The table keyed by pairs, for a category built from its rows
-        (`with_index`): derived on first read, the row entries in arrow
-        order and then the side record.  A category built from a dict keeps
-        that dict here."""
+    def composition(self) -> MappingProxyType:
+        """The table keyed by pairs, ``composition[(f, g)] = g∘f``: a
+        read-only view derived on first read, the row entries in arrow
+        order and then the side record.  The library reads the rows."""
         table = {(f, g): h for f, row in enumerate(self.after) for g, h in row.items()
                  if h is not None}
-        table.update(self._stray)
-        return table
+        table.update(self.side)
+        return MappingProxyType(table)
 
     @cached_property
     def adjacency(self) -> Adjacency:
         """Built on first use."""
         return Adjacency.of(self.arrows)
-
-    @cached_property
-    def after(self) -> list[dict[int, int | None]]:
-        """Row i maps each arrow g out of the codomain of ``arrows[i]``, in
-        arrow order, to the composite g∘f of f = ``arrows[i]``, or to None
-        where the table has no entry.  With dense, in-range ids (no
-        structural errors) the rows are filled in one pass over the table;
-        otherwise each pair is looked up by the arrow's id."""
-        out = self.adjacency.out
-        rows = [dict.fromkeys(out.get(a.cod, ())) for a in self.arrows]
-        comp = self.composition
-        if self._structural_errors:
-            for a, row in zip(self.arrows, rows):
-                for g in row:
-                    row[g] = comp.get((a.id, g))
-            return rows
-        for (f, g), h in comp.items():
-            row = rows[f]
-            if g in row:
-                row[g] = h
-        return rows
-
-    @cached_property
-    def _stray(self) -> dict[tuple[int, int], int]:
-        """The side record: table entries on pairs (f, g) with cod f !=
-        dom g, which no row holds.  Read only past the structural checks.
-        Every entry on a composable pair fills one slot of the rows, so a
-        table without stray entries has exactly as many entries as filled
-        slots, and only a table with more is scanned."""
-        comp = self.composition
-        if len(comp) == sum(len(row) - list(row.values()).count(None) for row in self.after):
-            return {}
-        arrows = self.arrows
-        return {(f, g): h for (f, g), h in comp.items() if arrows[f].cod != arrows[g].dom}
 
     def hom(self, x: int, y: int) -> tuple[int, ...]:
         return self.adjacency.hom.get((x, y), ())
@@ -284,18 +271,12 @@ class FiniteCategory(FrozenRecord):
         for x in self.identity:
             if not (0 <= x < n):
                 errs.append(f"identity table mentions missing object {x}")
-        if self._from_rows:
-            return tuple(errs)  # a table given as rows holds in-range ids only
-        comp = self.composition
-        ids = set(chain.from_iterable(comp))
-        ids.update(comp.values())
-        if ids and (min(ids) < 0 or max(ids) >= m):
-            # some id dangles: name each entry holding one, in table order
-            for (f, g), h in comp.items():
-                for aid in (f, g, h):
-                    if not (0 <= aid < m):
-                        errs.append(f"composition entry ({f},{g})->{h} has dangling arrow id {aid}")
-                        break
+        # a row holds in-range ids only: the dangling ones sit in the side record
+        for (f, g), h in self.side.items():
+            for aid in (f, g, h):
+                if not (0 <= aid < m):
+                    errs.append(f"composition entry ({f},{g})->{h} has dangling arrow id {aid}")
+                    break
         return tuple(errs)
 
 
@@ -326,9 +307,9 @@ def validate_category(cat: FiniteCategory) -> ValidationReport:
     # pair once; an entry on a non-composable pair sits in the side record.
     arrows, out_of, after = cat.arrows, cat.adjacency.out, cat.after
     composites = [tuple(row.values()) for row in after]
-    if any(None in hs for hs in composites) or cat._stray:
+    if any(None in hs for hs in composites) or cat.side:
         stray: dict[int, list[int]] = {}  # f -> g for table entries with cod f != dom g
-        for f, g in cat._stray:
+        for f, g in cat.side:
             stray.setdefault(f, []).append(g)
         for f in arrows:
             following = out_of.get(f.cod, ())
@@ -447,10 +428,9 @@ def indiscrete(n: int, labels: list[str] | None = None) -> FiniteCategory:
     # the arrow x -> y has id x * n + y
     arrows = tuple(Arrow(x * n + y, x, y) for x in range(n) for y in range(n))
     identity = {x: x * n + x for x in range(n)}
-    composition = {
-        (x * n + y, y * n + z): x * n + z for x in range(n) for y in range(n) for z in range(n)
-    }
-    return FiniteCategory(objects, arrows, identity, composition)
+    # the row of x -> y maps each y -> z to x -> z
+    after = [{y * n + z: x * n + z for z in range(n)} for x in range(n) for y in range(n)]
+    return FiniteCategory(objects, arrows, identity, after, {})
 
 
 def terminal_category() -> FiniteCategory:
@@ -460,10 +440,17 @@ def terminal_category() -> FiniteCategory:
 def opposite(cat: FiniteCategory) -> FiniteCategory:
     """Reverse every arrow.  Arrow ids are preserved, so data indexed by id
     (weights, sequences) transfers between a category and its opposite
-    verbatim; the composition table transposes."""
+    verbatim; the rows and the side record transpose: g∘f in the row of
+    f becomes f∘g in the row of g, whose keys are the arrows into dom g."""
     arrows = tuple(Arrow(a.id, a.cod, a.dom, a.label) for a in cat.arrows)
-    composition = {(g, f): h for (f, g), h in cat.composition.items()}
-    return FiniteCategory(cat.objects, arrows, dict(cat.identity), composition)
+    into = cat.adjacency.into
+    after = [dict.fromkeys(into.get(a.dom, ())) for a in cat.arrows]
+    for f, row in enumerate(cat.after):
+        for g, h in row.items():
+            if h is not None:
+                after[g][f] = h
+    side = {(g, f): h for (f, g), h in cat.side.items()}
+    return FiniteCategory(cat.objects, arrows, dict(cat.identity), after, side)
 
 
 def opposite_functor(fun: Functor) -> Functor:
@@ -630,11 +617,11 @@ def validate_transformation(t: NatTransformation) -> ValidationReport:
             )
     if report.fatal:
         return report
-    table, comps, f_map, g_map = dst.composition, t.components, t.F.arr_map, t.G.arr_map
+    after, comps, f_map, g_map = dst.after, t.components, t.F.arr_map, t.G.arr_map
     for a in src.arrows:
         # naturality square: G(a) after component(dom) == component(cod) after F(a)
-        left = table[(comps[a.dom], g_map[a.id])]
-        right = table[(f_map[a.id], comps[a.cod])]
+        left = after[comps[a.dom]][g_map[a.id]]
+        right = after[f_map[a.id]][comps[a.cod]]
         if left != right:
             report.violations.append(f"naturality square fails at arrow {a.id}")
     return report
@@ -670,7 +657,8 @@ def build_category(
     ``arrows`` lists non-identity arrows as (dom, cod[, label]); identity
     arrows are created first (arrow id i is id of object i) unless an
     explicit identity table is supplied.  ``compose_pairs`` only needs the
-    non-forced entries; identity compositions are filled in automatically.
+    non-forced entries; identity compositions are filled in automatically,
+    and the whole table is read into rows by `FiniteCategory.from_triples`.
     """
     if isinstance(objects, int):
         obj_labels: list[str | None] = [None] * objects
@@ -694,4 +682,5 @@ def build_category(
     for a in arrs:
         comp.setdefault((identity[a.dom], a.id), a.id)
         comp.setdefault((a.id, identity[a.cod]), a.id)
-    return FiniteCategory(objs, arrs, identity, comp)
+    triples = [(f, g, h) for (f, g), h in comp.items()]
+    return FiniteCategory.from_triples(objs, arrs, identity, triples)

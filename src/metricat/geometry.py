@@ -133,14 +133,14 @@ class BiLipSlice(Record):
         for x, ida in cat.identity.items():
             if self.factor[ida] != 1:
                 report.violations.append(f"identity at object {x} has factor {self.factor[ida]}")
-        for f, g in cat.composable_pairs():
-            cf, cg = self.factor[f], self.factor[g]
-            cc = self.factor[cat.compose(f, g)]
-            if cc > cf * cg or cc < max(cf / cg, cg / cf):
-                report.violations.append(
-                    f"multiplicative triangle fails on ({f},{g}): "
-                    f"{max(cf / cg, cg / cf)} <= {cc} <= {cf * cg}"
-                )
+        for f, row in enumerate(cat.after):
+            for g, h in row.items():
+                cf, cg, cc = self.factor[f], self.factor[g], self.factor[h]
+                if cc > cf * cg or cc < max(cf / cg, cg / cf):
+                    report.violations.append(
+                        f"multiplicative triangle fails on ({f},{g}): "
+                        f"{max(cf / cg, cg / cf)} <= {cc} <= {cf * cg}"
+                    )
         return report
 
     def lawvere_factor(self, i: int, j: int) -> Fraction | None:
@@ -192,14 +192,15 @@ def bilip_slice(spaces: list[FiniteMetricSpace], guard: int | Budget | None = No
     identity = {
         i: index[(i, i, tuple(range(len(spaces[i].points))))] for i in range(len(spaces))
     }
-    composition = {}
+    cat = FiniteCategory(objs, tuple(arrows), identity, [], {})
+    out = cat.adjacency.out
     for f_id, (i, j) in enumerate(arrow_space):
-        for g_id, (j2, k) in enumerate(arrow_space):
-            if j != j2:
-                continue
-            perm = tuple(arrow_perm[g_id][p] for p in arrow_perm[f_id])
-            composition[(f_id, g_id)] = index[(i, k, perm)]
-    cat = FiniteCategory(objs, tuple(arrows), identity, composition)
+        # the row of f: each bijection g out of space j, to g∘f
+        perm = arrow_perm[f_id]
+        cat.after.append({
+            g: index[(i, arrow_space[g][1], tuple(arrow_perm[g][p] for p in perm))]
+            for g in out.get(j, ())
+        })
     factors = tuple(
         bilip_constant(BiLipMap(spaces[s], spaces[t], arrow_perm[aid]))
         for aid, (s, t) in enumerate(arrow_space)
@@ -607,12 +608,10 @@ def try_bimetric_space(
                 arrows.append(Arrow(aid, x, y, f"{sign}1_{x}{y}"))
     objs = tuple(Obj(i) for i in range(n))
     identity = {x: ids[(1, x, x)] for x in range(n)}
-    composition = {}
-    for (s1, x, y), f in ids.items():
-        for (s2, y2, z), g in ids.items():
-            if y == y2:
-                composition[(f, g)] = ids[(s1 * s2, x, z)]
-    cat = FiniteCategory(objs, tuple(arrows), identity, composition)
+    # the row of the arrow (s1, x, y) maps each (s2, y, z) to (s1 * s2, x, z)
+    after = [{ids[(s2, y, z)]: ids[(s1 * s2, x, z)] for z in range(n) for s2 in signs}
+             for (s1, x, y) in ids]
+    cat = FiniteCategory(objs, tuple(arrows), identity, after, {})
 
     def weight_of(s: int, x: int, y: int) -> Weight:
         if x == y:

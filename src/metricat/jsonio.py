@@ -28,7 +28,7 @@ import json
 from fractions import Fraction
 
 from .errors import InputFormatError
-from .fincat import Adjacency, Arrow, FiniteCategory, Functor, Obj
+from .fincat import Arrow, FiniteCategory, Functor, Obj
 from .metricspace import FiniteMetricSpace
 from .weight import Weight
 from .weights import BACKWARD, FORWARD, Metric1Space
@@ -129,12 +129,11 @@ def direction_from_json(data: dict) -> str:
 
 
 def category_from_json(data) -> FiniteCategory:
-    """A category, its 'compose' entries read straight into the rows
-    `FiniteCategory.after` in one pass.  An entry on a pair that does not
-    compose goes to the category's side record.  A table with a dangling
-    id, non-dense arrow ids or a pair named twice is read into the
-    tuple-keyed dict instead, so that its structural errors keep their
-    table order and a repeat is named as before."""
+    """A category, its 'compose' entries read straight into its rows and
+    side record by `FiniteCategory.from_triples`, in one pass.  When that
+    refuses an id that is not a JSON integer, or a pair named twice, every
+    entry is parsed first, so that the first bad id or the first repeat is
+    named, and ids written as digit strings are read."""
     json_object(data, "category", ("objects", "arrows", "identities", "compose"))
     try:
         objects = tuple(
@@ -148,38 +147,16 @@ def category_from_json(data) -> FiniteCategory:
         )
         identities = _index_table(data["identities"], "category 'identities'")
         entries = _list(data["compose"], "category 'compose'")
-        if all(a.id == i for i, a in enumerate(arrows)):
-            m, adjacency = len(arrows), Adjacency.of(arrows)
-            rows = [dict.fromkeys(adjacency.out.get(a.cod, ())) for a in arrows]
-            stray: dict[tuple[int, int], int] = {}
-            for f, g, h in entries:  # n³ entries for n objects, so `_id` is spelled out inline
-                if type(f) is not int or f < 0:
-                    f = parse_index(f, "compose entry")
-                if type(g) is not int or g < 0:
-                    g = parse_index(g, "compose entry")
-                if type(h) is not int or h < 0:
-                    h = parse_index(h, "compose entry")
-                if f < m and h < m:
-                    row = rows[f]
-                    if row.get(g, 0) is None:  # a composable pair, not yet filled
-                        row[g] = h
-                        continue
-                    if g not in row and g < m and (f, g) not in stray:
-                        stray[f, g] = h
-                        continue
-                break  # a dangling id or a repeated pair: read the dict below
-            else:
-                return FiniteCategory.with_index(objects, arrows, identities, adjacency, rows, stray)
-        compose = {
-            (f if type(f) is int and f >= 0 else parse_index(f, "compose entry"),
-             g if type(g) is int and g >= 0 else parse_index(g, "compose entry")):
-                h if type(h) is int and h >= 0 else parse_index(h, "compose entry")
-            for f, g, h in entries
-        }
-        _no_repeats(compose, entries, lambda e: (int(e[0]), int(e[1])), "category 'compose' pair")
+        try:
+            return FiniteCategory.from_triples(objects, arrows, identities, entries)
+        except ValueError:
+            triples = [(_id(f, "compose entry"), _id(g, "compose entry"), _id(h, "compose entry"))
+                       for f, g, h in entries]
+            _no_repeats({(f, g) for f, g, _ in triples}, entries,
+                        lambda e: (int(e[0]), int(e[1])), "category 'compose' pair")
+            return FiniteCategory.from_triples(objects, arrows, identities, triples)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"malformed category tables: {exc}") from exc
-    return FiniteCategory(objects, arrows, identities, compose)
 
 
 def category_to_json(cat: FiniteCategory) -> dict:
@@ -198,21 +175,26 @@ def category_to_json(cat: FiniteCategory) -> dict:
             for a in cat.arrows
         ],
         "identities": {str(k): v for k, v in sorted(cat.identity.items())},
-        "compose": [[f, g, h] for (f, g), h in sorted(cat.composition.items())],
+        "compose": sorted([[f, g, h] for f, row in enumerate(cat.after)
+                           for g, h in row.items() if h is not None]
+                          + [[f, g, h] for (f, g), h in cat.side.items()]),
     }
 
 
 def space_from_json(data) -> Metric1Space:
     """A weighted category.  Its composition table must cover every
-    composable pair, because every weight check reads the composite."""
+    composable pair, because every weight check reads the composite; a
+    category with structural errors is left to the validators, which
+    report those first."""
     json_object(data, "weighted category", ("category", "weights"))
     cat = category_from_json(data["category"])
-    for f, row in zip(cat.arrows, cat.after):
-        if None in row.values():
-            g = next(g for g, h in row.items() if h is None)
-            raise InputFormatError(
-                f"composition table has no entry for the composable pair ({f.id}, {g})"
-            )
+    if not cat.structural_errors():
+        for f, row in zip(cat.arrows, cat.after):
+            if None in row.values():
+                g = next(g for g, h in row.items() if h is None)
+                raise InputFormatError(
+                    f"composition table has no entry for the composable pair ({f.id}, {g})"
+                )
     table = json_object(data["weights"], "'weights'")
     try:
         weights = {parse_index(k, "weights key"): Weight.parse(v) for k, v in table.items()}

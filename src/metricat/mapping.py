@@ -10,10 +10,10 @@ continuous functors (on finite spaces the forward, backward and uniform
 notions agree), all natural transformations between them, their pointwise
 composites and the sup-of-component weights.  One budget bounds all of
 [X, Y]: the functor search, every transformation search, and the arrows
-and composition entries, charged before the table is filled.  The table is
-filled row by row through the target's row index (`FiniteCategory.after`),
-and [X, Y] is built from its rows: its tuple-keyed table is derived only when
-a reader asks for it.
+and composition entries, charged before the table is filled.  Every check
+reads the rows (`FiniteCategory.after`) of the categories involved, and the
+table of [X, Y] is filled row by row through the target's rows: [X, Y] is
+built as rows, and no step derives a tuple-keyed table.
 """
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ from collections import Counter
 
 from .errors import Budget, TheoremViolation
 from .fincat import (
-    Adjacency,
     Arrow,
     FiniteCategory,
     Functor,
@@ -59,11 +58,12 @@ def enumerate_functors(
             domains.append(lambda values, x=forced[a.id]: (target.identity[values[x]],))
         else:
             domains.append(lambda values, x=a.dom, y=a.cod: target.hom(values[x], values[y]))
-    table = target.composition
+    after = target.after
     checks = []
-    for f, g in source.composable_pairs():
-        f, g, h = n + f, n + g, n + source.compose(f, g)
-        checks.append(((f, g, h), lambda v, f=f, g=g, h=h: table[(v[f], v[g])] == v[h]))
+    for f, row in enumerate(source.after):
+        for g, h in row.items():
+            fv, gv, hv = n + f, n + g, n + h  # the variables of f, g and g∘f
+            checks.append(((fv, gv, hv), lambda v, f=fv, g=gv, h=hv: after[v[f]][v[g]] == v[h]))
     return [
         Functor(source, target, dict(enumerate(values[:n])), dict(enumerate(values[n:])))
         for values in backtrack(domains, checks, guard, "functor enumeration")
@@ -79,11 +79,11 @@ def naturality_search(F: Functor, G: Functor):
         lambda values, fx=F.obj_map[x], gx=G.obj_map[x]: dst.hom(fx, gx)
         for x in range(len(F.source.objects))
     ]
-    table = dst.composition
+    after = dst.after
     checks = [
         ((a.dom, a.cod),
          lambda v, x=a.dom, y=a.cod, fa=F.arr_map[a.id], ga=G.arr_map[a.id]:
-             table[(v[x], ga)] == table[(fa, v[y])])
+             after[v[x]][ga] == after[fa][v[y]])
         for a in F.source.arrows
     ]
     return domains, checks
@@ -170,14 +170,15 @@ def mapping_space(
     for i, F in enumerate(funs):
         ident = identity_transformation(F).components
         identity[i] = key_to_id[(i, i, tuple(ident[x] for x in range(n)))]
-    # The row index `after` of [X, Y] is its table, handed to the category.
-    # Components compose pointwise through Y's rows: column x of arrow a is
-    # Y.after[a_x], which maps the component at x of each following arrow b
-    # to the composite component.  Every key belongs to an enumerated,
-    # validated transformation, so a found composite is natural.
-    adjacency = Adjacency.of(arrs)
-    out_of, y_after, getitem = adjacency.out, Y.category.after, dict.__getitem__
-    after = []
+    # The rows `after` of [X, Y] are its table, filled through the new
+    # category's adjacency index.  Components compose pointwise through Y's
+    # rows: column x of arrow a is Y.after[a_x], which maps the component at
+    # x of each following arrow b to the composite component.  Every key
+    # belongs to an enumerated, validated transformation, so a found
+    # composite is natural.
+    cat = FiniteCategory(objs, arrs, identity, [], {})
+    out_of, after = cat.adjacency.out, cat.after
+    y_after, getitem = Y.category.after, dict.__getitem__
     for a, row_a in enumerate(rows):
         i, j = arrow_meta[a]
         cols = [y_after[c] for c in row_a]
@@ -190,6 +191,5 @@ def mapping_space(
                 )
             after_a[b] = c
         after.append(after_a)
-    cat = FiniteCategory.with_index(objs, arrs, identity, adjacency, after)
     weights = tuple(nat_weight(t, Y) for t in transformations)
     return MappingSpace(Metric1Space(cat, weights), funs, transformations, X, Y)

@@ -311,6 +311,23 @@ def test_incomplete_composition_table(tmp_path, capsys):
     assert len(data["category"]) == 1 and "missing from composition table" in data["category"][0]
 
 
+def test_non_dense_arrow_ids_in_a_weighted_document_are_reported_as_such(tmp_path, capsys):
+    # the coverage check of a weighted document runs only on a well-formed
+    # category: this one used to end in exit 2 naming a "missing" pair (1, 6)
+    payload = jsonio.space_to_json(support.chain_space([1, 1]))
+    payload["category"]["arrows"][5]["id"] = 6
+    path = write(tmp_path, "nondense.json", payload)
+    defect = "arrow at position 5 has id 6; ids must be dense"
+    assert main(["--format", "json", "validate", path]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "category": [defect], "metric": [defect], "ok": False}
+    assert main(["--format", "json", "lawvere", path]) == 1
+    assert json.loads(capsys.readouterr().out) == {"error": [defect]}
+    limits = write(tmp_path, "limits.json", {"space": payload})
+    assert main(["--format", "json", "limits", limits]) == 2
+    assert capsys.readouterr().err == f"input error: space category is malformed: {defect}\n"
+
+
 def test_validate_reports_an_associativity_failure(tmp_path, capsys):
     # endpoints and identities are right, but 1∘1 is moved from 2 to 3 in Z/5
     cat = cyclic_with_composite_middle()

@@ -55,7 +55,8 @@ def _assoc_counterexample() -> FiniteCategory:
     comp[(1, 2)] = 0
     comp[(2, 1)] = 1
     comp[(2, 2)] = 2
-    return FiniteCategory(objs, arrows, {0: 0}, comp)
+    return FiniteCategory.from_triples(objs, arrows, {0: 0},
+                                       [(f, g, h) for (f, g), h in comp.items()])
 
 
 def test_associativity_violation_found_by_brute_force_and_validator():
@@ -76,13 +77,14 @@ def test_associativity_violation_found_by_brute_force_and_validator():
 
 
 def test_structural_malformation_is_fatal_and_skips_axioms():
-    cat = FiniteCategory((Obj(0),), (Arrow(0, 0, 5),), {0: 0}, {})
+    cat = FiniteCategory.from_triples((Obj(0),), (Arrow(0, 0, 5),), {0: 0}, [])
     report = validate_category(cat)
     assert report.fatal and not report.violations
 
 
 def test_structural_errors_are_cached_and_returned_as_fresh_lists():
-    cat = FiniteCategory((Obj(0),), (Arrow(0, 0, 5), Arrow(7, 0, 0)), {0: 0}, {(0, 9): 0})
+    arrows = (Arrow(0, 0, 5), Arrow(7, 0, 0))
+    cat = FiniteCategory.from_triples((Obj(0),), arrows, {0: 0}, [(0, 9, 0)])
     first, second = cat.structural_errors(), cat.structural_errors()
     assert first == second and len(first) == 3
     assert first is not second

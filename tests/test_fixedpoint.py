@@ -11,6 +11,7 @@ from metricat import (
     build_category,
     identity_functor,
     identity_transformation,
+    validate_category,
     validate_functor,
     validate_transformation,
 )
@@ -128,9 +129,11 @@ def test_epi_mono_examples():
         assert is_epimorphism(cat, a.id)
         assert is_monomorphism(cat, a.id)
 
-    # collapse fixture: f equalizes two distinct parallel arrows
+    # collapse fixture: f equalizes two distinct parallel arrows, both
+    # composites being the arrow 6 = g1∘f = g2∘f
     comp = {(3, 4): 6, (3, 5): 6}
-    cat2 = build_category(3, [(0, 1, "f"), (1, 2, "g1"), (1, 2, "g2")], comp)
+    cat2 = build_category(3, [(0, 1, "f"), (1, 2, "g1"), (1, 2, "g2"), (0, 2, "gf")], comp)
+    assert validate_category(cat2).ok
     # brute-force oracle over all parallel pairs out of cod f
     f = 3
     pairs = [

@@ -16,7 +16,7 @@ and defects of neutrality.  The generating set itself is compared with a
 closure computed by rescanning every composable pair.  The row index those
 checks read is compared with a lookup of each composable pair, holes of
 broken tables included, and the rows that [X, Y] is built with are compared
-with the rows a fresh category derives from the same tables.
+with the rows a fresh category reads from the same tables.
 
 The metrization chain, which stops once it can no longer change, is
 compared with the stage-by-stage loop it replaced (kept verbatim), which
@@ -312,7 +312,8 @@ def ref_backward_natural_contractions(space, fun):
 # --- seeded inputs ----------------------------------------------------------------
 
 def with_table(cat, table) -> FiniteCategory:
-    return FiniteCategory(cat.objects, cat.arrows, dict(cat.identity), table)
+    triples = [(f, g, h) for (f, g), h in table.items()]
+    return FiniteCategory.from_triples(cat.objects, cat.arrows, dict(cat.identity), triples)
 
 
 def random_weight(rng):
@@ -372,9 +373,9 @@ def broken_tables(rng, cat):
 def non_associative():
     # one object, arrows {id, a, b}: a*a = b, a*b = id, b*a = a, b*b = b
     arrows = (Arrow(0, 0, 0, "id"), Arrow(1, 0, 0, "a"), Arrow(2, 0, 0, "b"))
-    comp = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (0, 2): 2, (2, 0): 2,
-            (1, 1): 2, (1, 2): 0, (2, 1): 1, (2, 2): 2}
-    return FiniteCategory(indiscrete(1).objects, arrows, {0: 0}, comp)
+    comp = [(0, 0, 0), (0, 1, 1), (1, 0, 1), (0, 2, 2), (2, 0, 2),
+            (1, 1, 2), (1, 2, 0), (2, 1, 1), (2, 2, 2)]
+    return FiniteCategory.from_triples(indiscrete(1).objects, arrows, {0: 0}, comp)
 
 
 def cases(seed: int):
@@ -390,8 +391,8 @@ def cases(seed: int):
         for kind, cat in broken_tables(rng, space.category):
             out.append((f"space {i} {kind}", Metric1Space(cat, space.w)))
     out.append(("non-associative", Metric1Space(non_associative(), (Weight(0),) * 3)))
-    dangling = FiniteCategory(indiscrete(1).objects, (Arrow(0, 0, 0), Arrow(1, 0, 5)), {0: 0},
-                              {(0, 0): 0})
+    dangling = FiniteCategory.from_triples(indiscrete(1).objects, (Arrow(0, 0, 0), Arrow(1, 0, 5)),
+                                           {0: 0}, [(0, 0, 0)])
     out.append(("dangling", Metric1Space(dangling, (Weight(0), Weight(1)))))
     return out + [(f"opposite of {name}", opposite_space(sp)) for name, sp in out]
 
@@ -449,7 +450,8 @@ def ref_generating_set(cat) -> list[int]:
 
 
 def after_rows(cat):
-    return [{g: cat.compose(f.id, g) for g in cat.arrows_from(f.cod)} for f in cat.arrows]
+    table = cat.composition
+    return [{g: table[(f.id, g)] for g in cat.arrows_from(f.cod)} for f in cat.arrows]
 
 
 def test_row_index_matches_the_pair_lookups():
@@ -477,7 +479,7 @@ def test_mapping_space_hands_over_the_rows_of_its_table():
     for name, x in sources.items():
         cat = mapping_space(x, y).space.category
         assert {"adjacency", "after"} <= vars(cat).keys(), name
-        fresh = FiniteCategory(cat.objects, cat.arrows, dict(cat.identity), dict(cat.composition))
+        fresh = with_table(cat, cat.composition)
         assert (cat.after, cat.adjacency) == (fresh.after, fresh.adjacency), name
         assert len(cat.arrows) > 9 and validate_category(cat).ok, name
 

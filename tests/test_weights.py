@@ -186,9 +186,9 @@ def test_missing_composite_is_fatal_not_a_key_error():
     sp = support.line_space([0, 2])
     cat = sp.category
     psi, phi = cat.hom(0, 1)[0], cat.hom(1, 0)[0]
-    table = {k: v for k, v in cat.composition.items() if k != (psi, phi)}
-    broken = Metric1Space(FiniteCategory(cat.objects, cat.arrows, cat.identity, table), sp.w)
-    report = validate_metric1(broken)
+    table = [(f, g, h) for (f, g), h in cat.composition.items() if (f, g) != (psi, phi)]
+    broken = FiniteCategory.from_triples(cat.objects, cat.arrows, cat.identity, table)
+    report = validate_metric1(Metric1Space(broken, sp.w))
     assert report.fatal == [f"composable pair ({psi}, {phi}) missing from composition table"]
     assert not report.violations
 
