@@ -527,6 +527,8 @@ def backtrack(domains, checks, guard: int | Budget | None, what: str):
     ``values`` holds the variables before it.  A check is a pair
     ``(reads, predicate)``: it is attached to the last variable it reads,
     so ``predicate(values)`` runs exactly once, when that variable is set.
+    A variable's checks run in order, in a plain loop that stops at the
+    first one that fails.
     One search node is one candidate value tried.  The loop counts them and
     charges the work budget ``guard`` (see `Budget.of`) once, when the
     search ends or passes the budget and raises ``SizeGuardError``.  The
@@ -553,8 +555,11 @@ def backtrack(domains, checks, guard: int | Budget | None, what: str):
             if nodes > room:
                 budget.spend(nodes, what, "search nodes")
             values[i] = value
-            if all(predicate(values) for predicate in here):
-                break
+            for predicate in here:
+                if not predicate(values):
+                    break
+            else:
+                break  # every check passed: the value stays
         else:
             i -= 1
             continue

@@ -8,16 +8,29 @@ transformation's variables are its components; each naturality square is
 checked once both are set.  The mapping space [X, Y] collects the uniformly
 continuous functors (on finite spaces the forward, backward and uniform
 notions agree), all natural transformations between them, their pointwise
-composites and the sup-of-component weights.  One budget bounds all of
-[X, Y]: the functor search, every transformation search, and the arrows
-and composition entries, charged before the table is filled.  Every check
-reads the rows (`FiniteCategory.after`) of the categories involved, and the
-table of [X, Y] is filled row by row through the target's rows: [X, Y] is
-built as rows, and no step derives a tuple-keyed table.
+composites and the sup-of-component weights.
+
+[X, Y] runs one transformation search per ordered pair of functors, but
+the parts of those searches are built once (`NaturalitySquares`): each
+component domain per object and pair of images (F x, G x), each square
+check per source arrow and pair of images (F a, G a).  Every found
+transformation is then re-checked in one pass over its components'
+endpoints and its squares, independent of the shared checks; only a
+failure builds a `validate_transformation` report, which raises.  One
+budget bounds all of [X, Y]: the functor search, every transformation
+search, and the arrows and composition entries, charged pair by pair as
+[X, Y] grows, so an [X, Y] too large is refused before its last searches
+run.  Every check reads the rows (`FiniteCategory.after`) of the categories
+involved.  The table of [X, Y] is filled column-wise: the arrows out of
+each functor are held as columns of components, each column is mapped
+through one row of the target, and each composite is found by its key
+(target functor, components).  The weights are read off the target's
+arrows ranked by weight.  [X, Y] is built as rows, and no step derives a
+tuple-keyed table.
 """
 from __future__ import annotations
 
-from collections import Counter
+from operator import getitem
 
 from .errors import Budget, TheoremViolation
 from .fincat import (
@@ -27,7 +40,6 @@ from .fincat import (
     NatTransformation,
     Obj,
     backtrack,
-    identity_transformation,
     validate_functor,
     validate_transformation,
 )
@@ -70,33 +82,84 @@ def enumerate_functors(
     ]
 
 
+class NaturalitySquares:
+    """The parts of the searches for transformations between functors
+    source -> target, each built once and shared by every pair of functors:
+    the domain of a component, per object x and pair of images (F x, G x),
+    and the naturality check of a square, per source arrow a and pair of
+    images (F a, G a)."""
+
+    __slots__ = ("source", "target", "_objects", "_arrows", "_reads", "_domains", "_checks",
+                 "_functors")
+
+    def __init__(self, source: FiniteCategory, target: FiniteCategory):
+        self.source, self.target = source, target
+        self._objects = range(len(source.objects))
+        self._arrows = tuple(a.id for a in source.arrows)
+        self._reads = tuple((a.dom, a.cod) for a in source.arrows)
+        self._domains: list[dict] = [{} for _ in self._objects]  # x -> F x -> G x -> domain
+        self._checks: list[dict] = [{} for _ in self._arrows]  # a -> F a -> G a -> check
+        self._functors: dict = {}  # id(F) -> (F, its images, its parts keyed by G's images)
+
+    def _functor(self, F: Functor):
+        """The images of F's objects and arrows, and the domains and checks
+        of the searches out of F, keyed by the images of the other functor.
+        The entry holds F, so its id is not reused while it is cached."""
+        entry = self._functors.get(id(F))
+        if entry is None or entry[0] is not F:
+            objs = tuple(map(F.obj_map.__getitem__, self._objects))
+            arrs = tuple(map(F.arr_map.__getitem__, self._arrows))
+            entry = self._functors[id(F)] = (
+                F, objs, arrs,
+                [by_fx.setdefault(fx, {}) for by_fx, fx in zip(self._domains, objs)],
+                [by_fa.setdefault(fa, {}) for by_fa, fa in zip(self._checks, arrs)],
+            )
+        return entry
+
+    def search(self, F: Functor, G: Functor):
+        """Variables and checks of the search for transformations F => G: one
+        component per object, and one naturality square per arrow, checked
+        once both of its components are set."""
+        if F.source is not self.source or F.target is not self.target:
+            return NaturalitySquares(F.source, F.target).search(F, G)
+        _, f_objs, f_arrs, by_gx, by_ga = self._functor(F)
+        _, g_objs, g_arrs, _, _ = self._functor(G)
+        domains = list(map(dict.get, by_gx, g_objs))
+        checks = list(map(dict.get, by_ga, g_arrs))
+        if None in domains:
+            hom = self.target.hom
+            for x, (fx, gx) in enumerate(zip(f_objs, g_objs)):
+                if domains[x] is None:
+                    domains[x] = by_gx[x][gx] = lambda values, h=hom(fx, gx): h
+        if None in checks:
+            after = self.target.after
+            for i, (fa, ga) in enumerate(zip(f_arrs, g_arrs)):
+                if checks[i] is None:
+                    reads = x, y = self._reads[i]
+                    checks[i] = by_ga[i][ga] = (
+                        reads, lambda v, x=x, y=y, f=fa, g=ga: after[v[x]][g] == after[f][v[y]]
+                    )
+        return domains, checks
+
+
 def naturality_search(F: Functor, G: Functor):
-    """Variables and checks of the search for transformations F => G: one
-    component per object, and one naturality square per arrow, checked once
-    both of its components are set."""
-    dst = F.target
-    domains = [
-        lambda values, fx=F.obj_map[x], gx=G.obj_map[x]: dst.hom(fx, gx)
-        for x in range(len(F.source.objects))
-    ]
-    after = dst.after
-    checks = [
-        ((a.dom, a.cod),
-         lambda v, x=a.dom, y=a.cod, fa=F.arr_map[a.id], ga=G.arr_map[a.id]:
-             after[v[x]][ga] == after[fa][v[y]])
-        for a in F.source.arrows
-    ]
-    return domains, checks
+    """Variables and checks of the search for transformations F => G (see
+    `NaturalitySquares.search`)."""
+    return NaturalitySquares(F.source, F.target).search(F, G)
 
 
 def enumerate_transformations(
-    F: Functor, G: Functor, guard: int | Budget | None = None
+    F: Functor, G: Functor, guard: int | Budget | None = None,
+    squares: NaturalitySquares | None = None,
 ) -> list[NatTransformation]:
     """All natural transformations F -> G in component-lexicographic order,
-    charged to `guard` as in `enumerate_functors`."""
+    charged to `guard` as in `enumerate_functors`.  `squares` shares the
+    parts of the search with the other searches between functors of the
+    same source and target."""
+    search = naturality_search(F, G) if squares is None else squares.search(F, G)
     return [
         NatTransformation(F, G, dict(enumerate(components)))
-        for components in backtrack(*naturality_search(F, G), guard, "transformation enumeration")
+        for components in backtrack(*search, guard, "transformation enumeration")
     ]
 
 
@@ -143,53 +206,86 @@ def mapping_space(
         validate_functor(f).require_ok("enumerated functor")
         if uniformly_continuous(f, X, Y).holds:
             funs.append(f)
+    xs = range(len(X.category.objects))
+    squares = NaturalitySquares(X.category, Y.category)
+    x_arrows, y_arrows, y_after = X.category.arrows, Y.category.arrows, Y.category.after
+    x_ids, x_doms, x_cods = ([a.id for a in x_arrows], [a.dom for a in x_arrows],
+                             [a.cod for a in x_arrows])
+    y_doms, y_cods = [a.dom for a in y_arrows], [a.cod for a in y_arrows]
+    # per functor, the images of the objects and of the arrows, in id order
+    images = [(list(map(f.obj_map.__getitem__, xs)), list(map(f.arr_map.__getitem__, x_ids)))
+              for f in funs]
     transformations: list[NatTransformation] = []
+    rows: list[tuple[int, ...]] = []  # a transformation's component ids in object order
     arrow_meta: list[tuple[int, int]] = []  # (source functor index, target functor index)
+    into, out = [0] * len(funs), [0] * len(funs)  # arrows into and out of each functor
     for i, F in enumerate(funs):
+        f_objs, f_arrs = images[i]
+        f_rows = list(map(y_after.__getitem__, f_arrs))  # the rows of the F a
         for j, G in enumerate(funs):
-            for t in enumerate_transformations(F, G, budget):
-                validate_transformation(t).require_ok("enumerated transformation")
+            found = enumerate_transformations(F, G, budget, squares)
+            if not found:
+                continue
+            g_objs, g_arrs = images[j]
+            for t in found:
+                # the checks of validate_transformation, run on the row: each
+                # component c_x runs F x -> G x, and each square commutes,
+                # G a after c_(dom a) == c_(cod a) after F a; only a failure
+                # builds the report, which raises with its message
+                row = tuple(map(t.components.get, xs))
+                if not (t.F is F and t.G is G and None not in row
+                        and list(map(y_doms.__getitem__, row)) == f_objs
+                        and list(map(y_cods.__getitem__, row)) == g_objs
+                        and list(map(getitem, map(y_after.__getitem__, map(row.__getitem__, x_doms)),
+                                     g_arrs))
+                        == list(map(getitem, f_rows, map(row.__getitem__, x_cods)))):
+                    validate_transformation(t).require_ok("enumerated transformation")
                 transformations.append(t)
+                rows.append(row)
                 arrow_meta.append((i, j))
+            # one composition entry per arrow into and arrow out of each
+            # functor: the k new arrows i -> j add k * out[j] + k * into[i]
+            # entries, and k * k more when i == j
+            k = len(found)
+            budget.spend(k, "mapping space [X, Y]", "arrows")
+            budget.spend(k * (out[j] + into[i] + (k if i == j else 0)),
+                         "mapping space [X, Y]", "composition entries")
+            into[j] += k
+            out[i] += k
 
-    # one composition entry per arrow into and arrow out of each functor
-    into, out = Counter(j for _, j in arrow_meta), Counter(i for i, _ in arrow_meta)
-    budget.spend(len(arrow_meta), "mapping space [X, Y]", "arrows")
-    budget.spend(sum(into[j] * out[j] for j in into), "mapping space [X, Y]", "composition entries")
-    # a transformation's row: its component ids in object order
-    n = len(X.category.objects)
-    rows = [tuple(t.components[x] for x in range(n)) for t in transformations]
-    key_to_id = {(*arrow_meta[k], row): k for k, row in enumerate(rows)}
-
+    # Each transformation out of functor i is keyed by (its target functor,
+    # *its components); a composite and an identity are found by their keys.
+    keys: list[dict] = [{} for _ in funs]
+    for k, ((i, j), row) in enumerate(zip(arrow_meta, rows)):
+        keys[i][(j, *row)] = k
+    y_identity = Y.category.identity
+    identity = {i: keys[i][(i, *map(y_identity.__getitem__, f_objs))]
+                for i, (f_objs, _) in enumerate(images)}
     objs = tuple(Obj(i, f"F{i}") for i in range(len(funs)))
-    arrs = tuple(
-        Arrow(k, arrow_meta[k][0], arrow_meta[k][1])
-        for k in range(len(transformations))
-    )
-    identity = {}
-    for i, F in enumerate(funs):
-        ident = identity_transformation(F).components
-        identity[i] = key_to_id[(i, i, tuple(ident[x] for x in range(n)))]
-    # The rows `after` of [X, Y] are its table, filled through the new
-    # category's adjacency index.  Components compose pointwise through Y's
-    # rows: column x of arrow a is Y.after[a_x], which maps the component at
-    # x of each following arrow b to the composite component.  Every key
-    # belongs to an enumerated, validated transformation, so a found
-    # composite is natural.
+    arrs = tuple(Arrow(k, i, j) for k, (i, j) in enumerate(arrow_meta))
     cat = FiniteCategory(objs, arrs, identity, [], {})
     out_of, after = cat.adjacency.out, cat.after
-    y_after, getitem = Y.category.after, dict.__getitem__
-    for a, row_a in enumerate(rows):
-        i, j = arrow_meta[a]
-        cols = [y_after[c] for c in row_a]
-        after_a = {}
-        for b in out_of.get(j, ()):
-            c = key_to_id.get((i, arrow_meta[b][1], tuple(map(getitem, cols, rows[b]))))
-            if c is None:
-                raise TheoremViolation(
-                    f"vertical composite of transformations {a} and {b} is not natural"
-                )
-            after_a[b] = c
-        after.append(after_a)
-    weights = tuple(nat_weight(t, Y) for t in transformations)
+    # The arrows out of functor j (its identity among them) as columns:
+    # their targets, and per object x their components at x.  Components
+    # compose pointwise through Y's rows: for an arrow a into j, column x
+    # maps through the row Y.after[a_x] to the components at x of a then
+    # each arrow out of j.
+    columns = {j: ([arrow_meta[b][1] for b in bs], list(zip(*map(rows.__getitem__, bs))))
+               for j, bs in out_of.items()}
+    for a, ((i, j), row_a) in enumerate(zip(arrow_meta, rows)):
+        targets, cols = columns[j]
+        composites = zip(targets, *[map(y_after[c].__getitem__, col) for c, col in zip(row_a, cols)])
+        ids = list(map(keys[i].get, composites))
+        if None in ids:
+            b = out_of[j][ids.index(None)]
+            raise TheoremViolation(f"vertical composite of transformations {a} and {b} is not natural")
+        after.append(dict(zip(out_of[j], ids)))
+    # sup of the component weights: the component of greatest rank among Y's
+    # arrows sorted by weight, and 0 for the empty-source sup
+    y_w = Y.w
+    by_weight = sorted(range(len(y_w)), key=y_w.__getitem__)
+    rank = [0] * len(y_w)
+    for r, c in enumerate(by_weight):
+        rank[c] = r
+    weights = tuple(y_w[by_weight[max(map(rank.__getitem__, row))]] if row else ZERO for row in rows)
     return MappingSpace(Metric1Space(cat, weights), funs, transformations, X, Y)

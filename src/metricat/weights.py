@@ -71,7 +71,9 @@ def validate_metric1(space: Metric1Space) -> ValidationReport:
     ``Weight``.  The pairs are read off the category's row index
     (`FiniteCategory.after`).  A composable pair missing from the
     composition table is fatal; the pairs that are present are still
-    checked.
+    checked.  A table entry on a pair that does not compose (the side
+    record) is a violation, reported in id order with `validate_category`'s
+    message.
     """
     report = ValidationReport(subject="metric 1-space")
     cat = space.category
@@ -86,6 +88,9 @@ def validate_metric1(space: Metric1Space) -> ValidationReport:
     for x in range(len(cat.objects)):
         if s[cat.identity[x]] != 0:
             out.append(f"reflexivity: w(id_{x}) = {w[cat.identity[x]]} != 0")
+    arrows = cat.arrows
+    for f, g in sorted(cat.side):
+        out.append(f"composition table defined on non-composable pair ({arrows[f]}, {arrows[g]})")
     for f, row in enumerate(cat.after):
         a = s[f]
         for g, h in row.items():

@@ -328,6 +328,27 @@ def test_non_dense_arrow_ids_in_a_weighted_document_are_reported_as_such(tmp_pat
     assert capsys.readouterr().err == f"input error: space category is malformed: {defect}\n"
 
 
+def test_a_stray_table_entry_is_exit_one_for_every_weighted_subcommand(tmp_path, capsys):
+    # the table also names (id_0, 1 -> 0), a pair that does not compose;
+    # validate_metric1 reports it as validate_category does, so the
+    # subcommands that validate only the weights refuse the document too
+    payload = jsonio.space_to_json(symmetric_fixture())
+    payload["category"]["compose"].append([0, 2, 2])
+    path = write(tmp_path, "stray.json", payload)
+    defect = "composition table defined on non-composable pair (a0:0->0, a2:1->0)"
+    assert main(["--format", "json", "validate", path]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "category": [defect], "metric": [defect], "ok": False}
+    for command in (["lawvere"], ["dagger"], ["dagger", "-v"]):
+        assert main(["--format", "json", *command, path]) == 1, command
+        assert json.loads(capsys.readouterr().out) == {"error": [defect]}, command
+    good = jsonio.space_to_json(symmetric_fixture())
+    for name, doc in (("source", {"source": payload, "target": good}),
+                      ("target", {"source": good, "target": payload})):
+        assert main(["--format", "json", "map-space", write(tmp_path, f"{name}.json", doc)]) == 1
+        assert json.loads(capsys.readouterr().out) == {"error": {name: [defect]}}
+
+
 def test_validate_reports_an_associativity_failure(tmp_path, capsys):
     # endpoints and identities are right, but 1∘1 is moved from 2 to 3 in Z/5
     cat = cyclic_with_composite_middle()

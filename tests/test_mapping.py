@@ -76,10 +76,13 @@ def test_one_budget_bounds_the_whole_mapping_space():
     # nodes, and the call as a whole does not
     funs = enumerate_functors(X.category, X.category, guard=1000)
     assert max(len(enumerate_transformations(F, G, guard=1000)) for F in funs for G in funs) == 1
-    with pytest.raises(SizeGuardError, match="exceeded its budget of 1000 search nodes; used 1001"):
+    # arrows and composition entries are charged as [X, Y] grows, pair by
+    # pair: the first pairs of functors already pass 1,000
+    with pytest.raises(SizeGuardError,
+                       match=r"^mapping space \[X, Y\] exceeded its budget of 1000 composition entries; used 1002$"):
         mapping_space(X, X, guard=1000)
-    # 2,469 search nodes, 729 arrows and 19,683 composition entries, the
-    # last charged before the table is filled
+    # 2,469 search nodes, 729 arrows and 19,683 composition entries: the
+    # totals of the whole call, so the same limits refuse
     assert len(mapping_space(X, X, guard=22881).transformations) == 729
     with pytest.raises(SizeGuardError, match="composition entries; used 22881"):
         mapping_space(X, X, guard=22880)
@@ -187,8 +190,8 @@ def test_mapping_space_raises_on_an_enumerated_non_natural_transformation(monkey
     z2 = support.z2_space(1)
     real = mapping.enumerate_transformations
 
-    def with_a_stray(F, G, guard):
-        found = real(F, G, guard)
+    def with_a_stray(F, G, guard, *shared):
+        found = real(F, G, guard, *shared)
         if F != G:
             # between the identity and the collapse of g, no component is natural
             found.append(NatTransformation(F, G, {0: 0}))
@@ -197,3 +200,35 @@ def test_mapping_space_raises_on_an_enumerated_non_natural_transformation(monkey
     monkeypatch.setattr(mapping, "enumerate_transformations", with_a_stray)
     with pytest.raises(TheoremViolation, match="enumerated transformation failed validation"):
         mapping_space(z2, z2)
+
+
+def test_a_corrupted_shared_square_check_is_caught_by_the_recheck(monkeypatch):
+    # every naturality check the shared search parts hand out passes: the
+    # search then finds components that are not natural, and the re-check
+    # of each found transformation still refuses them
+    z2 = support.z2_space(1)
+    real = mapping.NaturalitySquares.search
+
+    def passing_every_square(self, F, G):
+        domains, checks = real(self, F, G)
+        return domains, [(reads, lambda values: True) for reads, _ in checks]
+
+    monkeypatch.setattr(mapping.NaturalitySquares, "search", passing_every_square)
+    with pytest.raises(TheoremViolation, match="enumerated transformation failed validation"):
+        mapping_space(z2, z2)
+
+
+def test_a_corrupted_shared_domain_is_caught_by_the_recheck(monkeypatch):
+    # a component domain that offers every arrow of the target: the found
+    # components run between the wrong objects, which the re-check refuses
+    X = support.indiscrete_space([[0, 1], [1, 0]])
+    real = mapping.NaturalitySquares.search
+
+    def every_arrow(self, F, G):
+        domains, checks = real(self, F, G)
+        arrows = tuple(range(len(self.target.arrows)))
+        return [lambda values: arrows for _ in domains], []
+
+    monkeypatch.setattr(mapping.NaturalitySquares, "search", every_arrow)
+    with pytest.raises(TheoremViolation, match="enumerated transformation failed validation"):
+        mapping_space(X, X)

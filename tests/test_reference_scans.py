@@ -45,6 +45,7 @@ CLI output.  The mapping space's pointwise composites are compared with
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -74,7 +75,9 @@ from metricat.coarse import (
     CoarseGenerators, arrow_compose_sets, arrow_diagonal, arrow_star, bounded_generators, metrize,
     metrize_chain,
 )
-from metricat.continuity import BACKWARD, FORWARD, factorizations, forward_continuous_at_arrow, object_continuity
+from metricat.continuity import (
+    BACKWARD, FORWARD, factorizations, forward_continuous_at_arrow, object_continuity, uniformly_continuous,
+)
 from metricat.fincat import Arrow, ValidationReport, generating_set, opposite
 from metricat.dagger import Dagger, enumerate_daggers, validate_dagger
 from metricat.fixedpoint import NaturalContraction, find_natural_contractions
@@ -88,7 +91,10 @@ from metricat.geometry import (
     gh_distance,
     lipschitz_distance,
 )
-from metricat.mapping import enumerate_functors, enumerate_transformations, mapping_space
+from metricat import mapping
+from metricat.errors import Budget
+from metricat.fincat import Obj, backtrack, identity_transformation
+from metricat.mapping import enumerate_functors, enumerate_transformations, mapping_space, nat_weight
 from metricat.metricspace import line_metric, shortest_path_repair
 from metricat.weights import is_backward, opposite_space
 
@@ -163,7 +169,8 @@ def full_triangle_violation(a: Weight, b: Weight, c: Weight) -> str | None:
 
 
 def ref_validate_metric1(space) -> ValidationReport:
-    """Weight arithmetic pair by pair; a missing composite is fatal."""
+    """Weight arithmetic pair by pair; a missing composite is fatal, and an
+    entry on a pair that does not compose is a violation."""
     report = ValidationReport(subject="metric 1-space")
     cat = space.category
     report.fatal = cat.structural_errors()
@@ -175,6 +182,10 @@ def ref_validate_metric1(space) -> ValidationReport:
         wid = space.w[cat.identity[x]]
         if wid != Weight(0):
             report.violations.append(f"reflexivity: w(id_{x}) = {wid} != 0")
+    for f in cat.arrows:
+        for g in cat.arrows:
+            if f.cod != g.dom and (f.id, g.id) in cat.composition:
+                report.violations.append(f"composition table defined on non-composable pair ({f}, {g})")
     for f, g in ref_composable_pairs(cat):
         if (f, g) not in cat.composition:
             report.fatal.append(f"composable pair {(f, g)} missing from composition table")
@@ -584,14 +595,15 @@ def test_generating_set_associativity_matches_the_triple_scan():
 
 
 def test_validate_metric1_matches_weight_arithmetic():
-    seen_fatal = seen_upper = seen_lower = 0
+    seen_fatal = seen_upper = seen_lower = seen_stray = 0
     for name, space in cases(103):
         got, want = validate_metric1(space), ref_validate_metric1(space)
         assert (got.fatal, got.violations) == (want.fatal, want.violations), name
         seen_fatal += bool(got.fatal)
         seen_upper += any("(upper)" in v for v in got.violations)
         seen_lower += any("(lower)" in v for v in got.violations)
-    assert seen_fatal and seen_upper and seen_lower
+        seen_stray += any("non-composable" in v for v in got.violations)
+    assert seen_fatal and seen_upper and seen_lower and seen_stray
 
 
 def test_arrow_calculus_matches_the_pair_scans():
@@ -1328,3 +1340,141 @@ def test_mapping_space_composes_like_vertical_compose():
                 assert vertical_compose(ts[a], ts[b]) == ts[c]
                 composites += 1
     assert composites > 500
+
+
+# --- [X, Y]: the pair-by-pair build ------------------------------------------------
+
+
+def ref_naturality_search(F, G):
+    dst = F.target
+    domains = [
+        lambda values, fx=F.obj_map[x], gx=G.obj_map[x]: dst.hom(fx, gx)
+        for x in range(len(F.source.objects))
+    ]
+    after = dst.after
+    checks = [
+        ((a.dom, a.cod),
+         lambda v, x=a.dom, y=a.cod, fa=F.arr_map[a.id], ga=G.arr_map[a.id]:
+             after[v[x]][ga] == after[fa][v[y]])
+        for a in F.source.arrows
+    ]
+    return domains, checks
+
+
+def ref_mapping_space(X, Y, guard=None):
+    """[X, Y] as built before the searches shared their parts (kept
+    verbatim): fresh closures and one `validate_transformation` per pair of
+    functors, the arrows and composition entries charged once every search
+    is done, one tuple key per composition entry and `nat_weight` per
+    arrow."""
+    budget = Budget.of(guard)
+    funs = []
+    for f in enumerate_functors(X.category, Y.category, budget):
+        validate_functor(f).require_ok("enumerated functor")
+        if uniformly_continuous(f, X, Y).holds:
+            funs.append(f)
+    transformations = []
+    arrow_meta = []
+    for i, F in enumerate(funs):
+        for j, G in enumerate(funs):
+            for components in backtrack(*ref_naturality_search(F, G), budget, "transformation enumeration"):
+                t = NatTransformation(F, G, dict(enumerate(components)))
+                validate_transformation(t).require_ok("enumerated transformation")
+                transformations.append(t)
+                arrow_meta.append((i, j))
+
+    into, out = Counter(j for _, j in arrow_meta), Counter(i for i, _ in arrow_meta)
+    budget.spend(len(arrow_meta), "mapping space [X, Y]", "arrows")
+    budget.spend(sum(into[j] * out[j] for j in into), "mapping space [X, Y]", "composition entries")
+    n = len(X.category.objects)
+    rows = [tuple(t.components[x] for x in range(n)) for t in transformations]
+    key_to_id = {(*arrow_meta[k], row): k for k, row in enumerate(rows)}
+
+    objs = tuple(Obj(i, f"F{i}") for i in range(len(funs)))
+    arrs = tuple(
+        Arrow(k, arrow_meta[k][0], arrow_meta[k][1])
+        for k in range(len(transformations))
+    )
+    identity = {}
+    for i, F in enumerate(funs):
+        ident = identity_transformation(F).components
+        identity[i] = key_to_id[(i, i, tuple(ident[x] for x in range(n)))]
+    cat = FiniteCategory(objs, arrs, identity, [], {})
+    out_of, after = cat.adjacency.out, cat.after
+    y_after, getitem = Y.category.after, dict.__getitem__
+    for a, row_a in enumerate(rows):
+        i, j = arrow_meta[a]
+        cols = [y_after[c] for c in row_a]
+        after_a = {}
+        for b in out_of.get(j, ()):
+            c = key_to_id.get((i, arrow_meta[b][1], tuple(map(getitem, cols, rows[b]))))
+            if c is None:
+                raise TheoremViolation(
+                    f"vertical composite of transformations {a} and {b} is not natural"
+                )
+            after_a[b] = c
+        after.append(after_a)
+    weights = tuple(nat_weight(t, Y) for t in transformations)
+    return mapping.MappingSpace(Metric1Space(cat, weights), funs, transformations, X, Y)
+
+
+def built(build, X, Y, guard=None):
+    """What a build of [X, Y] hands over, with the budget it used; or its
+    refusal or theorem violation."""
+    budget = Budget(guard)
+    try:
+        ms = build(X, Y, budget)
+    except SizeGuardError:
+        return "refused"
+    except TheoremViolation as exc:
+        return str(exc)
+    cat, ts = ms.space.category, ms.transformations
+    assert all(w == nat_weight(t, Y) for w, t in zip(ms.space.w, ts))
+    return (cat.after, cat.identity, cat.side, [(a.id, a.dom, a.cod) for a in cat.arrows],
+            [(t.F.key(), t.G.key(), t.components) for t in ts], ms.space.w, budget.used)
+
+
+def test_mapping_space_matches_the_pair_by_pair_build():
+    rng = random.Random(114)
+    spaces = fixture_spaces(114)
+    pairs = [(X, Y) for X in spaces for Y in spaces if rng.random() < 0.3]
+    pairs += [(support.rand_space(rng), support.rand_space(rng)) for _ in range(20)]
+    arrows = 0
+    for X, Y in pairs:
+        got = built(mapping_space, X, Y)
+        assert got == built(ref_mapping_space, X, Y)
+        arrows += len(got[3])
+    assert len(pairs) > 90 and arrows > 1500
+    # indiscrete 3 -> 3: 729 arrows, and the same guards refuse it
+    X = support.indiscrete_space([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    Y = support.indiscrete_space([[0, 3, 1], [3, 0, 2], [1, 2, 0]])
+    for guard in (None, 1000, 5000, 22880, 22881):
+        got = built(mapping_space, X, Y, guard)
+        assert got == built(ref_mapping_space, X, Y, guard), guard
+        assert (got == "refused") == (guard == 1000 or guard == 5000 or guard == 22880), guard
+    assert len(built(mapping_space, X, Y)[3]) == 729
+
+
+def test_a_corrupted_target_row_fails_as_in_the_pair_by_pair_build():
+    """Every composite in the rows of two targets moved to another arrow of
+    its hom-set: the functor search, the transformation searches and the
+    fill all read the corrupted rows, and the new build ends as the old one
+    does.  Some corruptions leave a vertical composite that no enumerated
+    transformation matches, which raises TheoremViolation."""
+    sources = fixture_spaces(115)[:5]
+    raised = 0
+    for Y in (support.one_sided_space(), support.parallel_pair_space(0, 1)):
+        cat = Y.category
+        for f, row in enumerate(cat.after):
+            for g, h in row.items():
+                for moved in cat.hom(cat.arrows[f].dom, cat.arrows[g].cod):
+                    if moved == h:
+                        continue
+                    rows = [dict(r) for r in cat.after]
+                    rows[f][g] = moved
+                    bad = Metric1Space(FiniteCategory(cat.objects, cat.arrows, cat.identity, rows, {}), Y.w)
+                    for X in sources:
+                        got = built(mapping_space, X, bad)
+                        assert got == built(ref_mapping_space, X, bad)
+                        raised += isinstance(got, str) and "is not natural" in got
+    assert raised > 10
