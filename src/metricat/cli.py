@@ -63,10 +63,16 @@ def _load(args, *keys: str) -> dict:
 
 
 def _well_formed(space, what: str):
-    """The space, once its category tables have dense ids and name no
-    missing object or arrow.  The subcommands that compute on a space
-    without validating it index those tables directly."""
-    errors = space.category.structural_errors()
+    """The space, once its category tables have dense ids, name no missing
+    object or arrow and hold no entry on a pair that does not compose.  The
+    subcommands that compute on a space without validating it index those
+    tables directly."""
+    cat = space.category
+    errors = cat.structural_errors()
+    if not errors and cat.side:
+        # past the structural checks the side record holds only such entries
+        f, g = (cat.arrows[i] for i in min(cat.side))
+        errors = [f"composition table defined on non-composable pair ({f}, {g})"]
     if errors:
         raise InputFormatError(f"{what} category is malformed: {errors[0]}")
     return space
@@ -449,6 +455,9 @@ def main(argv: list[str] | None = None) -> int:
     for name, value in _FLAG_DEFAULTS.items():
         if not hasattr(args, name):
             setattr(args, name, value)
+    if args.guard is not None and args.guard < 0:
+        parser.error("argument --guard-functors/--guard-daggers: "
+                     f"a work budget is non-negative, not {args.guard}")
     try:
         return args.fn(args)
     except InputFormatError as exc:

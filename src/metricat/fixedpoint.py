@@ -33,6 +33,7 @@ from .limits import (
     LimitCertificate,
     check_cauchy,
     check_series_limit,
+    legs_before,
 )
 from .mapping import naturality_search
 from .weight import ZERO
@@ -227,14 +228,8 @@ def banach_iterate(
     T = len(pre_objs)
 
     # legs: window compositions into the fixed object, identity afterwards
-    legs_before = []
-    nxt_leg = cat.identity[fixed_obj]
-    for n in range(T - 1, -1, -1):
-        nxt_leg = cat.compose(series.arrows.at(n), nxt_leg)
-        legs_before.insert(0, nxt_leg)
-    cone = EssentialCone(
-        0, fixed_obj, EventuallyPeriodic(tuple(legs_before), (cat.identity[fixed_obj],))
-    )
+    ident = cat.identity[fixed_obj]
+    cone = EssentialCone(0, fixed_obj, EventuallyPeriodic(legs_before(space, series, T, ident), (ident,)))
     limit = check_series_limit(space, series, cone)
     if limit.verdict != EXACT_YES:
         raise TheoremViolation("constructed limiting cone failed verification: " + limit.detail)

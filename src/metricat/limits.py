@@ -9,7 +9,12 @@ the point where every participating description has stabilised.
 
 A horizon-bounded description (a plain finite prefix of an otherwise
 unknown sequence) is also supported; checks on such data never return an
-exact positive verdict, only "verified-to-horizon".
+exact positive verdict, only "verified-to-horizon".  Each check has one
+body for both kinds: the kind chooses only the indices read and the
+verdict.  Partial compositions come from one walk, which stops at the
+horizon of bounded data and at the first repeated (phase, composite) pair
+of eventually periodic data; a Cauchy window (m, n) is entry n - m of the
+walk over the series truncated at m.
 
 Everything here is forward.  Backward data (a shared codomain, a series
 composing the other way, legs out of the apex) is forward data of
@@ -18,11 +23,12 @@ composing the other way, legs out of the apex) is forward data of
 """
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple
 
 from .errors import PreconditionError, TheoremViolation
-from .fincat import Functor
+from .fincat import FiniteCategory, Functor
 from .record import FrozenRecord
 from .weight import ZERO
 from .weights import Metric1Space
@@ -80,6 +86,10 @@ class BoundedDescription(NamedTuple):
     def horizon(self) -> int:
         return len(self.entries)
 
+    def drop(self, k: int) -> "BoundedDescription":
+        """The shifted description n -> self.at(n + k)."""
+        return BoundedDescription(self.entries[k:])
+
     @classmethod
     def from_generator(cls, fn, horizon: int) -> "BoundedDescription":
         return cls(tuple(fn(n) for n in range(horizon)))
@@ -130,33 +140,50 @@ def _exact_window(*descriptions: Description, starts: tuple[int, ...] = ()):
     return K0, math.lcm(*(d.cycle for d in descriptions))
 
 
-def _horizon(*known: tuple[Description, int]) -> int:
-    """The first index at which some (bounded description, offset) pair is
-    unknown."""
-    return min(offset + d.horizon for d, offset in known if not d.is_exact)
+def _cone_window(arrows: Description, cone: EssentialCone) -> tuple[int, range | None]:
+    """(upto, tail) for a cone over `arrows`: its checks read the indices
+    below upto.  On eventually periodic data, tail is the period past
+    stabilisation whose legs must weigh 0; on bounded data it is None, and
+    upto is the first index at which some description is unknown."""
+    legs, start = cone.legs, cone.start_index
+    if arrows.is_exact and legs.is_exact:
+        K0, L = _exact_window(arrows, legs, starts=(start + legs.stable_from,))
+        first = max(K0, start)
+        return first + L, range(first, first + L)
+    return min(offset + d.horizon for d, offset in ((arrows, 0), (legs, start)) if not d.is_exact), None
+
+
+def _series_upto(arr: Description) -> int:
+    """Entries whose consecutive pairs must compose: past one period and
+    into the next for eventually periodic data, the horizon otherwise."""
+    return arr.stable_from + arr.cycle + 1 if arr.is_exact else arr.horizon
+
+
+def _weightless_tail(space: Metric1Space, cone: EssentialCone, tail: range,
+                     limit: int | None) -> LimitCertificate:
+    """Exact-yes with `limit` if the legs at the indices of `tail` all
+    weigh 0, else exact-no at the first that does not."""
+    for k in tail:
+        if space.w[cone.leg(k)] != ZERO:
+            return LimitCertificate(EXACT_NO, witness_index=k, detail=(
+                f"leg weight at index {k} is {space.w[cone.leg(k)]}; periodic tail must weigh 0"))
+    return LimitCertificate(EXACT_YES, limiting_arrow=limit)
 
 
 def require_sequence(space: Metric1Space, seq: ForwardSequence, upto: int) -> None:
     """Raise PreconditionError unless entries below `upto` share the base."""
-    cat = space.category
-    errs = []
-    for n in range(upto):
-        a = cat.arrows[seq.arrows.at(n)]
-        if a.dom != seq.base:
-            errs.append(f"sequence entry {n} is {a}; domain must be {seq.base}")
+    arrows, at = space.category.arrows, seq.arrows.at
+    errs = [f"sequence entry {n} is {arrows[at(n)]}; domain must be {seq.base}"
+            for n in range(upto) if arrows[at(n)].dom != seq.base]
     if errs:
         raise PreconditionError("; ".join(errs))
 
 
 def require_series(space: Metric1Space, series: ForwardSeries, upto: int) -> None:
     """Raise PreconditionError unless entries below `upto` compose in turn."""
-    cat = space.category
-    errs = []
-    for n in range(upto - 1):
-        a = cat.arrows[series.arrows.at(n)]
-        b = cat.arrows[series.arrows.at(n + 1)]
-        if a.cod != b.dom:
-            errs.append(f"series entries {n},{n + 1} not composable: {a} then {b}")
+    arrows, at = space.category.arrows, series.arrows.at
+    errs = [f"series entries {n},{n + 1} not composable: {arrows[at(n)]} then {arrows[at(n + 1)]}"
+            for n in range(upto - 1) if arrows[at(n)].cod != arrows[at(n + 1)].dom]
     if errs:
         raise PreconditionError("; ".join(errs))
 
@@ -172,12 +199,7 @@ def check_forward_limiting_cone(
     every leg consulted past stabilisation weighs exactly 0.
     """
     cat = space.category
-    exact = seq.arrows.is_exact and cone.legs.is_exact
-    if exact:
-        K0, L = _exact_window(seq.arrows, cone.legs, starts=(cone.start_index + cone.legs.stable_from,))
-        upto = max(K0, cone.start_index) + L
-    else:
-        upto = _horizon((seq.arrows, 0), (cone.legs, cone.start_index))
+    upto, tail = _cone_window(seq.arrows, cone)
     require_sequence(space, seq, upto)
 
     common: int | None = None
@@ -185,32 +207,35 @@ def check_forward_limiting_cone(
         psi = cat.arrows[seq.arrows.at(k)]
         rho = cat.arrows[cone.leg(k)]
         if rho.dom != psi.cod or rho.cod != cone.apex:
-            raise PreconditionError(
-                f"cone leg at {k} is {rho}; must run {psi.cod} -> {cone.apex}"
-            )
+            raise PreconditionError(f"cone leg at {k} is {rho}; must run {psi.cod} -> {cone.apex}")
         comp = cat.compose(psi.id, rho.id)
         if common is None:
             common = comp
         elif comp != common:
-            return LimitCertificate(
-                EXACT_NO, witness_index=k,
-                detail="composites through the cone do not agree",
-            )
+            return LimitCertificate(EXACT_NO, witness_index=k,
+                                    detail="composites through the cone do not agree")
+    if tail is None:
+        return LimitCertificate(TO_HORIZON, limiting_arrow=common, detail=(
+            f"commutation verified for indices < {upto}; weight limit undecidable on bounded data"))
+    return _weightless_tail(space, cone, tail, common)
 
-    if not exact:
-        return LimitCertificate(
-            TO_HORIZON, limiting_arrow=common,
-            detail=f"commutation verified for indices < {upto}; weight limit undecidable on bounded data",
-        )
 
-    tail_from = max(K0, cone.start_index)
-    for k in range(tail_from, tail_from + L):
-        if space.w[cone.leg(k)] != ZERO:
-            return LimitCertificate(
-                EXACT_NO, witness_index=k,
-                detail=f"leg weight at index {k} is {space.w[cone.leg(k)]}; periodic tail must weigh 0",
-            )
-    return LimitCertificate(EXACT_YES, limiting_arrow=common)
+def _walk(cat: FiniteCategory, arr: Description) -> tuple[list[int], int | None]:
+    """The composites n -> (entry n after ... after entry 0) of entries
+    that compose in turn: up to the horizon of bounded data, or up to the
+    first (phase, composite) pair seen before, returned with the index of
+    its first sighting, for eventually periodic data."""
+    accs: list[int] = []
+    seen: dict[tuple[int, int], int] = {}
+    for n in itertools.count() if arr.is_exact else range(arr.horizon):
+        a = arr.at(n)
+        accs.append(cat.compose(accs[-1], a) if accs else a)
+        if arr.is_exact and n + 1 >= arr.stable_from:
+            state = ((n + 1 - arr.stable_from) % arr.cycle, accs[-1])
+            if state in seen:
+                return accs, seen[state]
+            seen[state] = n
+    return accs, None
 
 
 def partial_compositions(space: Metric1Space, series: ForwardSeries) -> ForwardSequence:
@@ -222,87 +247,45 @@ def partial_compositions(space: Metric1Space, series: ForwardSeries) -> ForwardS
     """
     cat = space.category
     arr = series.arrows
-    require_series(space, series, arr.stable_from + arr.cycle + 1 if arr.is_exact else arr.horizon)
-    if not arr.is_exact:
-        accs = []
-        acc = None
-        for n in range(arr.horizon):
-            a = arr.at(n)
-            acc = a if acc is None else cat.compose(acc, a)
-            accs.append(acc)
-        base = cat.arrows[arr.at(0)].dom
-        return ForwardSequence(base, BoundedDescription(tuple(accs)))
-
-    base_len = arr.stable_from
-    accs: list[int] = []
-    seen: dict[tuple[int, int], int] = {}
-    acc = None
-    n = 0
-    while True:
-        a = arr.at(n)
-        acc = a if acc is None else cat.compose(acc, a)
-        accs.append(acc)
-        nxt = n + 1
-        if nxt >= base_len:
-            state = ((nxt - base_len) % arr.cycle, acc)
-            if state in seen:
-                j = seen[state]
-                desc = EventuallyPeriodic(tuple(accs[: j + 1]), tuple(accs[j + 1 :]))
-                base = cat.arrows[arr.at(0)].dom
-                return ForwardSequence(base, desc)
-            seen[state] = n
-        n += 1
+    require_series(space, series, _series_upto(arr))
+    accs, j = _walk(cat, arr)
+    desc = (BoundedDescription(tuple(accs)) if j is None
+            else EventuallyPeriodic(tuple(accs[:j + 1]), tuple(accs[j + 1:])))
+    return ForwardSequence(cat.arrows[arr.at(0)].dom, desc)
 
 
 def check_cauchy(space: Metric1Space, series: ForwardSeries) -> LimitCertificate:
-    """Exact Cauchy decision for eventually periodic series.
+    """Cauchy decision: exact for eventually periodic series, up to the
+    horizon for bounded ones.
 
     The occurring weights form a finite set, so "for every epsilon" forces
     every window composition (entry n after ... after entry m, n > m) past
     some N to weigh exactly 0.  Window behaviour from index m depends only
     on m's position in the period once m is past the preperiod, and every
     position recurs beyond every N, so the series is Cauchy iff every start
-    position only generates weight-0 windows.
+    position only generates weight-0 windows.  Window (m, n) is entry n - m
+    of the partial compositions of the series truncated at m; bounded data
+    is read from every start below the horizon.
     """
     cat = space.category
     arr = series.arrows
-    require_series(space, series, arr.stable_from + arr.cycle + 1 if arr.is_exact else arr.horizon)
+    require_series(space, series, _series_upto(arr))
+    starts = range(arr.stable_from, arr.stable_from + arr.cycle) if arr.is_exact else range(arr.horizon)
+    bad = next((
+        (m, n, space.w[acc])
+        for m in starts
+        for n, acc in enumerate(_walk(cat, arr.drop(m))[0][1:], m + 1)
+        if space.w[acc] != ZERO
+    ), None)
     if not arr.is_exact:
-        bad = None
-        for m in range(arr.horizon):
-            acc = arr.at(m)
-            for n in range(m + 1, arr.horizon):
-                acc = cat.compose(acc, arr.at(n))
-                if space.w[acc] != ZERO:
-                    bad = (m, n)
-                    break
-            if bad:
-                break
-        detail = (
+        return LimitCertificate(TO_HORIZON, detail=(
             f"window ({bad[0]},{bad[1]}) weighs nonzero within the horizon"
-            if bad
-            else f"all windows within horizon {arr.horizon} weigh 0"
-        )
-        return LimitCertificate(TO_HORIZON, detail=detail)
-
-    base_len = arr.stable_from
-    for p in range(arr.cycle):
-        m = base_len + p
-        acc = arr.at(m)
-        seen: set[tuple[int, int]] = set()
-        n = m
-        while True:
-            n += 1
-            acc = cat.compose(acc, arr.at(n))
-            if space.w[acc] != ZERO:
-                return LimitCertificate(
-                    EXACT_NO, witness_index=m,
-                    detail=f"window ({m},{n}) weighs {space.w[acc]}; its start position recurs forever",
-                )
-            state = ((n + 1 - base_len) % arr.cycle, acc)
-            if state in seen:
-                break
-            seen.add(state)
+            if bad else f"all windows within horizon {arr.horizon} weigh 0"
+        ))
+    if bad:
+        m, n, w = bad
+        return LimitCertificate(EXACT_NO, witness_index=m,
+                                detail=f"window ({m},{n}) weighs {w}; its start position recurs forever")
     return LimitCertificate(EXACT_YES, detail="every window past the preperiod weighs 0")
 
 
@@ -318,12 +301,9 @@ def check_series_limit(
     if cone.start_index != 0:
         raise PreconditionError("series cones carry legs from index 0")
     cat = space.category
-    exact = series.arrows.is_exact and cone.legs.is_exact
-    if exact:
-        K0, L = _exact_window(series.arrows, cone.legs)
-        upto = K0 + L
-    else:
-        upto = _horizon((series.arrows, 0), (cone.legs, 0)) - 1
+    upto, tail = _cone_window(series.arrows, cone)
+    if tail is None:
+        upto -= 1  # each index reads the leg after it
     require_series(space, series, upto + 1)
 
     for n in range(upto):
@@ -335,39 +315,23 @@ def check_series_limit(
         if mu_next.dom != psi.cod:
             raise PreconditionError(f"leg at {n + 1} not composable after series entry {n}")
         if cat.compose(psi.id, mu_next.id) != mu_n.id:
-            return LimitCertificate(
-                EXACT_NO, witness_index=n,
-                detail=f"leg compatibility mu_{n} == mu_{n + 1} after entry {n} fails",
-            )
-
-    if not exact:
-        return LimitCertificate(
-            TO_HORIZON, limiting_arrow=cone.leg(0),
-            detail=f"leg compatibility verified for indices < {upto}",
-        )
-
-    for k in range(K0, K0 + L):
-        if space.w[cone.leg(k)] != ZERO:
-            return LimitCertificate(
-                EXACT_NO, witness_index=k,
-                detail=f"leg weight at index {k} is {space.w[cone.leg(k)]}; periodic tail must weigh 0",
-            )
-    return LimitCertificate(EXACT_YES, limiting_arrow=cone.leg(0))
+            return LimitCertificate(EXACT_NO, witness_index=n,
+                                    detail=f"leg compatibility mu_{n} == mu_{n + 1} after entry {n} fails")
+    if tail is None:
+        return LimitCertificate(TO_HORIZON, limiting_arrow=cone.leg(0),
+                                detail=f"leg compatibility verified for indices < {upto}")
+    return _weightless_tail(space, cone, tail, cone.leg(0))
 
 
 def truncate_series(series: ForwardSeries, k: int) -> ForwardSeries:
     """The shifted series n -> entry n + k."""
     if k < 0:
         raise PreconditionError("truncation index must be non-negative")
-    if not series.arrows.is_exact:
-        return ForwardSeries(BoundedDescription(series.arrows.entries[k:]))
     return ForwardSeries(series.arrows.drop(k))
 
 
 def truncate_cone(cone: EssentialCone, k: int) -> EssentialCone:
     """Legs from index k re-indexed to certify the k-truncated series."""
-    if not cone.legs.is_exact:
-        return EssentialCone(cone.start_index, cone.apex, BoundedDescription(cone.legs.entries[k:]))
     return EssentialCone(cone.start_index, cone.apex, cone.legs.drop(k))
 
 
@@ -387,78 +351,90 @@ def series_converges(
     if not arr.is_exact:
         raise PreconditionError("convergence search needs an eventually periodic series")
     cat = space.category
-    require_series(space, series, arr.stable_from + arr.cycle + 1)
+    require_series(space, series, _series_upto(arr))
     base = arr.stable_from
     L = arr.cycle
 
     for apex in range(len(cat.objects)):
-        # nodes: (phase, zero-weight arrow from the phase's object to apex)
-        nodes: dict[int, list[int]] = {}
-        for q in range(L):
-            x_q = cat.arrows[arr.at(base + q)].dom
-            nodes[q] = [a for a in cat.hom(x_q, apex) if space.w[a] == ZERO]
-        edges: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for q in range(L):
-            psi = arr.at(base + q)
-            for a in nodes[q]:
-                succ = [
-                    ((q + 1) % L, b)
-                    for b in nodes[(q + 1) % L]
-                    if cat.compose(psi, b) == a
-                ]
-                edges[(q, a)] = succ
+        # nodes: (phase q, zero-weight arrow from the phase's object to apex)
+        nodes = [
+            [a for a in cat.hom(cat.arrows[arr.at(base + q)].dom, apex) if space.w[a] == ZERO]
+            for q in range(L)
+        ]
+        edges = {
+            (q, a): [((q + 1) % L, b) for b in nodes[(q + 1) % L]
+                     if cat.compose(arr.at(base + q), b) == a]
+            for q in range(L) for a in nodes[q]
+        }
         cycle = _find_cycle(edges)
         if cycle is None:
             continue
         # legs: on the cycle from its entry index, back-composed before it
         q0, a0 = cycle[0]
-        n0 = base + q0
-        tail = [a for (_, a) in cycle]
-        legs_before: list[int] = [0] * n0
-        nxt = a0
-        for n in range(n0 - 1, -1, -1):
-            nxt = cat.compose(arr.at(n), nxt)
-            legs_before[n] = nxt
-        cone = EssentialCone(0, apex, EventuallyPeriodic(tuple(legs_before), tuple(tail)))
+        before = legs_before(space, series, base + q0, a0)
+        cone = EssentialCone(0, apex, EventuallyPeriodic(before, tuple(a for _, a in cycle)))
         cert = check_series_limit(space, series, cone)
         if cert.verdict != EXACT_YES:
             raise TheoremViolation("constructed cone failed re-verification: " + cert.detail)
         return cert, cone
-    return (
-        LimitCertificate(EXACT_NO, detail="no apex admits a periodic system of zero-weight legs"),
-        None,
-    )
+    return LimitCertificate(EXACT_NO, detail="no apex admits a periodic system of zero-weight legs"), None
+
+
+def legs_before(space: Metric1Space, series: ForwardSeries, n0: int, leg: int) -> tuple[int, ...]:
+    """The legs below index n0 of the series cone whose leg at n0 is
+    `leg`: each is the next leg after the series entry at its index."""
+    legs = [leg]
+    for n in range(n0 - 1, -1, -1):
+        legs.append(space.category.compose(series.arrows.at(n), legs[-1]))
+    return tuple(legs[:0:-1])
 
 
 def _find_cycle(edges: dict[tuple[int, int], list[tuple[int, int]]]):
     """A cycle in the successor graph, as a node list whose last node loops
     back to the first, or None."""
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in edges}
+    GREY, BLACK = 1, 2
+    color: dict[tuple[int, int], int] = {}
     for root in edges:
-        if color[root] != WHITE:
+        if root in color:
             continue
-        stack = [(root, iter(edges[root]))]
-        path = [root]
         color[root] = GREY
+        stack = [(root, iter(edges[root]))]
         while stack:
             node, it = stack[-1]
-            advanced = False
             for succ in it:
-                if color[succ] == GREY:
-                    i = path.index(succ)
-                    return path[i:]
-                if color[succ] == WHITE:
+                if color.get(succ) == GREY:
+                    path = [v for v, _ in stack]
+                    return path[path.index(succ):]
+                if succ not in color:
                     color[succ] = GREY
                     stack.append((succ, iter(edges[succ])))
-                    path.append(succ)
-                    advanced = True
                     break
-            if not advanced:
+            else:
                 color[node] = BLACK
                 stack.pop()
-                path.pop()
     return None
+
+
+def _mediators(space: Metric1Space, seq: ForwardSequence | ForwardSeries, cone: EssentialCone,
+               other: EssentialCone, quantifier, need: str) -> tuple[int, ...]:
+    """Arrows h: cone apex -> other apex with h after cone.leg(k) ==
+    other.leg(k): with `all`, at every index both cones carry; with `any`,
+    at some index of one period past the stabilised window, which for
+    eventually periodic data is at infinitely many indices.  Other data
+    raises PreconditionError(need)."""
+    descs = (seq.arrows, cone.legs, other.legs)
+    if not all(d.is_exact for d in descs):
+        raise PreconditionError(need)
+    K0, L = _exact_window(*descs, starts=(cone.start_index + cone.legs.stable_from,
+                                          other.start_index + other.legs.stable_from))
+    first = max(cone.start_index, other.start_index)
+    start = max(first, K0)
+    window = range(first if quantifier is all else start, start + L)
+    cat = space.category
+    return tuple(
+        h for h in cat.hom(cone.apex, other.apex)
+        if quantifier(cat.compose(cone.leg(k), h) == other.leg(k) for k in window)
+    )
 
 
 def find_mediating_arrows(
@@ -474,23 +450,8 @@ def find_mediating_arrows(
     indices in some residue class", so one representative per class in a
     stabilised window decides it.
     """
-    cat = space.category
-    if not (seq.arrows.is_exact and cone_a.legs.is_exact and cone_b.legs.is_exact):
-        raise PreconditionError("mediating-arrow search needs eventually periodic data")
-    K0, L = _exact_window(
-        seq.arrows, cone_a.legs, cone_b.legs,
-        starts=(
-            cone_a.start_index + cone_a.legs.stable_from,
-            cone_b.start_index + cone_b.legs.stable_from,
-        ),
-    )
-    start = max(K0, cone_a.start_index, cone_b.start_index)
-    window = range(start, start + L)
-    found = []
-    for h in cat.hom(cone_a.apex, cone_b.apex):
-        if any(cat.compose(cone_a.leg(k), h) == cone_b.leg(k) for k in window):
-            found.append(h)
-    return tuple(found)
+    return _mediators(space, seq, cone_a, cone_b, any,
+                      "mediating-arrow search needs eventually periodic data")
 
 
 class MediatingReport(NamedTuple):
@@ -517,29 +478,13 @@ def check_weak_pushout(
     cones are defined.  `require_unique` asks for exactly one such h per
     competitor.
     """
-    cat = space.category
-    mediators = []
-    for other in other_cones:
-        descs = [seq.arrows, cone.legs, other.legs]
-        if not all(d.is_exact for d in descs):
-            raise PreconditionError("pushout checks need eventually periodic data")
-        K0, L = _exact_window(
-            *descs,
-            starts=(
-                cone.start_index + cone.legs.stable_from,
-                other.start_index + other.legs.stable_from,
-            ),
-        )
-        first = max(cone.start_index, other.start_index)
-        window = range(first, max(first, K0) + L)
-        hs = []
-        for h in cat.hom(cone.apex, other.apex):
-            if all(cat.compose(cone.leg(n), h) == other.leg(n) for n in window):
-                hs.append(h)
-        mediators.append(tuple(hs))
+    mediators = tuple(
+        _mediators(space, seq, cone, other, all, "pushout checks need eventually periodic data")
+        for other in other_cones
+    )
     ok = all(len(hs) == 1 if require_unique else len(hs) >= 1 for hs in mediators)
     kind = "unique mediating arrow" if require_unique else "mediating arrow"
-    return MediatingReport(ok, tuple(mediators), f"{kind} per competitor cone: {[len(h) for h in mediators]}")
+    return MediatingReport(ok, mediators, f"{kind} per competitor cone: {[len(h) for h in mediators]}")
 
 
 def map_description(fun: Functor, desc: Description) -> Description:

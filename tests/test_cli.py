@@ -349,6 +349,24 @@ def test_a_stray_table_entry_is_exit_one_for_every_weighted_subcommand(tmp_path,
         assert json.loads(capsys.readouterr().out) == {"error": {name: [defect]}}
 
 
+@pytest.mark.parametrize("command, key", [("continuity", "source"), ("fixed-point", "space"),
+                                          ("limits", "space")])
+def test_a_stray_table_entry_is_exit_two_where_the_space_is_not_validated(tmp_path, capsys, command, key):
+    # two entries on pairs that do not compose, the later pair first: the
+    # message names the first in id order, as validate_category does
+    argv, doc = support.cli_documents()[command]
+    doc = json.loads(json.dumps(doc))
+    cat = jsonio.space_from_json(doc[key]).category
+    pairs = [(f.id, g.id) for f in cat.arrows for g in cat.arrows if f.cod != g.dom]
+    for f, g in (pairs[-1], pairs[0]):
+        doc[key]["category"]["compose"].append([f, g, f])
+    defect = validate_category(jsonio.space_from_json(doc[key]).category).violations[0]
+    assert defect.startswith("composition table defined on non-composable pair")
+    path = write(tmp_path, "stray.json", doc)
+    assert main(["--format", "json", *argv[:-1], path]) == 2
+    assert capsys.readouterr().err == f"input error: {key} category is malformed: {defect}\n"
+
+
 def test_validate_reports_an_associativity_failure(tmp_path, capsys):
     # endpoints and identities are right, but 1∘1 is moved from 2 to 3 in Z/5
     cat = cyclic_with_composite_middle()
@@ -620,6 +638,19 @@ def test_a_zero_guard_flag_is_a_budget_of_zero(tmp_path, capsys, flag):
     path = write(tmp_path, "doc.json", support.cli_documents()[command][1])
     assert main([flag, "0", command, path]) == 3
     assert "budget of 0 search nodes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", sorted(GUARDED))
+def test_a_negative_guard_flag_is_a_usage_error(tmp_path, capsys, flag):
+    command = GUARDED[flag]
+    path = write(tmp_path, "doc.json", support.cli_documents()[command][1])
+    for argv in ([flag, "-5", command, path], [command, flag, "-1", path]):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: metricat") and "Traceback" not in err
+        assert err.rstrip().endswith("a work budget is non-negative, not " + argv[argv.index(flag) + 1])
 
 
 @pytest.mark.parametrize("flag", sorted(GUARDED))

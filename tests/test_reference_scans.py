@@ -41,6 +41,15 @@ searches they replaced (kept verbatim, the candidate product of involutions
 included): the same results in the same order, since the order reaches the
 CLI output.  The mapping space's pointwise composites are compared with
 `vertical_compose`, which re-checks naturality.
+
+The limit checks that keep one body for eventually periodic and bounded
+data are compared with the two-body versions they replaced (kept
+verbatim): partial compositions, Cauchy windows, truncations, mediating
+arrows, weak pushouts, and the leg loops of `series_converges` and
+`banach_iterate`.  On seeded series and cones over indiscrete spaces with
+1 to 4 objects (zero weights, horizons up to 7, periods that do not close,
+entries that do not compose, legs that miss the apex), each call must
+return the same value or raise the same exception with the same message.
 """
 import itertools
 import math
@@ -57,6 +66,7 @@ from metricat import (
     Functor,
     Metric1Space,
     NatTransformation,
+    PreconditionError,
     SizeGuardError,
     TheoremViolation,
     Weight,
@@ -81,6 +91,12 @@ from metricat.continuity import (
 from metricat.fincat import Arrow, ValidationReport, generating_set, opposite
 from metricat.dagger import Dagger, enumerate_daggers, validate_dagger
 from metricat.fixedpoint import NaturalContraction, find_natural_contractions
+from metricat.limits import (
+    EXACT_NO, EXACT_YES, TO_HORIZON, BoundedDescription, EssentialCone, EventuallyPeriodic,
+    ForwardSequence, ForwardSeries, LimitCertificate, MediatingReport, _exact_window, check_cauchy,
+    check_weak_pushout, find_mediating_arrows, legs_before, partial_compositions, require_series,
+    truncate_cone, truncate_series,
+)
 from metricat.geometry import (
     _common_scale,
     _gh_correspondences,
@@ -1478,3 +1494,353 @@ def test_a_corrupted_target_row_fails_as_in_the_pair_by_pair_build():
                         assert got == built(ref_mapping_space, X, bad)
                         raised += isinstance(got, str) and "is not natural" in got
     assert raised > 10
+
+
+# --- limits: one body per kind of description --------------------------------------
+
+def ref_partial_compositions(space: Metric1Space, series: ForwardSeries) -> ForwardSequence:
+    """The sequence n -> (entry n after ... after entry 0).
+
+    In a finite category the accumulated arrows must eventually cycle:
+    the pair (position inside the series' period, accumulated arrow) ranges
+    over a finite set.
+    """
+    cat = space.category
+    arr = series.arrows
+    require_series(space, series, arr.stable_from + arr.cycle + 1 if arr.is_exact else arr.horizon)
+    if not arr.is_exact:
+        accs = []
+        acc = None
+        for n in range(arr.horizon):
+            a = arr.at(n)
+            acc = a if acc is None else cat.compose(acc, a)
+            accs.append(acc)
+        base = cat.arrows[arr.at(0)].dom
+        return ForwardSequence(base, BoundedDescription(tuple(accs)))
+
+    base_len = arr.stable_from
+    accs: list[int] = []
+    seen: dict[tuple[int, int], int] = {}
+    acc = None
+    n = 0
+    while True:
+        a = arr.at(n)
+        acc = a if acc is None else cat.compose(acc, a)
+        accs.append(acc)
+        nxt = n + 1
+        if nxt >= base_len:
+            state = ((nxt - base_len) % arr.cycle, acc)
+            if state in seen:
+                j = seen[state]
+                desc = EventuallyPeriodic(tuple(accs[: j + 1]), tuple(accs[j + 1 :]))
+                base = cat.arrows[arr.at(0)].dom
+                return ForwardSequence(base, desc)
+            seen[state] = n
+        n += 1
+
+
+def ref_check_cauchy(space: Metric1Space, series: ForwardSeries) -> LimitCertificate:
+    """Exact Cauchy decision for eventually periodic series.
+
+    The occurring weights form a finite set, so "for every epsilon" forces
+    every window composition (entry n after ... after entry m, n > m) past
+    some N to weigh exactly 0.  Window behaviour from index m depends only
+    on m's position in the period once m is past the preperiod, and every
+    position recurs beyond every N, so the series is Cauchy iff every start
+    position only generates weight-0 windows.
+    """
+    cat = space.category
+    arr = series.arrows
+    require_series(space, series, arr.stable_from + arr.cycle + 1 if arr.is_exact else arr.horizon)
+    if not arr.is_exact:
+        bad = None
+        for m in range(arr.horizon):
+            acc = arr.at(m)
+            for n in range(m + 1, arr.horizon):
+                acc = cat.compose(acc, arr.at(n))
+                if space.w[acc] != ZERO:
+                    bad = (m, n)
+                    break
+            if bad:
+                break
+        detail = (
+            f"window ({bad[0]},{bad[1]}) weighs nonzero within the horizon"
+            if bad
+            else f"all windows within horizon {arr.horizon} weigh 0"
+        )
+        return LimitCertificate(TO_HORIZON, detail=detail)
+
+    base_len = arr.stable_from
+    for p in range(arr.cycle):
+        m = base_len + p
+        acc = arr.at(m)
+        seen: set[tuple[int, int]] = set()
+        n = m
+        while True:
+            n += 1
+            acc = cat.compose(acc, arr.at(n))
+            if space.w[acc] != ZERO:
+                return LimitCertificate(
+                    EXACT_NO, witness_index=m,
+                    detail=f"window ({m},{n}) weighs {space.w[acc]}; its start position recurs forever",
+                )
+            state = ((n + 1 - base_len) % arr.cycle, acc)
+            if state in seen:
+                break
+            seen.add(state)
+    return LimitCertificate(EXACT_YES, detail="every window past the preperiod weighs 0")
+
+
+def ref_truncate_series(series: ForwardSeries, k: int) -> ForwardSeries:
+    """The shifted series n -> entry n + k."""
+    if k < 0:
+        raise PreconditionError("truncation index must be non-negative")
+    if not series.arrows.is_exact:
+        return ForwardSeries(BoundedDescription(series.arrows.entries[k:]))
+    return ForwardSeries(series.arrows.drop(k))
+
+
+def ref_truncate_cone(cone: EssentialCone, k: int) -> EssentialCone:
+    """Legs from index k re-indexed to certify the k-truncated series."""
+    if not cone.legs.is_exact:
+        return EssentialCone(cone.start_index, cone.apex, BoundedDescription(cone.legs.entries[k:]))
+    return EssentialCone(cone.start_index, cone.apex, cone.legs.drop(k))
+
+
+def ref_find_mediating_arrows(
+    space: Metric1Space,
+    seq: ForwardSequence,
+    cone_a: EssentialCone,
+    cone_b: EssentialCone,
+) -> tuple[int, ...]:
+    """Arrows apex_a -> apex_b making the compatibility triangle commute for
+    infinitely many indices.
+
+    For eventually periodic data "infinitely many" is read as "all tail
+    indices in some residue class", so one representative per class in a
+    stabilised window decides it.
+    """
+    cat = space.category
+    if not (seq.arrows.is_exact and cone_a.legs.is_exact and cone_b.legs.is_exact):
+        raise PreconditionError("mediating-arrow search needs eventually periodic data")
+    K0, L = _exact_window(
+        seq.arrows, cone_a.legs, cone_b.legs,
+        starts=(
+            cone_a.start_index + cone_a.legs.stable_from,
+            cone_b.start_index + cone_b.legs.stable_from,
+        ),
+    )
+    start = max(K0, cone_a.start_index, cone_b.start_index)
+    window = range(start, start + L)
+    found = []
+    for h in cat.hom(cone_a.apex, cone_b.apex):
+        if any(cat.compose(cone_a.leg(k), h) == cone_b.leg(k) for k in window):
+            found.append(h)
+    return tuple(found)
+
+
+def ref_check_weak_pushout(
+    space: Metric1Space,
+    seq: ForwardSequence | ForwardSeries,
+    cone: EssentialCone,
+    other_cones: list[EssentialCone],
+    require_unique: bool = False,
+) -> MediatingReport:
+    """Does the cone mediate into each supplied competitor cone?
+
+    Test scaffolding for the categorical (weak) pushout of a forward
+    sequence, and for the weak transfinite composition of a series (whose
+    cocones carry legs from index 0), on finite data: a mediating arrow h
+    must satisfy h after leg(n) == other_leg(n) for every n where both
+    cones are defined.  `require_unique` asks for exactly one such h per
+    competitor.
+    """
+    cat = space.category
+    mediators = []
+    for other in other_cones:
+        descs = [seq.arrows, cone.legs, other.legs]
+        if not all(d.is_exact for d in descs):
+            raise PreconditionError("pushout checks need eventually periodic data")
+        K0, L = _exact_window(
+            *descs,
+            starts=(
+                cone.start_index + cone.legs.stable_from,
+                other.start_index + other.legs.stable_from,
+            ),
+        )
+        first = max(cone.start_index, other.start_index)
+        window = range(first, max(first, K0) + L)
+        hs = []
+        for h in cat.hom(cone.apex, other.apex):
+            if all(cat.compose(cone.leg(n), h) == other.leg(n) for n in window):
+                hs.append(h)
+        mediators.append(tuple(hs))
+    ok = all(len(hs) == 1 if require_unique else len(hs) >= 1 for hs in mediators)
+    kind = "unique mediating arrow" if require_unique else "mediating arrow"
+    return MediatingReport(ok, tuple(mediators), f"{kind} per competitor cone: {[len(h) for h in mediators]}")
+
+
+def ref_converging_legs(cat, arr, n0: int, a0: int) -> tuple[int, ...]:
+    """The leg loop of `series_converges`: the legs before the cycle's
+    entry index n0, whose leg is a0."""
+    legs_before: list[int] = [0] * n0
+    nxt = a0
+    for n in range(n0 - 1, -1, -1):
+        nxt = cat.compose(arr.at(n), nxt)
+        legs_before[n] = nxt
+    return tuple(legs_before)
+
+
+def ref_banach_legs(cat, series, T: int, fixed_obj: int) -> tuple[int, ...]:
+    """The leg loop of `banach_iterate`: window compositions into the
+    fixed object, reached at step T."""
+    legs_before = []
+    nxt_leg = cat.identity[fixed_obj]
+    for n in range(T - 1, -1, -1):
+        nxt_leg = cat.compose(series.arrows.at(n), nxt_leg)
+        legs_before.insert(0, nxt_leg)
+    return tuple(legs_before)
+
+
+def limit_spaces(rng):
+    """Indiscrete spaces on 1 to 4 objects, weight 0 on about half the arrows."""
+    return [
+        Metric1Space.from_weights(indiscrete(n), [rng.choice([0, 0, 1, Fraction(1, 2), "inf"])
+                                                  for _ in range(n * n)])
+        for n in range(1, 5) for _ in range(3)
+    ]
+
+
+def arrow_walk(rng, n: int, length: int) -> list[int]:
+    """`length` consecutively composable arrows of indiscrete(n), whose
+    arrow x -> y has id x * n + y."""
+    x, ids = rng.randrange(n), []
+    for _ in range(length):
+        y = rng.randrange(n)
+        ids.append(x * n + y)
+        x = y
+    return ids
+
+
+def random_series(rng, n: int) -> ForwardSeries:
+    """Bounded (horizons 0 to 7) or eventually periodic, mostly composable:
+    some periods do not close, and one entry in five series is any arrow."""
+    if rng.random() < 0.5:
+        ids = arrow_walk(rng, n, rng.randint(0, 7))
+        pre = None
+    else:
+        pre = rng.randint(0, 3)
+        ids = arrow_walk(rng, n, pre + rng.randint(1, 4))
+        if rng.random() < 0.7:  # the period's last entry returns to its first entry's domain
+            ids[-1] = ids[-1] // n * n + ids[pre] // n
+    if ids and rng.random() < 0.2:
+        ids[rng.randrange(len(ids))] = rng.randrange(n * n)
+    desc = BoundedDescription(tuple(ids)) if pre is None else EventuallyPeriodic(tuple(ids[:pre]), tuple(ids[pre:]))
+    return ForwardSeries(desc)
+
+
+def random_cone(rng, n: int, seq: ForwardSequence, exact: bool) -> EssentialCone:
+    """Legs into a random apex, most from the codomain of the sequence
+    entry at their index; one cone in ten has a leg that misses the apex."""
+    start, apex = rng.randint(0, 2), rng.randrange(n)
+    count = rng.randint(1, 6) if exact else rng.randint(0, 6)
+    legs = []
+    for k in range(start, start + count):
+        x = seq.arrows.at(k) % n if rng.random() < 0.8 else rng.randrange(n)
+        legs.append(x * n + apex)
+    if legs and rng.random() < 0.1:
+        legs[rng.randrange(len(legs))] = rng.randrange(n * n)
+    if not exact:
+        return EssentialCone(start, apex, BoundedDescription(tuple(legs)))
+    pre = rng.randint(0, count - 1)
+    return EssentialCone(start, apex, EventuallyPeriodic(tuple(legs[:pre]), tuple(legs[pre:])))
+
+
+def random_sequence(rng, n: int, exact: bool) -> ForwardSequence:
+    base = rng.randrange(n)
+    ids = [base * n + rng.randrange(n) for _ in range(rng.randint(1, 5) if exact else 12)]
+    if not exact:
+        return ForwardSequence(base, BoundedDescription(tuple(ids)))
+    pre = rng.randint(0, len(ids) - 1)
+    return ForwardSequence(base, EventuallyPeriodic(tuple(ids[:pre]), tuple(ids[pre:])))
+
+
+def same_outcome(new, ref, *args):
+    """The outcome of both calls, once they return equal values of one
+    repr or raise one exception type with one message: the value, or the
+    exception type."""
+    outcomes = []
+    for fn in (new, ref):
+        try:
+            value = fn(*args)
+        except Exception as exc:  # any exception is an outcome to compare
+            outcomes.append((type(exc), str(exc)))
+        else:
+            outcomes.append((value, repr(value)))
+    assert outcomes[0] == outcomes[1], args
+    return outcomes[0][0]
+
+
+def kind(outcome) -> str:
+    return outcome.__name__ if isinstance(outcome, type) else type(outcome).__name__
+
+
+def test_series_checks_match_the_two_body_scans():
+    """Partial compositions, Cauchy windows and truncations of seeded
+    series, both kinds: the same results and the same exceptions."""
+    rng = random.Random(2020)
+    seen = Counter()
+    for space in limit_spaces(rng) * 40:
+        series = random_series(rng, len(space.category.objects))
+        partials = same_outcome(partial_compositions, ref_partial_compositions, space, series)
+        cauchy = same_outcome(check_cauchy, ref_check_cauchy, space, series)
+        seen[kind(partials)] += 1
+        seen[getattr(cauchy, "verdict", "raised")] += 1
+        for k in (-1, 0, 1, rng.randint(2, 9)):
+            same_outcome(truncate_series, ref_truncate_series, series, k)
+    # every verdict, and both kinds of partial compositions, came up
+    assert min(seen[v] for v in (EXACT_YES, EXACT_NO, TO_HORIZON, "raised")) > 20, seen
+    assert seen["ForwardSequence"] > 200 and seen["PreconditionError"] > 20, seen
+
+
+def test_cone_checks_match_the_two_body_scans():
+    """Truncated cones, mediating arrows and weak pushouts on seeded
+    sequences and cones, both kinds: the same results and exceptions."""
+    rng = random.Random(2021)
+    seen = Counter()
+    for space in limit_spaces(rng) * 40:
+        n = len(space.category.objects)
+        exact = rng.random() < 0.85
+        seq = random_sequence(rng, n, exact)
+        cones = [random_cone(rng, n, seq, exact or rng.random() < 0.5) for _ in range(4)]
+        for k in (-1, 0, 1, rng.randint(2, 7)):
+            same_outcome(truncate_cone, ref_truncate_cone, cones[0], k)
+        found = same_outcome(find_mediating_arrows, ref_find_mediating_arrows, space, seq, cones[0], cones[1])
+        seen[f"found {bool(found) if isinstance(found, tuple) else kind(found)}"] += 1
+        others = cones[1:rng.randint(1, 4)]
+        for unique in (False, True):
+            report = same_outcome(check_weak_pushout, ref_check_weak_pushout, space, seq, cones[0], others, unique)
+            seen[f"holds {getattr(report, 'holds', kind(report))}"] += 1
+    assert min(seen[k] for k in ("found True", "found False", "holds True", "holds False")) > 20, seen
+    assert seen["found PreconditionError"] and seen["found KeyError"], seen
+
+
+def test_leg_builder_matches_both_leg_loops():
+    """The legs below each index n0 of seeded series, from a leg out of the
+    entry's domain (series_converges) or from the identity there
+    (banach_iterate)."""
+    rng = random.Random(2022)
+    built = 0
+    for space in limit_spaces(rng) * 10:
+        cat, n = space.category, len(space.category.objects)
+        series = random_series(rng, n)
+        arr = series.arrows
+        for n0 in range(arr.stable_from + arr.cycle if arr.is_exact else arr.horizon):
+            x = arr.at(n0) // n  # the domain of entry n0
+            leg = x * n + rng.randrange(n)
+            legs = same_outcome(lambda: legs_before(space, series, n0, leg),
+                                lambda: ref_converging_legs(cat, arr, n0, leg))
+            built += isinstance(legs, tuple)
+            same_outcome(lambda: legs_before(space, series, n0, cat.identity[x]),
+                         lambda: ref_banach_legs(cat, series, n0, x))
+    assert built > 300
