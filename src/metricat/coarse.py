@@ -82,12 +82,14 @@ def arrow_compose_sets(cat: FiniteCategory, e1: frozenset[int], e2: frozenset[in
     contribute nothing (the composition of generators with nothing in
     common is the empty set, not an error).  The composites of f2 are read
     off its row ``cat.after[f2]``; the table must cover every composable
-    pair.
+    pair.  The scan stops once the result holds every arrow.
     """
-    after = cat.after
+    after, m = cat.after, len(cat.arrows)
     out = set()
     for f2 in e2:
         out.update([h for f1, h in after[f2].items() if f1 in e1])
+        if len(out) == m:
+            break
     return frozenset(out)
 
 
@@ -100,13 +102,29 @@ def arrow_star(cat: FiniteCategory, e: frozenset[int]) -> frozenset[int]:
     dom psi == cod phi, phi after psi needs cod psi == dom phi.  Both halves
     read the rows `cat.after`: psi after phi is ``after[phi][psi]``, over
     the row of phi, and phi after psi is ``after[psi][phi]``, for each psi
-    into dom phi.  The table must cover every composable pair."""
+    into dom phi.  The table must cover every composable pair.  The scan
+    stops once the result holds every arrow.
+
+    A set holding every identity lies in its own star (psi = psi o id).
+    When e does and fewer arrows lie outside e than in it, only the arrows
+    outside e are tested instead, each against its own row and the arrows
+    into its domain: the same two halves, read from the other end."""
     arrows, into, after = cat.arrows, cat.adjacency.into, cat.after
+    m = len(arrows)
+    if 2 * len(e) > m and all(i in e for i in cat.identity.values()):
+        return frozenset(e).union([
+            psi for psi in range(m) if psi not in e and (
+                any(h in e for phi, h in after[psi].items() if phi in e)
+                or any(after[phi][psi] in e for phi in into.get(arrows[psi].dom, ()) if phi in e)
+            )
+        ])
     out = set()
     for phi in e:
         out.update([psi for psi, h in after[phi].items() if psi not in out and h in e])
         out.update([psi for psi in into.get(arrows[phi].dom, ())
                     if psi not in out and after[psi][phi] in e])
+        if len(out) == m:
+            break
     return frozenset(out)
 
 
@@ -223,7 +241,19 @@ def metrize_chain(gens: CoarseGenerators) -> list[frozenset[int]]:
     F_{k+1} depends on F_k and E_k alone, so the stage repeats exactly
     until E_k grows; the loop lists F_n for those indices and goes on at
     the first k with E_k larger than E_n (the sets are monotone, so their
-    sizes find it)."""
+    sizes find it).
+
+    A stage computes only the parts that can still change it.  It starts
+    from F_n | E_n and adds star(F_n), then F_n o F_n, then star(E_n):
+
+    - Once the set holds all m arrows, the remaining parts are skipped.
+      The union only grows, so they could add nothing, and exit (a) asks
+      only whether the stage holds m arrows.
+    - star(E_n) is skipped when E_n lies in F_n: star is monotone, so
+      star(E_n) then lies in star(F_n), which the stage already holds (the
+      argument of exit (b)).  Each stage puts E_n into F_{n+1}, so star(E_n)
+      is computed at most once per distinct set E_n, however many stages
+      share it."""
     cat = gens.category
     m, top = len(cat.arrows), gens.top
     chain = [arrow_diagonal(cat)]
@@ -231,13 +261,13 @@ def metrize_chain(gens: CoarseGenerators) -> list[frozenset[int]]:
     while len(chain[-1]) < m:
         current = chain[-1]
         e_n = gens.at(n)
-        nxt = (
-            arrow_star(cat, current)
-            | arrow_compose_sets(cat, current, current)
-            | e_n
-            | arrow_star(cat, e_n)
-            | current
-        )
+        nxt = current | e_n
+        if len(nxt) < m:
+            nxt |= arrow_star(cat, current)
+        if len(nxt) < m:
+            nxt |= arrow_compose_sets(cat, current, current)
+        if len(nxt) < m and not e_n <= current:
+            nxt |= arrow_star(cat, e_n)
         n += 1
         if nxt != current:
             chain.append(nxt)

@@ -248,6 +248,8 @@ def partial_compositions(space: Metric1Space, series: ForwardSeries) -> ForwardS
     cat = space.category
     arr = series.arrows
     require_series(space, series, _series_upto(arr))
+    if not arr.is_exact and not arr.horizon:
+        raise PreconditionError("partial compositions need a series entry; this bounded series has none")
     accs, j = _walk(cat, arr)
     desc = (BoundedDescription(tuple(accs)) if j is None
             else EventuallyPeriodic(tuple(accs[:j + 1]), tuple(accs[j + 1:])))
@@ -421,7 +423,8 @@ def _mediators(space: Metric1Space, seq: ForwardSequence | ForwardSeries, cone: 
     other.leg(k): with `all`, at every index both cones carry; with `any`,
     at some index of one period past the stabilised window, which for
     eventually periodic data is at infinitely many indices.  Other data
-    raises PreconditionError(need)."""
+    raises PreconditionError(need), and so does a leg of `cone` read there
+    that does not end at its apex."""
     descs = (seq.arrows, cone.legs, other.legs)
     if not all(d.is_exact for d in descs):
         raise PreconditionError(need)
@@ -431,9 +434,16 @@ def _mediators(space: Metric1Space, seq: ForwardSequence | ForwardSeries, cone: 
     start = max(first, K0)
     window = range(first if quantifier is all else start, start + L)
     cat = space.category
+
+    def leg(k: int) -> int:
+        rho = cat.arrows[cone.leg(k)]
+        if rho.cod != cone.apex:
+            raise PreconditionError(f"cone leg at {k} is {rho}; must run {rho.dom} -> {cone.apex}")
+        return rho.id
+
     return tuple(
         h for h in cat.hom(cone.apex, other.apex)
-        if quantifier(cat.compose(cone.leg(k), h) == other.leg(k) for k in window)
+        if quantifier(cat.compose(leg(k), h) == other.leg(k) for k in window)
     )
 
 

@@ -37,6 +37,10 @@ def test_parse_index_accepts_integers_and_digit_strings():
 @pytest.mark.parametrize("data, value", [
     ("3/2", Fraction(3, 2)), (" INF ", None), ("1.5", Fraction(3, 2)), ("-0", Fraction(0)),
     (1e400, None), (Fraction(6, 4), Fraction(3, 2)), (3, Fraction(3)),
+    # digit strings are read through int, every other string through
+    # Fraction(str); both give what Fraction(str) gives
+    ("007", Fraction(7)), ("0/5", Fraction(0)), (" 3/2 ", Fraction(3, 2)), ("+1", Fraction(1)),
+    ("\u0663", Fraction(3)),  # an Arabic-Indic three
 ])
 def test_weight_parse_values(data, value):
     w = Weight.parse(data)
@@ -49,6 +53,8 @@ def test_weight_parse_values(data, value):
 @pytest.mark.parametrize("data, error, message", [
     ("-1", ValueError, "weights must be non-negative, got -1"),
     ("1/0", ZeroDivisionError, "Fraction(1, 0)"),
+    ("1/-2", ValueError, "Invalid literal for Fraction: '1/-2'"),
+    ("\u00b2", ValueError, "Invalid literal for Fraction: '\u00b2'"),  # a superscript two
     (True, ValueError, "not a weight: True"),
 ])
 def test_weight_parse_errors(data, error, message):

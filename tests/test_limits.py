@@ -242,6 +242,11 @@ def test_bounded_series_must_compose_within_the_horizon():
         partial_compositions(sp, series)
 
 
+def test_an_empty_bounded_series_has_no_partial_compositions():
+    with pytest.raises(PreconditionError, match="^partial compositions need a series entry; this bounded"):
+        partial_compositions(support.z2_space(0), ForwardSeries(BoundedDescription(())))
+
+
 # --- series limits --------------------------------------------------------------
 
 def test_identity_series_converges_to_identity():
@@ -420,3 +425,18 @@ def test_transfinite_composition_check():
     other = EssentialCone(0, 0, EventuallyPeriodic((cat.identity[0],), (cat.hom(1, 0)[0],)))
     rep = check_weak_pushout(sp, series, cone, [other], require_unique=True)
     assert rep.holds and len(rep.mediators[0]) == 1
+
+
+def test_mediator_scans_refuse_a_leg_that_misses_the_apex():
+    # indiscrete(2): arrow 1 runs 0 -> 1, arrow 2 runs 1 -> 0; the cone's
+    # leg at 0 should run 1 -> 1 and runs 1 -> 0
+    sp = support.indiscrete_space([[0, 1], [1, 0]])
+    seq = ForwardSequence(0, EventuallyPeriodic((), (1,)))
+    cone = EssentialCone(0, 1, EventuallyPeriodic((), (2,)))
+    message = "^cone leg at 0 is a2:1->0; must run 1 -> 1$"
+    with pytest.raises(PreconditionError, match=message):
+        check_forward_limiting_cone(sp, seq, cone)
+    with pytest.raises(PreconditionError, match=message):
+        find_mediating_arrows(sp, seq, cone, cone)
+    with pytest.raises(PreconditionError, match=message):
+        check_weak_pushout(sp, seq, cone, [cone])

@@ -24,7 +24,9 @@ runs every stage up to the first unchanged one past `constant_from`: the
 same list of sets and the same weights, on kernel-shaped spaces with and
 without a wrong composite, on infinite weights, on a chain F never fills
 and on explicit families that stall below their top set, for one stage or
-for 10^5.
+for 10^5, and on the kernel benchmark's largest sizes.  That loop runs on
+copies of the star and composition scans as they were before they stopped
+at a full result, and those copies are compared with the library's scans.
 
 The backward continuity criteria and the backward natural-contraction
 search are likewise compared with the hand-written backward loops that the
@@ -50,10 +52,14 @@ arrows, weak pushouts, and the leg loops of `series_converges` and
 1 to 4 objects (zero weights, horizons up to 7, periods that do not close,
 entries that do not compose, legs that miss the apex), each call must
 return the same value or raise the same exception with the same message.
+Two bare errors of the replaced versions are the exception: a leg that
+misses the apex (`KeyError`) and an empty bounded series (`IndexError`)
+now raise `PreconditionError`.
 """
 import itertools
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -80,7 +86,6 @@ from metricat import (
     validate_transformation,
     vertical_compose,
 )
-from metricat import coarse
 from metricat.coarse import (
     CoarseGenerators, arrow_compose_sets, arrow_diagonal, arrow_star, bounded_generators, metrize,
     metrize_chain,
@@ -238,6 +243,27 @@ def ref_arrow_star(cat, e):
     return frozenset(out)
 
 
+def parent_arrow_compose_sets(cat, e1, e2):
+    """`arrow_compose_sets` before it stopped at a full result."""
+    after = cat.after
+    out = set()
+    for f2 in e2:
+        out.update([h for f1, h in after[f2].items() if f1 in e1])
+    return frozenset(out)
+
+
+def parent_arrow_star(cat, e):
+    """`arrow_star` before it stopped at a full result and read large sets
+    holding every identity from the arrows outside them."""
+    arrows, into, after = cat.arrows, cat.adjacency.into, cat.after
+    out = set()
+    for phi in e:
+        out.update([psi for psi, h in after[phi].items() if psi not in out and h in e])
+        out.update([psi for psi in into.get(arrows[phi].dom, ())
+                    if psi not in out and after[psi][phi] in e])
+    return frozenset(out)
+
+
 def ref_bounded_sets(space):
     finite = [w.finite for w in space.w if not w.is_infinite]
     last = max((math.ceil(f) for f in finite), default=0)
@@ -260,10 +286,10 @@ def ref_metrize_chain(gens: CoarseGenerators) -> list[frozenset[int]]:
         current = chain[-1]
         e_n = gens.at(n)
         nxt = (
-            arrow_star(cat, current)
-            | arrow_compose_sets(cat, current, current)
+            parent_arrow_star(cat, current)
+            | parent_arrow_compose_sets(cat, current, current)
             | e_n
-            | arrow_star(cat, e_n)
+            | parent_arrow_star(cat, e_n)
             | current
         )
         n += 1
@@ -639,6 +665,33 @@ def test_arrow_calculus_matches_the_pair_scans():
     assert compared > 100
 
 
+def test_arrow_calculus_matches_the_parent_bodies():
+    """The scans that stop at a full result, and the star read from the
+    arrows outside a large set holding every identity, against the bodies
+    they replaced: random subsets, those with every identity added, the
+    full arrow set and the full set less one arrow."""
+    rng = random.Random(107)
+    spaces = [sp for _, sp in cases(107) if not sp.category.structural_errors() and total(sp.category)]
+    spaces += kernel_sized(rng)
+    seen = Counter()
+    for space in spaces:
+        cat = space.category
+        m, ids = len(cat.arrows), arrow_diagonal(cat)
+        every = frozenset(range(m))
+        subsets = [every, every - {rng.randrange(m)}]
+        for _ in range(4):
+            e = frozenset(rng.sample(range(m), rng.randint(0, m)))
+            subsets += [e, e | ids]
+        for e in subsets:
+            e2 = rng.choice(subsets)
+            star = arrow_star(cat, e)
+            assert star == parent_arrow_star(cat, e)
+            assert arrow_compose_sets(cat, e, e2) == parent_arrow_compose_sets(cat, e, e2)
+            seen["outside" if 2 * len(e) > m and ids <= e else "members"] += 1
+            seen["full"] += len(star) == m
+    assert len(spaces) > 100 and min(seen.values()) > 300, seen
+
+
 def test_bounded_generators_match_threshold_comparisons():
     for name, space in cases(105):
         gens = bounded_generators(space)
@@ -660,34 +713,59 @@ def wrong_composite(rng, cat) -> FiniteCategory:
     return with_table(cat, table)
 
 
+def kernel_bimetric(rng, n: int) -> Metric1Space:
+    """A bi-metric space drawn as the kernel benchmark draws them."""
+    d = support.rand_metric(rng, n).d
+    c = Fraction(rng.randint(0, 4), 2)
+    low = min(d[x][y] for x in range(n) for y in range(n) if x != y)
+    t1 = {(x, y): d[x][y] for x in range(n) for y in range(n) if x != y}
+    t2 = {k: v + c for k, v in t1.items()}
+    return bimetric_space(n, t1, t2, c + 2 * low * Fraction(rng.randint(0, 4), 4))
+
+
+def kernel_chain(rng, n: int) -> Metric1Space:
+    return support.chain_space([Fraction(rng.randint(1, 9), rng.choice((1, 2))) for _ in range(n - 1)])
+
+
 def kernel_shaped(rng):
     """Indiscrete, bi-metric and chain spaces of the kernel benchmark's shapes
     and sizes, each also with one wrong composite."""
     spaces = [from_metric_space(support.rand_metric(rng, n)) for n in (3, 8, 12)]
-    for n in (3, 5):
-        d = support.rand_metric(rng, n).d
-        c = Fraction(rng.randint(0, 4), 2)
-        low = min(d[x][y] for x in range(n) for y in range(n) if x != y)
-        t1 = {(x, y): d[x][y] for x in range(n) for y in range(n) if x != y}
-        t2 = {k: v + c for k, v in t1.items()}
-        spaces.append(bimetric_space(n, t1, t2, c + 2 * low * Fraction(rng.randint(0, 4), 4)))
-    spaces += [
-        support.chain_space([Fraction(rng.randint(1, 9), rng.choice((1, 2))) for _ in range(n - 1)])
-        for n in (6, 10, 16)
-    ]
+    spaces += [kernel_bimetric(rng, n) for n in (3, 5)]
+    spaces += [kernel_chain(rng, n) for n in (6, 10, 16)]
     return spaces + [Metric1Space(wrong_composite(rng, sp.category), sp.w) for sp in spaces]
 
 
+def perturbed_weight(rng, space: Metric1Space) -> Metric1Space:
+    """The kernel benchmark's other defect: one arrow between distinct
+    objects raised by twice the largest weight and one."""
+    cat, w = space.category, list(space.w)
+    a = rng.choice([a.id for a in cat.arrows if a.dom != a.cod])
+    w[a] = w[a] + Weight(2 * max(x.finite for x in w) + 1)
+    return Metric1Space(cat, tuple(w))
+
+
+def kernel_sized(rng):
+    """The kernel benchmark's largest indiscrete spaces (20 and 30 objects),
+    its bi-metric spaces (3 to 7 points) and its chains (6 to 16 objects),
+    each also with one perturbed weight."""
+    spaces = [from_metric_space(support.rand_metric(rng, n)) for n in (20, 30)]
+    spaces += [kernel_bimetric(rng, n) for n in range(3, 8)]
+    spaces += [kernel_chain(rng, n) for n in (6, 8, 10, 13, 16)]
+    return spaces + [perturbed_weight(rng, sp) for sp in spaces]
+
+
 def counted_stages(monkeypatch) -> list[int]:
-    """Count the stages `metrize_chain` computes: two `arrow_star` calls each."""
+    """Count the stages `metrize_chain` computes: each reads its generator
+    set E_n once, while a stage may skip either star."""
     calls = [0]
-    original = coarse.arrow_star
+    original = CoarseGenerators.at
 
-    def counting(cat, e):
+    def counting(gens, n):
         calls[0] += 1
-        return original(cat, e)
+        return original(gens, n)
 
-    monkeypatch.setattr(coarse, "arrow_star", counting)
+    monkeypatch.setattr(CoarseGenerators, "at", counting)
     return calls
 
 
@@ -709,6 +787,18 @@ def test_metrize_chain_matches_the_stage_by_stage_loop():
     assert len(spaces) > 100 and unfilled and infinite
 
 
+def test_metrize_chain_matches_the_stage_by_stage_loop_at_kernel_sizes():
+    """Stages that stop once full and skip a star(E_n) inside F_n, on the
+    kernel benchmark's sizes, and on the metrization of each."""
+    compared = 0
+    for space in kernel_sized(random.Random(108)):
+        for gens in (bounded_generators(space), bounded_generators(metrize(bounded_generators(space)))):
+            assert metrize_chain(gens) == ref_metrize_chain(gens)
+            assert metrize(gens).w == ref_metrize_weights(gens)
+            compared += 1
+    assert compared == 48
+
+
 def test_metrize_chain_exit_a_skips_the_stages_after_every_arrow_entered(monkeypatch):
     # points 0..8 on a line: the unit steps are in F_2, and star and
     # composition reach further by more than one unit a stage, so all 81
@@ -719,7 +809,7 @@ def test_metrize_chain_exit_a_skips_the_stages_after_every_arrow_entered(monkeyp
     assert (full, gens.constant_from, len(want)) == (4, 8, 9)
     calls = counted_stages(monkeypatch)
     assert metrize_chain(gens) == want
-    assert calls[0] == 2 * full
+    assert calls[0] == full
     assert metrize(gens).w == ref_metrize_weights(gens)
 
 
@@ -733,7 +823,7 @@ def test_metrize_chain_exit_b_stops_when_a_stage_adds_nothing_over_top(monkeypat
     assert len(want) == 6 and want[-1] == top
     calls = counted_stages(monkeypatch)
     assert metrize_chain(gens) == want
-    assert calls[0] == 2 * 2  # F_1, then F_2 = F_1
+    assert calls[0] == 2  # F_1, then F_2 = F_1
     assert metrize(gens).w == ref_metrize_weights(gens)
     assert metrize(gens).w[cat.hom(1, 2)[0]].is_infinite
 
@@ -761,7 +851,7 @@ def test_metrize_chain_jumps_over_stages_that_repeat(monkeypatch):
     gens = bounded_generators(support.indiscrete_space([[0, 10**5], [10**5, 0]]))
     calls = counted_stages(monkeypatch)
     chain = metrize_chain(gens)
-    assert calls[0] == 2 * 2  # F_1 = F_0, then F_{10^5 + 1} holds every arrow
+    assert calls[0] == 2  # F_1 = F_0, then F_{10^5 + 1} holds every arrow
     assert len(chain) == 10**5 + 2 and chain[10**5] == chain[0] and len(chain[-1]) == 4
     assert [w.to_json() for w in metrize(gens).w] == ["0", "100001", "100001", "0"]
 
@@ -1765,10 +1855,18 @@ def random_sequence(rng, n: int, exact: bool) -> ForwardSequence:
     return ForwardSequence(base, EventuallyPeriodic(tuple(ids[:pre]), tuple(ids[pre:])))
 
 
-def same_outcome(new, ref, *args):
+# Bare errors of the replaced bodies that the library now raises as a
+# PreconditionError with a message of this form.
+LEG_OFF_APEX = (KeyError, r"cone leg at \d+ is a\d+:\d+->\d+; must run \d+ -> \d+")
+EMPTY_SERIES = (IndexError, r"partial compositions need a series entry; this bounded series has none")
+
+
+def same_outcome(new, ref, *args, retyped=None):
     """The outcome of both calls, once they return equal values of one
     repr or raise one exception type with one message: the value, or the
-    exception type."""
+    exception type.  Where the reference raises the bare error of
+    `retyped`, the library must raise a PreconditionError matching its
+    pattern instead, and the outcome is "retyped"."""
     outcomes = []
     for fn in (new, ref):
         try:
@@ -1777,11 +1875,16 @@ def same_outcome(new, ref, *args):
             outcomes.append((type(exc), str(exc)))
         else:
             outcomes.append((value, repr(value)))
+    if retyped and outcomes[1][0] is retyped[0]:
+        assert outcomes[0][0] is PreconditionError and re.fullmatch(retyped[1], outcomes[0][1]), args
+        return "retyped"
     assert outcomes[0] == outcomes[1], args
     return outcomes[0][0]
 
 
 def kind(outcome) -> str:
+    if isinstance(outcome, str):
+        return outcome
     return outcome.__name__ if isinstance(outcome, type) else type(outcome).__name__
 
 
@@ -1792,7 +1895,8 @@ def test_series_checks_match_the_two_body_scans():
     seen = Counter()
     for space in limit_spaces(rng) * 40:
         series = random_series(rng, len(space.category.objects))
-        partials = same_outcome(partial_compositions, ref_partial_compositions, space, series)
+        partials = same_outcome(partial_compositions, ref_partial_compositions, space, series,
+                                retyped=EMPTY_SERIES)
         cauchy = same_outcome(check_cauchy, ref_check_cauchy, space, series)
         seen[kind(partials)] += 1
         seen[getattr(cauchy, "verdict", "raised")] += 1
@@ -1800,7 +1904,7 @@ def test_series_checks_match_the_two_body_scans():
             same_outcome(truncate_series, ref_truncate_series, series, k)
     # every verdict, and both kinds of partial compositions, came up
     assert min(seen[v] for v in (EXACT_YES, EXACT_NO, TO_HORIZON, "raised")) > 20, seen
-    assert seen["ForwardSequence"] > 200 and seen["PreconditionError"] > 20, seen
+    assert seen["ForwardSequence"] > 200 and seen["PreconditionError"] > 20 and seen["retyped"], seen
 
 
 def test_cone_checks_match_the_two_body_scans():
@@ -1815,14 +1919,16 @@ def test_cone_checks_match_the_two_body_scans():
         cones = [random_cone(rng, n, seq, exact or rng.random() < 0.5) for _ in range(4)]
         for k in (-1, 0, 1, rng.randint(2, 7)):
             same_outcome(truncate_cone, ref_truncate_cone, cones[0], k)
-        found = same_outcome(find_mediating_arrows, ref_find_mediating_arrows, space, seq, cones[0], cones[1])
+        found = same_outcome(find_mediating_arrows, ref_find_mediating_arrows, space, seq, cones[0], cones[1],
+                             retyped=LEG_OFF_APEX)
         seen[f"found {bool(found) if isinstance(found, tuple) else kind(found)}"] += 1
         others = cones[1:rng.randint(1, 4)]
         for unique in (False, True):
-            report = same_outcome(check_weak_pushout, ref_check_weak_pushout, space, seq, cones[0], others, unique)
+            report = same_outcome(check_weak_pushout, ref_check_weak_pushout, space, seq, cones[0], others, unique,
+                                  retyped=LEG_OFF_APEX)
             seen[f"holds {getattr(report, 'holds', kind(report))}"] += 1
     assert min(seen[k] for k in ("found True", "found False", "holds True", "holds False")) > 20, seen
-    assert seen["found PreconditionError"] and seen["found KeyError"], seen
+    assert seen["found PreconditionError"] and seen["found retyped"], seen
 
 
 def test_leg_builder_matches_both_leg_loops():
