@@ -43,9 +43,28 @@ only what provably cannot beat it, so the minimum is unchanged:
   Ivanov, A Course in Metric Geometry, 2001): a correspondence pairs the
   two points realising diam X with points at most diam Y apart, and the
   other way round, so its distortion is at least |diam X - diam Y|; and
-  every pattern's h is at least their minimum, GH.  Every bound is raised to
-  it, so no lower triangle with v below it binds, and the searches and both
-  pair scans stop once the incumbent reaches it.
+  every pattern's h is at least their minimum, GH.  The gluing route raises
+  every bound to it, so no lower triangle with v below it binds, and its
+  searches and pair scan stop once the incumbent reaches it.
+
+* the eccentricity bound |ecc x - ecc y| <= dis R for each (x, y) in a
+  correspondence R (Memoli, On the use of Gromov-Hausdorff distances for
+  shape comparison, 2007): pick x' with d(x, x') = ecc x and a partner y'
+  of x' in R; then ecc x - ecc y <= d(x, x') - d(y, y') <= dis R, and the
+  same holds with X and Y swapped.  Every point has a partner, so dis R is
+  also at least the Hausdorff distance between the two sets of
+  eccentricities, which is at least |diam X - diam Y|.  The correspondence
+  route raises the bound of placing x on y to the first and its floor to
+  the second; an onto f still attains its bound, as graph(f) holds every
+  pair f places.
+
+* the gluing route starts at the correspondence value d: its incumbent
+  starts at d + 1 (twice h, in the integer scale), so a gluing minimum of
+  at most d is still found and returned, and one above d returns d + 1.
+  Either way the two routes agree only when the gluing minimum is d.  It
+  never uses the eccentricity bound: a floor taken from correspondence
+  theory could lift a wrong, low gluing value to the right one, and the
+  agreement check is worth what the routes' independence makes it.
 
 The Lipschitz distance is likewise a branch-and-bound over bijections that
 cuts a branch once the constant of its fixed pairs reaches the best found,
@@ -281,7 +300,7 @@ def _common_scale(x: FiniteMetricSpace, y: FiniteMetricSpace) -> int:
 
 
 def _int_matrix(space: FiniteMetricSpace, scale: int) -> list[list[int]]:
-    return [[int(v * scale) for v in row] for row in space.d]
+    return [[v.numerator * (scale // v.denominator) for v in row] for row in space.d]
 
 
 def _diameter_floor(dx: list[list[int]], dy: list[list[int]]) -> int:
@@ -289,6 +308,15 @@ def _diameter_floor(dx: list[list[int]], dy: list[list[int]]) -> int:
     correspondence distortion and on twice every gluing pattern's h (see
     module docstring)."""
     return abs(max(map(max, dx)) - max(map(max, dy)))
+
+
+def _eccentricity_floor(ecc_x: list[int], ecc_y: list[int]) -> int:
+    """The Hausdorff distance between the two sets of eccentricities, in
+    the integer scale: a lower bound on every correspondence distortion,
+    and at least |diam X - diam Y| (see module docstring)."""
+    one = max(min(abs(a - b) for b in ecc_y) for a in ecc_x)
+    two = max(min(abs(a - b) for a in ecc_x) for b in ecc_y)
+    return max(one, two)
 
 
 def _bounded_maps(length, width, step, cap, budget, phase):
@@ -324,12 +352,18 @@ def _bounded_maps(length, width, step, cap, budget, phase):
 
 def _distortion_step(d_src: list[list[int]], d_dst: list[list[int]], floor: int):
     """Search step for maps src -> dst: bound and state are the distortion
-    of the fixed pairs, raised to the diameter bound."""
+    of the fixed pairs, raised to the eccentricity bound |ecc x - ecc y| of
+    each placed pair (x, y) and to `floor`."""
+    ecc_src, ecc_dst = [max(row) for row in d_src], [max(row) for row in d_dst]
+    # cost[x][y]: the bound of placing x on y
+    cost = [[max(floor, abs(e - f)) for f in ecc_dst] for e in ecc_src]
 
     def step(dis, prefix, j):
+        k = len(prefix)
+        if not prefix:
+            return cost[0][j], cost[0][j]
         row = d_dst[j]
-        fixed = map(abs, map(sub, d_src[len(prefix)], map(row.__getitem__, prefix)))
-        dis = max(dis, *fixed) if prefix else floor
+        dis = max(dis, cost[k][j], *map(abs, map(sub, d_src[k], map(row.__getitem__, prefix))))
         return dis, dis
 
     return step
@@ -347,7 +381,7 @@ def _gh_correspondences(dx: list[list[int]], dy: list[list[int]], budget=None) -
     """
     n, m = len(dx), len(dy)
     budget, phase = Budget.of(budget), "Gromov-Hausdorff correspondence route"
-    floor = _diameter_floor(dx, dy)
+    floor = _eccentricity_floor([max(row) for row in dx], [max(row) for row in dy])
     cap = [max(map(max, dx + dy)) + 1]  # above every distortion
     f_choices = _bounded_maps(n, m, _distortion_step(dx, dy, floor), cap, budget, phase)
     g_choices = _bounded_maps(m, n, _distortion_step(dy, dx, floor), cap, budget, phase)
@@ -377,11 +411,13 @@ def _gh_correspondences(dx: list[list[int]], dy: list[list[int]], budget=None) -
     return best
 
 
-def _gh_gluings(dx: list[list[int]], dy: list[list[int]], budget=None) -> Fraction:
+def _gh_gluings(dx: list[list[int]], dy: list[list[int]], budget=None, cap=None) -> Fraction:
     """Infimum of the Hausdorff distance over semimetric gluings, in the
     integer scale, via the per-pattern closed form explained in the module
-    docstring.  Returns the exact optimum (possibly half-integral).  Charges
-    `budget` as `_gh_correspondences` does."""
+    docstring.  Returns the exact optimum (possibly half-integral) when
+    twice it lies below `cap`, and cap / 2 otherwise; with no cap, the
+    search starts above every bound.  Charges `budget` as
+    `_gh_correspondences` does."""
     n, m = len(dx), len(dy)
     budget, phase = Budget.of(budget), "Gromov-Hausdorff gluing route"
     # shortest distances on the grid of cells (x, y) = x * m + y, the product of X and Y
@@ -412,8 +448,8 @@ def _gh_gluings(dx: list[list[int]], dy: list[list[int]], budget=None) -> Fracti
 
         return step
 
-    # twice the optimal h in the integer scale, starting above every bound
-    cap = [max(map(max, dx + dy)) + 1]
+    # twice the optimal h in the integer scale, starting at the cap
+    cap = [max(map(max, dx + dy)) + 1 if cap is None else cap]
     f_rows = _bounded_maps(n, m, pattern_step(lambda x, y: x * m + y), cap, budget, phase)
     g_rows = _bounded_maps(m, n, pattern_step(lambda y, x: x * m + y), cap, budget, phase)
     best2 = cap[0]
@@ -454,8 +490,11 @@ def gh_distance(x: FiniteMetricSpace, y: FiniteMetricSpace) -> Fraction:
     scale = _common_scale(x, y)
     dx, dy = _int_matrix(x, scale), _int_matrix(y, scale)
     budget = Budget()
-    via_corr = Fraction(_gh_correspondences(dx, dy, budget), 2 * scale)
-    via_glue = _gh_gluings(dx, dy, budget) / scale
+    distortion = _gh_correspondences(dx, dy, budget)
+    # a gluing value below the correspondence value is still found, and
+    # one above it reads (distortion + 1) / 2: either way the routes disagree
+    via_corr = Fraction(distortion, 2 * scale)
+    via_glue = _gh_gluings(dx, dy, budget, distortion + 1) / scale
     if via_corr != via_glue:
         raise TheoremViolation(
             f"gluing route {via_glue} disagrees with correspondence route {via_corr}"

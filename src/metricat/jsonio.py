@@ -30,7 +30,7 @@ from fractions import Fraction
 from .errors import InputFormatError
 from .fincat import Arrow, FiniteCategory, Functor, Obj
 from .metricspace import FiniteMetricSpace
-from .weight import Weight
+from .weight import Weight, digit_fraction
 from .weights import BACKWARD, FORWARD, Metric1Space
 
 
@@ -60,14 +60,19 @@ def json_object(data, what: str, keys=()) -> dict:
 
 
 def parse_fraction(value) -> Fraction:
+    """A JSON number, or a string read as ``Fraction(str)`` reads it (a
+    digit string through `weight.digit_fraction`).  A float infinity (JSON
+    `Infinity`, or a literal such as `1e400` that overflows) and NaN are
+    not rational values."""
     try:
         if isinstance(value, str):
-            return Fraction(value)
+            parsed = digit_fraction(value)
+            return Fraction(value) if parsed is None else parsed
         if isinstance(value, bool):
             raise ValueError
         if isinstance(value, (int, float)):
             return Fraction(value)
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, OverflowError):
         pass
     raise InputFormatError(f"not a rational value: {value!r}")
 

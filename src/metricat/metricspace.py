@@ -21,7 +21,8 @@ class FiniteMetricSpace(Record):
     @classmethod
     def from_matrix(cls, points, matrix) -> "FiniteMetricSpace":
         pts = tuple(str(p) for p in points)
-        rows = tuple(tuple(Fraction(v) for v in row) for row in matrix)
+        # a Fraction is immutable, so one is kept, not copied
+        rows = tuple(tuple(v if type(v) is Fraction else Fraction(v) for v in row) for row in matrix)
         space = cls(pts, rows)
         errs = space.metric_errors()
         if errs:

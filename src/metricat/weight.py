@@ -33,19 +33,17 @@ class Weight:
     @classmethod
     def parse(cls, data) -> "Weight":
         """Accept JSON forms: int, float, "3/2", "1.5", "inf".  Each value
-        builds one ``Fraction``.  A string of ASCII digits, optionally
-        followed by "/" and more ASCII digits, is read through ``int``,
-        which gives the values and errors ``Fraction(str)`` gives on it at
-        a lower cost; every other string goes to ``Fraction(str)``."""
+        builds one ``Fraction``: a string through `digit_fraction` when it
+        is a digit string, else through ``Fraction(str)``."""
         if isinstance(data, Weight):
             return data
         if isinstance(data, str):
-            num, slash, den = data.partition("/")
-            if num.isascii() and num.isdigit() and (not slash or den.isascii() and den.isdigit()):
-                return cls(Fraction(int(num), int(den) if slash else 1))
-            if data.strip().lower() in ("inf", "infinity"):
-                return cls(None)
-            return cls(Fraction(data))
+            value = digit_fraction(data)
+            if value is None:
+                if data.strip().lower() in ("inf", "infinity"):
+                    return cls(None)
+                value = Fraction(data)
+            return cls(value)
         if isinstance(data, bool):
             raise ValueError(f"not a weight: {data!r}")
         if isinstance(data, (int, Fraction)):
@@ -130,6 +128,19 @@ class Weight:
 
 ZERO = Weight(0)
 INF = Weight(None)
+
+
+def digit_fraction(text: str) -> Fraction | None:
+    """A string of ASCII digits, optionally followed by "/" and more ASCII
+    digits, read through ``int``: the value and the error ``Fraction(text)``
+    gives on it, at a lower cost.  None for every other string."""
+    num, slash, den = text.partition("/")
+    if num.isascii() and num.isdigit():
+        if not slash:
+            return Fraction(int(num))
+        if den.isascii() and den.isdigit():
+            return Fraction(int(num), int(den))
+    return None
 
 
 def common_denominator(values: Iterable[Fraction]) -> int:

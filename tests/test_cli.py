@@ -234,6 +234,23 @@ def test_gh_and_lipschitz_subcommands(tmp_path, capsys):
     assert data["logDistance"].startswith("1.0986")
 
 
+@pytest.mark.parametrize("command, text", [
+    ("gh", '{"x": {"points": ["a", "b"], "d": [[0, Infinity], [Infinity, 0]]},'
+           ' "y": {"points": ["c"], "d": [[0]]}}'),
+    ("lipschitz", '{"x": {"points": ["a", "b"], "d": [[0, 1e400], [1e400, 0]]},'
+                  ' "y": {"points": ["c", "d"], "d": [[0, 1], [1, 0]]}}'),
+    ("demo", '{"n": 2, "a1": {"0,1": 1, "1,0": 1}, "a2": {"0,1": 2, "1,0": 2}, "h": Infinity}'),
+])
+def test_non_finite_number_is_exit_two(tmp_path, capsys, command, text):
+    # json reads Infinity and 1e400 as a float infinity, which has no
+    # integer ratio; it used to escape as an OverflowError (exit 4)
+    path = tmp_path / "inf.json"
+    path.write_text(text)
+    args = ["demo", "bimetric"] if command == "demo" else [command]
+    assert main([*args, str(path)]) == 2
+    assert "not a rational value: inf" in capsys.readouterr().err
+
+
 def test_demo_bimetric_from_params(tmp_path, capsys):
     payload = {"n": 2, "a1": {"0,1": 1, "1,0": 1}, "a2": {"0,1": 2, "1,0": 2}, "h": 1}
     path = write(tmp_path, "bm.json", payload)

@@ -8,8 +8,10 @@ from metricat import (
     FiniteMetricSpace,
     PreconditionError,
     SizeGuardError,
+    TheoremViolation,
     is_groupoid,
 )
+from metricat import geometry
 from metricat.geometry import (
     BiLipMap,
     Gluing,
@@ -214,6 +216,21 @@ def test_gh_routes_agree_on_a_corpus():
         for j in range(n):
             for k in range(n):
                 assert v(i, k) <= v(i, j) + v(j, k)
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_gh_refuses_a_correspondence_value_off_by_one(monkeypatch, shift):
+    # the gluing route starts at the correspondence value plus one, so a
+    # correspondence value one below or one above the true one still
+    # disagrees with it
+    rng = random.Random(61)
+    x, y = support.rand_metric(rng, 4), support.rand_metric(rng, 4)
+    assert gh_distance(x, y) > 0
+    true_corr = geometry._gh_correspondences
+    monkeypatch.setattr(geometry, "_gh_correspondences",
+                        lambda dx, dy, budget=None: true_corr(dx, dy, budget) + shift)
+    with pytest.raises(TheoremViolation, match="disagrees"):
+        gh_distance(x, y)
 
 
 # --- gluings and cospans --------------------------------------------------------------

@@ -50,6 +50,30 @@ def test_weight_parse_values(data, value):
         assert type(w.finite) is Fraction and w.finite == value
 
 
+@pytest.mark.parametrize("text", [
+    "007", "0/5", " 3/2 ", "+1", "\u0663", "1/-2", "\u00b2", "-1", "1/0", "1.5",
+])
+def test_parse_fraction_agrees_with_fraction_of_the_string(text):
+    # digit strings are read through int; the value, or the refusal, is
+    # that of Fraction(str) either way
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(InputFormatError) as exc:
+            jsonio.parse_fraction(text)
+        assert str(exc.value) == f"not a rational value: {text!r}"
+    else:
+        value = jsonio.parse_fraction(text)
+        assert type(value) is Fraction and value == expected
+
+
+@pytest.mark.parametrize("data", [float("inf"), float("-inf"), float("nan"), True, None, [1]])
+def test_parse_fraction_refuses_what_is_not_a_rational_value(data):
+    with pytest.raises(InputFormatError) as exc:
+        jsonio.parse_fraction(data)
+    assert str(exc.value) == f"not a rational value: {data!r}"
+
+
 @pytest.mark.parametrize("data, error, message", [
     ("-1", ValueError, "weights must be non-negative, got -1"),
     ("1/0", ZeroDivisionError, "Fraction(1, 0)"),

@@ -56,6 +56,7 @@ Two bare errors of the replaced versions are the exception: a leg that
 misses the apex (`KeyError`) and an empty bounded series (`IndexError`)
 now raise `PreconditionError`.
 """
+import hashlib
 import itertools
 import math
 import random
@@ -104,6 +105,7 @@ from metricat.limits import (
 )
 from metricat.geometry import (
     _common_scale,
+    _eccentricity_floor,
     _gh_correspondences,
     _gh_gluings,
     _int_matrix,
@@ -1112,6 +1114,51 @@ def test_gh_routes_match_the_exhaustive_scans():
         assert gh_distance(x, y) == Fraction(distortion, 2 * scale)
         values.add(Fraction(distortion, 2 * scale))
     assert len(values) > 20
+
+
+def test_eccentricity_floor_never_exceeds_the_correspondence_value():
+    sizes = [(n, m) for n in range(1, 5) for m in range(1, 5)]
+    raised = 0
+    for x, y in geometry_pairs(110, sizes) + scan_decided_pairs():
+        scale = _common_scale(x, y)
+        dx, dy = _int_matrix(x, scale), _int_matrix(y, scale)
+        floor = _eccentricity_floor([max(row) for row in dx], [max(row) for row in dy])
+        assert floor <= ref_gh_correspondences(dx, dy), (x, y)
+        raised += floor > abs(max(map(max, dx)) - max(map(max, dy)))
+    assert raised > 10  # the floor often lies above the diameter bound
+
+
+def test_gluing_route_started_at_a_cap():
+    # below the cap the capped search returns the uncapped value; at or
+    # above it, cap / 2
+    sizes = [(n, m) for n in range(1, 5) for m in range(1, 5)]
+    capped = 0
+    for x, y in geometry_pairs(111, sizes) + scan_decided_pairs():
+        scale = _common_scale(x, y)
+        dx, dy = _int_matrix(x, scale), _int_matrix(y, scale)
+        value = _gh_gluings(dx, dy)
+        twice = int(2 * value)
+        for cap in {0, 1, max(twice - 1, 0), twice, twice + 1, twice + 2}:
+            got = _gh_gluings(dx, dy, cap=cap)
+            assert got == (value if twice < cap else Fraction(cap, 2)), (x, y, cap)
+            capped += twice >= cap
+    assert capped > 30
+
+
+def test_gh_and_lipschitz_values_of_seeded_pairs_are_pinned():
+    # digest of the 480 values computed before the eccentricity bound and
+    # the capped gluing route
+    values = []
+    for seed in range(400):
+        rng = random.Random(seed)
+        a, b = rng.randint(1, 5), rng.randint(1, 5)
+        x, y = support.rand_metric(rng, a), support.rand_metric(rng, b)
+        values.append(gh_distance(x, y))
+        if a == b:
+            values.append(lipschitz_distance(x, y))
+    assert len(values) == 480
+    digest = hashlib.sha256(" ".join(map(str, values)).encode()).hexdigest()
+    assert digest.startswith("d8e41c1e7fa57b61")
 
 
 def test_lipschitz_branch_and_bound_matches_the_slice():
