@@ -58,10 +58,18 @@ only what provably cannot beat it, so the minimum is unchanged:
   the second; an onto f still attains its bound, as graph(f) holds every
   pair f places.
 
-* the gluing route starts at the correspondence value d: its incumbent
-  starts at d + 1 (twice h, in the integer scale), so a gluing minimum of
-  at most d is still found and returned, and one above d returns d + 1.
-  Either way the two routes agree only when the gluing minimum is d.  It
+* the gluing route starts from the correspondence witness: with its value
+  d the correspondence route returns a correspondence R with dis R = d, its
+  best pair of maps or the onto map whose bound set its incumbent.  The
+  gluing r(x, y) = dis R / 2 + min over (x', y') in R of d(x, x') + d(y', y)
+  is a semimetric with Hausdorff distance dis R / 2 (Burago-Burago-Ivanov,
+  Thm 7.3.25), and it is the largest feasible r of the pattern that
+  designates R's cells at h = dis R / 2, so that pattern has 2 h* <= d.
+  The route evaluates it in its closed form and takes it as its first
+  incumbent; where d is the diameter floor, every half map is then cut at
+  the root.  The start only prunes from above: the search below it is
+  exhaustive, so a wrong low gluing value is still found, and a wrong
+  witness costs time but never changes the value returned.  The route
   never uses the eccentricity bound: a floor taken from correspondence
   theory could lift a wrong, low gluing value to the right one, and the
   agreement check is worth what the routes' independence makes it.
@@ -303,6 +311,17 @@ def _int_matrix(space: FiniteMetricSpace, scale: int) -> list[list[int]]:
     return [[v.numerator * (scale // v.denominator) for v in row] for row in space.d]
 
 
+def _is_metric(d: list[list[int]], n: int) -> bool:
+    """Whether the integer matrix d is an n x n metric: zero exactly on the
+    diagonal, symmetric, and satisfying every triangle inequality."""
+    if len(d) != n or any(len(row) != n for row in d):
+        return False
+    for i, row in enumerate(d):
+        if row[i] != 0 or any(row[j] <= 0 or row[j] != d[j][i] for j in range(i + 1, n)):
+            return False
+    return all(a <= dij + b for row in d for dij, row_j in zip(row, d) for a, b in zip(row, row_j))
+
+
 def _diameter_floor(dx: list[list[int]], dy: list[list[int]]) -> int:
     """|diam X - diam Y| in the integer scale: a lower bound on every
     correspondence distortion and on twice every gluing pattern's h (see
@@ -319,13 +338,14 @@ def _eccentricity_floor(ecc_x: list[int], ecc_y: list[int]) -> int:
     return max(one, two)
 
 
-def _bounded_maps(length, width, step, cap, budget, phase):
+def _bounded_maps(length, width, step, cap, budget, phase, transpose=False):
     """The maps range(length) -> range(width) a depth-first search completes
     below cap[0], as (bound, map, state), least bound first.  `step(state,
     prefix, j)` gives the (bound, state) of `prefix` extended by j (state
     None for the empty prefix).  A prefix is cut once its bound reaches
-    cap[0]; a completed onto map lowers cap[0] to its bound.  Each
-    extension charges `budget` its `width` steps."""
+    cap[0]; a completed onto map lowers cap[0] to its bound and sets cap[1]
+    to its graph, the cells (i, map[i]), each one swapped when `transpose`.
+    Each extension charges `budget` its `width` steps."""
     kept, prefix = [], []
 
     def extend(state, covered):
@@ -340,6 +360,8 @@ def _bounded_maps(length, width, step, cap, budget, phase):
                 kept.append((bound, (*prefix, j), child))
                 if onto == width:
                     cap[0] = bound
+                    graph = enumerate((*prefix, j))
+                    cap[1] = tuple((b, a) for a, b in graph) if transpose else tuple(graph)
             else:
                 prefix.append(j)
                 extend(child, onto)
@@ -369,23 +391,26 @@ def _distortion_step(d_src: list[list[int]], d_dst: list[list[int]], floor: int)
     return step
 
 
-def _gh_correspondences(dx: list[list[int]], dy: list[list[int]], budget=None) -> int:
-    """Minimal distortion over correspondences, in the integer scale.
+def _gh_correspondences(dx: list[list[int]], dy: list[list[int]], budget=None):
+    """Minimal distortion over correspondences, in the integer scale, and a
+    correspondence that attains it, as a tuple of cells (x, y).
 
     Scans pairs (f: X -> Y, g: Y -> X); the induced correspondence is
     graph(f) union transposed graph(g), and this family realises the
     minimum (see module docstring).  Its distortion is at least that of f
     and of g, so both are scanned in distortion order and cut at the
-    incumbent.  The searches and the pairs scanned charge `budget` (a new
-    default one when None).
+    incumbent.  The witness is the best pair scanned, or else the onto map
+    whose bound set the incumbent.  The searches and the pairs scanned
+    charge `budget` (a new default one when None).
     """
     n, m = len(dx), len(dy)
     budget, phase = Budget.of(budget), "Gromov-Hausdorff correspondence route"
     floor = _eccentricity_floor([max(row) for row in dx], [max(row) for row in dy])
-    cap = [max(map(max, dx + dy)) + 1]  # above every distortion
+    cap = [max(map(max, dx + dy)) + 1, None]  # above every distortion
     f_choices = _bounded_maps(n, m, _distortion_step(dx, dy, floor), cap, budget, phase)
-    g_choices = _bounded_maps(m, n, _distortion_step(dy, dx, floor), cap, budget, phase)
-    best = cap[0]
+    g_choices = _bounded_maps(m, n, _distortion_step(dy, dx, floor), cap, budget, phase, True)
+    best, cells = cap
+    pair = None  # the best pair of maps scanned
     for dis_f, f, _ in f_choices:
         if best == floor or dis_f >= best:
             break
@@ -404,20 +429,26 @@ def _gh_correspondences(dx: list[list[int]], dy: list[list[int]], budget=None) -
                     if dis >= best:
                         break
             else:
-                best = dis
+                best, pair = dis, (f, g)
                 if best == floor:
                     break
         budget.spend(scanned, phase, "map pairs")
-    return best
+    if pair is not None:
+        f, g = pair
+        cells = tuple(sorted({*enumerate(f), *((x, y) for y, x in enumerate(g))}))
+    if cells is None:
+        raise TheoremViolation("no onto map or pair of maps between non-empty spaces was scanned")
+    return best, cells
 
 
-def _gh_gluings(dx: list[list[int]], dy: list[list[int]], budget=None, cap=None) -> Fraction:
+def _gh_gluings(dx: list[list[int]], dy: list[list[int]], budget=None, start=None) -> Fraction:
     """Infimum of the Hausdorff distance over semimetric gluings, in the
     integer scale, via the per-pattern closed form explained in the module
-    docstring.  Returns the exact optimum (possibly half-integral) when
-    twice it lies below `cap`, and cap / 2 otherwise; with no cap, the
-    search starts above every bound.  Charges `budget` as
-    `_gh_correspondences` does."""
+    docstring.  The incumbent starts at the value of the pattern that
+    designates the cells (x, y) of `start`, a correspondence, and above
+    every bound when None; the search below it is exhaustive, so the exact
+    optimum (possibly half-integral) is returned either way.  Charges
+    `budget` as `_gh_correspondences` does."""
     n, m = len(dx), len(dy)
     budget, phase = Budget.of(budget), "Gromov-Hausdorff gluing route"
     # shortest distances on the grid of cells (x, y) = x * m + y, the product of X and Y
@@ -436,6 +467,11 @@ def _gh_gluings(dx: list[list[int]], dy: list[list[int]], budget=None, cap=None)
     ps, qs, vs = zip(*lower, (0, 0, 0), (0, 0, 0))
     ps, qs = itemgetter(*ps), itemgetter(*qs)
 
+    def twice_h(near):
+        """Twice h* of the pattern whose row of shortest distances to its
+        designated cells is `near`, raised to the floor."""
+        return max(floor, *map(sub, map(sub, vs, ps(near)), qs(near)))
+
     def pattern_step(designated):
         """Search step for half patterns: the state is the row of shortest
         distances to the designated cells, the bound LB raised to the floor."""
@@ -444,12 +480,17 @@ def _gh_gluings(dx: list[list[int]], dy: list[list[int]], budget=None, cap=None)
             near = sp[designated(len(prefix), j)]
             if row is not None:
                 near = [a if a < b else b for a, b in zip(row, near)]
-            return max(floor, *map(sub, map(sub, vs, ps(near)), qs(near))), near
+            return twice_h(near), near
 
         return step
 
-    # twice the optimal h in the integer scale, starting at the cap
-    cap = [max(map(max, dx + dy)) + 1 if cap is None else cap]
+    # twice the optimal h in the integer scale, starting at the start pattern
+    if start is None:
+        cap = [max(map(max, dx + dy)) + 1, None]
+    elif {x for x, _ in start} != set(range(n)) or {y for _, y in start} != set(range(m)):
+        raise TheoremViolation(f"gluing route started from {start}, which is not a correspondence")
+    else:
+        cap = [twice_h([min(col) for col in zip(*(sp[x * m + y] for x, y in start))]), None]
     f_rows = _bounded_maps(n, m, pattern_step(lambda x, y: x * m + y), cap, budget, phase)
     g_rows = _bounded_maps(m, n, pattern_step(lambda y, x: x * m + y), cap, budget, phase)
     best2 = cap[0]
@@ -482,19 +523,18 @@ def gh_distance(x: FiniteMetricSpace, y: FiniteMetricSpace) -> Fraction:
     one work budget and fail with SizeGuardError past it."""
     if not x.points or not y.points:
         raise PreconditionError("Gromov-Hausdorff distance needs non-empty spaces")
-    # the gluing route's grid distances are a closed form only on metrics
-    for name, space in (("x", x), ("y", y)):
-        errs = space.metric_errors()
-        if errs:
-            raise PreconditionError(f"{name} is not a metric space: " + "; ".join(errs))
     scale = _common_scale(x, y)
     dx, dy = _int_matrix(x, scale), _int_matrix(y, scale)
+    # the gluing route's grid distances are a closed form only on metrics
+    for name, space, d in (("x", x, dx), ("y", y, dy)):
+        if not _is_metric(d, len(space.points)):
+            raise PreconditionError(f"{name} is not a metric space: " + "; ".join(space.metric_errors()))
     budget = Budget()
-    distortion = _gh_correspondences(dx, dy, budget)
-    # a gluing value below the correspondence value is still found, and
-    # one above it reads (distortion + 1) / 2: either way the routes disagree
+    distortion, cells = _gh_correspondences(dx, dy, budget)
+    # the correspondence witness only starts the gluing route's incumbent,
+    # which then returns its own exact minimum
     via_corr = Fraction(distortion, 2 * scale)
-    via_glue = _gh_gluings(dx, dy, budget, distortion + 1) / scale
+    via_glue = _gh_gluings(dx, dy, budget, cells) / scale
     if via_corr != via_glue:
         raise TheoremViolation(
             f"gluing route {via_glue} disagrees with correspondence route {via_corr}"

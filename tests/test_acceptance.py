@@ -358,7 +358,7 @@ def test_criterion_09_geometry():
     pairs = [(corpus[i], corpus[(i + 1) % 30]) for i in range(30)]
     for x, y in pairs:
         scale = _common_scale(x, y)
-        via_corr = Fraction(_gh_correspondences(_int_matrix(x, scale), _int_matrix(y, scale)), 2 * scale)
+        via_corr = Fraction(_gh_correspondences(_int_matrix(x, scale), _int_matrix(y, scale))[0], 2 * scale)
         via_glue = _gh_gluings(_int_matrix(x, scale), _int_matrix(y, scale)) / scale
         assert via_corr == via_glue
         assert gh_distance(x, y) == via_corr

@@ -199,6 +199,27 @@ def test_gh_rejects_a_matrix_that_breaks_the_triangle_inequality():
         gh_distance(line_metric([0, 1]), bent)
 
 
+def test_the_integer_metric_check_agrees_with_metric_errors():
+    # gh_distance checks the integer matrices and words a failure through
+    # metric_errors, so the two must accept the same matrices
+    rng = random.Random(113)
+    verdicts = set()
+    for _ in range(2000):
+        n = rng.randint(1, 4)
+        rows = [[rng.choice((0, 1, 2, 3, 5)) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.5:  # mostly symmetric with a zero diagonal
+            rows = [[0 if i == j else rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        if rng.random() < 0.05:
+            rows = rows[:-1] if rng.random() < 0.5 else [row[:-1] for row in rows]
+        space = FiniteMetricSpace(
+            tuple(f"p{i}" for i in range(n)), tuple(tuple(map(Fraction, row)) for row in rows)
+        )
+        ok = geometry._is_metric(rows, n)
+        assert ok == (space.metric_errors() == []), rows
+        verdicts.add(ok)
+    assert verdicts == {True, False}
+
+
 def test_gh_routes_agree_on_a_corpus():
     rng = random.Random(83)
     spaces = [support.rand_metric(rng, rng.randint(1, 4)) for _ in range(8)]
@@ -220,15 +241,19 @@ def test_gh_routes_agree_on_a_corpus():
 
 @pytest.mark.parametrize("shift", [-1, 1])
 def test_gh_refuses_a_correspondence_value_off_by_one(monkeypatch, shift):
-    # the gluing route starts at the correspondence value plus one, so a
-    # correspondence value one below or one above the true one still
-    # disagrees with it
+    # the gluing route starts from the correspondence witness but returns
+    # its own exact minimum, so a correspondence value one below or one
+    # above the true one, with the true witness, still disagrees with it
     rng = random.Random(61)
     x, y = support.rand_metric(rng, 4), support.rand_metric(rng, 4)
     assert gh_distance(x, y) > 0
     true_corr = geometry._gh_correspondences
-    monkeypatch.setattr(geometry, "_gh_correspondences",
-                        lambda dx, dy, budget=None: true_corr(dx, dy, budget) + shift)
+
+    def shifted(dx, dy, budget=None):
+        distortion, cells = true_corr(dx, dy, budget)
+        return distortion + shift, cells
+
+    monkeypatch.setattr(geometry, "_gh_correspondences", shifted)
     with pytest.raises(TheoremViolation, match="disagrees"):
         gh_distance(x, y)
 

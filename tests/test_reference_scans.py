@@ -960,10 +960,10 @@ def ref_gh_correspondences(dx: list[list[int]], dy: list[list[int]]) -> int:
     return best
 
 
-def ref_gh_gluings(dx: list[list[int]], dy: list[list[int]]) -> Fraction:
-    """Infimum of the Hausdorff distance over semimetric gluings, in the
-    integer scale, via the per-pattern closed form explained in the
-    `geometry` module docstring.  Returns the exact optimum (possibly half-integral)."""
+def ref_grid(dx: list[list[int]], dy: list[list[int]]):
+    """Shortest distances between the cells (x, y) = x * m + y of the grid,
+    by Floyd-Warshall over its edges, and the lower-bound constraints
+    (p, q, v): r_p + r_q >= v."""
     n, m = len(dx), len(dy)
     cells = n * m
 
@@ -1006,6 +1006,28 @@ def ref_gh_gluings(dx: list[list[int]], dy: list[list[int]]) -> Fraction:
         for y in range(m):
             for y2 in range(y + 1, m):
                 lower.append((cell(x, y), cell(x, y2), dy[y][y2]))
+    return sp, lower
+
+
+def ref_pattern_value(dx: list[list[int]], dy: list[list[int]], designated) -> Fraction:
+    """h* of the pattern that designates the cells (x, y), in the integer
+    scale: max(0, max over lower triangles (v - sp(D, p) - sp(D, q)) / 2)."""
+    m = len(dy)
+    sp, lower = ref_grid(dx, dy)
+    near = [min(sp[x * m + y][p] for x, y in designated) for p in range(len(sp))]
+    return Fraction(max([0, *(v - near[p] - near[q] for p, q, v in lower)]), 2)
+
+
+def ref_gh_gluings(dx: list[list[int]], dy: list[list[int]]) -> Fraction:
+    """Infimum of the Hausdorff distance over semimetric gluings, in the
+    integer scale, via the per-pattern closed form explained in the
+    `geometry` module docstring.  Returns the exact optimum (possibly half-integral)."""
+    n, m = len(dx), len(dy)
+    cells = n * m
+    sp, lower = ref_grid(dx, dy)
+
+    def cell(x: int, y: int) -> int:
+        return x * m + y
 
     # designated-set shortest distances, partial per f and per g
     f_rows = []
@@ -1108,7 +1130,7 @@ def test_gh_routes_match_the_exhaustive_scans():
     for x, y in geometry_pairs(108, sizes) + scan_decided_pairs():
         scale = _common_scale(x, y)
         dx, dy = _int_matrix(x, scale), _int_matrix(y, scale)
-        distortion = _gh_correspondences(dx, dy)
+        distortion, _ = _gh_correspondences(dx, dy)
         assert distortion == ref_gh_correspondences(dx, dy), (x, y)
         assert _gh_gluings(dx, dy) == ref_gh_gluings(dx, dy), (x, y)
         assert gh_distance(x, y) == Fraction(distortion, 2 * scale)
@@ -1128,21 +1150,60 @@ def test_eccentricity_floor_never_exceeds_the_correspondence_value():
     assert raised > 10  # the floor often lies above the diameter bound
 
 
-def test_gluing_route_started_at_a_cap():
-    # below the cap the capped search returns the uncapped value; at or
-    # above it, cap / 2
+def ref_distortion(dx, dy, cells) -> int:
+    """dis R of the correspondence R with the given cells (x, y)."""
+    return max(abs(dx[x][x2] - dy[y][y2]) for x, y in cells for x2, y2 in cells)
+
+
+def test_correspondence_witness_attains_the_correspondence_value():
+    # the witness is a correspondence of distortion d, and the gluing
+    # pattern designating its cells has 2 h* = d (Burago-Burago-Ivanov,
+    # Thm 7.3.25, gives 2 h* <= dis R; the gluing minimum is d)
+    sizes = [(n, m) for n in range(1, 6) for m in range(1, 6)]
+    pairs = geometry_pairs(112, sizes) + scan_decided_pairs()
+    isometric = 0
+    for x, y in pairs:
+        scale = _common_scale(x, y)
+        dx, dy = _int_matrix(x, scale), _int_matrix(y, scale)
+        d, cells = _gh_correspondences(dx, dy)
+        assert {a for a, _ in cells} == set(range(len(dx))), (x, y, cells)
+        assert {b for _, b in cells} == set(range(len(dy))), (x, y, cells)
+        assert ref_distortion(dx, dy, cells) == d, (x, y, cells)
+        assert ref_pattern_value(dx, dy, cells) == Fraction(d, 2), (x, y, cells)
+        isometric += d == 0 and len(dx) > 1
+    assert len(pairs) > 100 and isometric >= 5
+
+
+def random_correspondence(rng, n, m):
+    """graph(f) union transposed graph(g) for random f and g, with a few
+    random cells added."""
+    cells = {(x, rng.randrange(m)) for x in range(n)} | {(rng.randrange(n), y) for y in range(m)}
+    cells |= {(rng.randrange(n), rng.randrange(m)) for _ in range(rng.randint(0, 3))}
+    return tuple(cells)
+
+
+def test_gluing_route_started_from_any_correspondence():
+    # the start only sets the first incumbent: from the witness, from
+    # random correspondences and from the whole grid the route returns the
+    # exhaustive minimum, also when the start lies above it
+    rng = random.Random(111)
     sizes = [(n, m) for n in range(1, 5) for m in range(1, 5)]
-    capped = 0
+    above = 0
     for x, y in geometry_pairs(111, sizes) + scan_decided_pairs():
         scale = _common_scale(x, y)
         dx, dy = _int_matrix(x, scale), _int_matrix(y, scale)
-        value = _gh_gluings(dx, dy)
-        twice = int(2 * value)
-        for cap in {0, 1, max(twice - 1, 0), twice, twice + 1, twice + 2}:
-            got = _gh_gluings(dx, dy, cap=cap)
-            assert got == (value if twice < cap else Fraction(cap, 2)), (x, y, cap)
-            capped += twice >= cap
-    assert capped > 30
+        n, m = len(dx), len(dy)
+        value = ref_gh_gluings(dx, dy)
+        assert _gh_gluings(dx, dy) == value, (x, y)
+        starts = [_gh_correspondences(dx, dy)[1], tuple(itertools.product(range(n), range(m)))]
+        starts += [random_correspondence(rng, n, m) for _ in range(4)]
+        for start in starts:
+            assert _gh_gluings(dx, dy, start=start) == value, (x, y, start)
+            above += ref_pattern_value(dx, dy, start) > value
+        if n > 1:
+            with pytest.raises(TheoremViolation, match="not a correspondence"):
+                _gh_gluings(dx, dy, start=[(0, y) for y in range(m)])
+    assert above > 100
 
 
 def test_gh_and_lipschitz_values_of_seeded_pairs_are_pinned():
