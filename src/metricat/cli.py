@@ -86,6 +86,13 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
             print(line)
 
 
+def _refuse(args, report, key: str | None = None) -> int:
+    """Exit 1 on a failed report: messages under "error" (within `key`) in JSON, else its summary."""
+    messages = report.all_messages()
+    _emit(args, {"error": messages if key is None else {key: messages}}, [report.summary()])
+    return EXIT_INVALID
+
+
 def cmd_validate(args) -> int:
     data = _load(args)
     if "weights" in data:
@@ -110,8 +117,7 @@ def cmd_lawvere(args) -> int:
     space = jsonio.space_from_json(_load(args))
     report = weights.validate_metric1(space)
     if not report.ok:
-        _emit(args, {"error": report.all_messages()}, [report.summary()])
-        return EXIT_INVALID
+        return _refuse(args, report)
     law = weights.lawvere(space)
     payload = {
         "points": list(law.points),
@@ -133,8 +139,7 @@ def cmd_metrize(args) -> int:
     cat = jsonio.category_from_json(data["category"])
     report = validate_category(cat)
     if not report.ok:
-        _emit(args, {"error": report.all_messages()}, [report.summary()])
-        return EXIT_INVALID
+        return _refuse(args, report)
     gens = jsonio.generators_from_json(data["generators"], cat)
     space = coarse.metrize(gens)
     payload = jsonio.space_to_json(space)
@@ -152,8 +157,7 @@ def cmd_map_space(args) -> int:
     for name, sp in (("source", X), ("target", Y)):
         rep = weights.validate_metric1(sp)
         if not rep.ok:
-            _emit(args, {"error": {name: rep.all_messages()}}, [rep.summary()])
-            return EXIT_INVALID
+            return _refuse(args, rep, name)
     ms = mapping.mapping_space(X, Y, guard=args.guard)
     payload = jsonio.space_to_json(ms.space)
     payload["functors"] = [
@@ -180,8 +184,7 @@ def cmd_dagger(args) -> int:
     space = jsonio.space_from_json(data)
     report = weights.validate_metric1(space)
     if not report.ok:
-        _emit(args, {"error": report.all_messages()}, [report.summary()])
-        return EXIT_INVALID
+        return _refuse(args, report)
     if args.verbose:
         cls, classified = dagger.classified_daggers(space, args.guard)
     else:
@@ -205,8 +208,7 @@ def cmd_continuity(args) -> int:
     fun = jsonio.functor_from_json(data["functor"], X.category, Y.category)
     rep = validate_functor(fun)
     if not rep.ok:
-        _emit(args, {"error": rep.all_messages()}, [rep.summary()])
-        return EXIT_INVALID
+        return _refuse(args, rep)
     # backward verdicts are forward ones of the opposite functor and spaces
     op_fun, op_X, op_Y = opposite_functor(fun), weights.opposite_space(X), weights.opposite_space(Y)
     verdicts = {"uniform": continuity.uniformly_continuous(fun, X, Y).holds}
@@ -245,8 +247,7 @@ def cmd_fixed_point(args) -> int:
     idx = jsonio.parse_index(data.get("contraction", 0), "'contraction'")
     rep = validate_functor(fun)
     if not rep.ok:
-        _emit(args, {"error": rep.all_messages()}, [rep.summary()])
-        return EXIT_INVALID
+        return _refuse(args, rep)
     contractions = fixedpoint.find_natural_contractions(space, fun, direction, args.guard)
     if idx >= len(contractions):
         message = f"no natural contraction with index {idx} ({len(contractions)} found)"

@@ -111,6 +111,9 @@ def bilip_constant(f: BiLipMap) -> Fraction:
     the max over point pairs of the ratio and its reciprocal.  Always >= 1;
     1 for sources with fewer than two points."""
     n = len(f.source.points)
+    if len(f.point_map) != n:
+        raise PreconditionError(f"point map has {len(f.point_map)} entries for {n} source points")
+    _require_points(f.point_map, len(f.target.points), "point map")
     best = Fraction(1)
     for i in range(n):
         for j in range(i + 1, n):
@@ -292,15 +295,28 @@ def lipschitz_distance(x: FiniteMetricSpace, y: FiniteMetricSpace) -> Fraction:
 
 # --- Hausdorff and Gromov-Hausdorff ------------------------------------------
 
+def _hausdorff(cross):
+    """Hausdorff distance (Burago-Burago-Ivanov, 7.3.1) between two sets from
+    their distances `cross`, a row per point of one and a column per point of
+    the other: the larger of the maximum row minimum and the maximum column minimum."""
+    return max(max(map(min, cross)), max(map(min, zip(*cross))))
+
+
+def _require_points(indices, n: int, what: str) -> None:
+    """Refuses an entry of `indices` that is not the index of one of n points."""
+    for i in indices:
+        if not (isinstance(i, int) and 0 <= i < n):
+            raise PreconditionError(f"{what} names point {i!r}, but the space has {n} points")
+
+
 def hausdorff_distance(space: FiniteMetricSpace, a: list[int], b: list[int]) -> Fraction:
-    """max(max_{p in a} min_{q in b} d, max_{q in b} min_{p in a} d):
-    the closed form of the smallest r with each set inside the r-ball
-    neighbourhood of the other."""
+    """Hausdorff distance between the subsets a and b of the space's points,
+    given as point indices."""
     if not a or not b:
         raise PreconditionError("Hausdorff distance needs non-empty subsets")
-    one = max(min(space.d[p][q] for q in b) for p in a)
-    two = max(min(space.d[p][q] for p in a) for q in b)
-    return max(one, two)
+    _require_points(a, len(space.points), "first subset")
+    _require_points(b, len(space.points), "second subset")
+    return _hausdorff([[space.d[p][q] for q in b] for p in a])
 
 
 def _common_scale(x: FiniteMetricSpace, y: FiniteMetricSpace) -> int:
@@ -309,17 +325,6 @@ def _common_scale(x: FiniteMetricSpace, y: FiniteMetricSpace) -> int:
 
 def _int_matrix(space: FiniteMetricSpace, scale: int) -> list[list[int]]:
     return [[v.numerator * (scale // v.denominator) for v in row] for row in space.d]
-
-
-def _is_metric(d: list[list[int]], n: int) -> bool:
-    """Whether the integer matrix d is an n x n metric: zero exactly on the
-    diagonal, symmetric, and satisfying every triangle inequality."""
-    if len(d) != n or any(len(row) != n for row in d):
-        return False
-    for i, row in enumerate(d):
-        if row[i] != 0 or any(row[j] <= 0 or row[j] != d[j][i] for j in range(i + 1, n)):
-            return False
-    return all(a <= dij + b for row in d for dij, row_j in zip(row, d) for a, b in zip(row, row_j))
 
 
 def _diameter_floor(dx: list[list[int]], dy: list[list[int]]) -> int:
@@ -333,9 +338,7 @@ def _eccentricity_floor(ecc_x: list[int], ecc_y: list[int]) -> int:
     """The Hausdorff distance between the two sets of eccentricities, in
     the integer scale: a lower bound on every correspondence distortion,
     and at least |diam X - diam Y| (see module docstring)."""
-    one = max(min(abs(a - b) for b in ecc_y) for a in ecc_x)
-    two = max(min(abs(a - b) for a in ecc_x) for b in ecc_y)
-    return max(one, two)
+    return _hausdorff([[abs(a - b) for b in ecc_y] for a in ecc_x])
 
 
 def _bounded_maps(length, width, step, cap, budget, phase, transpose=False):
@@ -520,15 +523,13 @@ def _gh_gluings(dx: list[list[int]], dy: list[list[int]], budget=None, start=Non
 def gh_distance(x: FiniteMetricSpace, y: FiniteMetricSpace) -> Fraction:
     """Gromov-Hausdorff distance, computed along both routes; exact
     agreement between them is asserted on every call.  Both routes charge
-    one work budget and fail with SizeGuardError past it."""
+    one work budget and fail with SizeGuardError past it.  The gluing
+    route's grid distances are a closed form only on metrics, which both
+    spaces are: a `FiniteMetricSpace` checks the axioms when it is built."""
     if not x.points or not y.points:
         raise PreconditionError("Gromov-Hausdorff distance needs non-empty spaces")
     scale = _common_scale(x, y)
     dx, dy = _int_matrix(x, scale), _int_matrix(y, scale)
-    # the gluing route's grid distances are a closed form only on metrics
-    for name, space, d in (("x", x, dx), ("y", y, dy)):
-        if not _is_metric(d, len(space.points)):
-            raise PreconditionError(f"{name} is not a metric space: " + "; ".join(space.metric_errors()))
     budget = Budget()
     distortion, cells = _gh_correspondences(dx, dy, budget)
     # the correspondence witness only starts the gluing route's incumbent,
@@ -588,9 +589,7 @@ class Gluing(Record):
 
     def hausdorff(self) -> Fraction:
         """Hausdorff distance between the two halves inside the gluing."""
-        one = max(min(row) for row in self.cross)
-        two = max(min(self.cross[x][y] for x in range(len(self.cross))) for y in range(len(self.cross[0])))
-        return max(one, two)
+        return _hausdorff(self.cross)
 
 
 def identity_gluing(space: FiniteMetricSpace) -> Gluing:

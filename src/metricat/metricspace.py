@@ -1,4 +1,5 @@
-"""Classical finite metric spaces over exact rationals.
+"""Classical finite metric spaces over exact rationals, metrics by
+construction: the constructor checks the axioms, and nothing checks them again.
 
 These are the feedstock for the indiscrete embedding and for the geometry
 operations (Hausdorff, Gromov-Hausdorff, bi-Lipschitz).
@@ -7,6 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import PreconditionError
 from .record import Record
 from .weight import common_denominator
 
@@ -17,17 +19,15 @@ class FiniteMetricSpace(Record):
     def __init__(self, points: tuple[str, ...], d: tuple[tuple[Fraction, ...], ...]):
         self.points = points
         self.d = d
+        errs = self.metric_errors()
+        if errs:
+            raise PreconditionError("not a metric space: " + "; ".join(errs))
 
     @classmethod
     def from_matrix(cls, points, matrix) -> "FiniteMetricSpace":
-        pts = tuple(str(p) for p in points)
         # a Fraction is immutable, so one is kept, not copied
         rows = tuple(tuple(v if type(v) is Fraction else Fraction(v) for v in row) for row in matrix)
-        space = cls(pts, rows)
-        errs = space.metric_errors()
-        if errs:
-            raise ValueError("not a metric space: " + "; ".join(errs))
-        return space
+        return cls(tuple(str(p) for p in points), rows)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -68,6 +68,8 @@ class FiniteMetricSpace(Record):
 def line_metric(coords, labels=None) -> FiniteMetricSpace:
     """Points on the rational line with |s - t| distances."""
     cs = [Fraction(c) for c in coords]
+    if labels is not None and len(labels) != len(cs):
+        raise PreconditionError(f"label count {len(labels)} must match point count {len(cs)}")
     pts = labels if labels is not None else [str(c) for c in cs]
     matrix = [[abs(a - b) for b in cs] for a in cs]
     return FiniteMetricSpace.from_matrix(pts, matrix)

@@ -251,6 +251,20 @@ def test_non_finite_number_is_exit_two(tmp_path, capsys, command, text):
     assert "not a rational value: inf" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["gh", "lipschitz"])
+@pytest.mark.parametrize("d", [
+    [[0, 1], [2, 0]],
+    [[0, 0], [0, 0]],
+    [[0, 1, 5], [1, 0, 1], [5, 1, 0]],
+], ids=["asymmetric", "zero-distance", "triangle-breaking"])
+def test_a_non_metric_is_exit_two(tmp_path, capsys, command, d):
+    points = [f"p{i}" for i in range(len(d))]
+    metric = {"points": points, "d": [[int(i != j) for j in range(len(d))] for i in range(len(d))]}
+    path = write(tmp_path, "non-metric.json", {"x": metric, "y": {"points": points, "d": d}})
+    assert main([command, path]) == 2
+    assert capsys.readouterr().err.startswith("input error: not a metric space: ")
+
+
 def test_demo_bimetric_from_params(tmp_path, capsys):
     payload = {"n": 2, "a1": {"0,1": 1, "1,0": 1}, "a2": {"0,1": 2, "1,0": 2}, "h": 1}
     path = write(tmp_path, "bm.json", payload)

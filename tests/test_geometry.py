@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metricat import (
     FiniteMetricSpace,
@@ -27,7 +28,7 @@ from metricat.geometry import (
     log_weight,
     try_bimetric_space,
 )
-from metricat.metricspace import line_metric
+from metricat.metricspace import line_metric, shortest_path_repair
 
 import support
 
@@ -136,6 +137,21 @@ def test_hausdorff_examples():
         hausdorff_distance(z, [], [0])
 
 
+def test_indices_and_labels_outside_the_space_are_refused():
+    z = line_metric([0, 1, 3])
+    # -1 used to read point 2 and return 3; 5 raised IndexError
+    with pytest.raises(PreconditionError, match="first subset names point -1, but the space has 3"):
+        hausdorff_distance(z, [-1], [0])
+    with pytest.raises(PreconditionError, match="second subset names point 5"):
+        hausdorff_distance(z, [0], [5])
+    with pytest.raises(PreconditionError, match="point map has 2 entries for 3 source points"):
+        bilip_constant(BiLipMap(z, z, (0, 1)))
+    with pytest.raises(PreconditionError, match="point map names point 3"):
+        bilip_constant(BiLipMap(z, z, (0, 1, 3)))
+    with pytest.raises(PreconditionError, match="label count 1 must match point count 2"):
+        line_metric([0, 1], ["a"])
+
+
 # --- Gromov-Hausdorff ---------------------------------------------------------------
 
 def test_gh_of_isometric_spaces_is_zero():
@@ -188,36 +204,10 @@ def test_gh_symmetry_and_guard():
 
 
 def test_gh_rejects_a_matrix_that_breaks_the_triangle_inequality():
-    # the plain constructor skips the checks of from_matrix
-    bent = FiniteMetricSpace(
-        ("a", "b", "c"),
-        tuple(tuple(Fraction(v) for v in row) for row in ((0, 1, 5), (1, 0, 1), (5, 1, 0))),
-    )
-    with pytest.raises(PreconditionError, match="triangle inequality"):
-        gh_distance(bent, line_metric([0, 1]))
-    with pytest.raises(PreconditionError, match="y is not a metric space"):
-        gh_distance(line_metric([0, 1]), bent)
-
-
-def test_the_integer_metric_check_agrees_with_metric_errors():
-    # gh_distance checks the integer matrices and words a failure through
-    # metric_errors, so the two must accept the same matrices
-    rng = random.Random(113)
-    verdicts = set()
-    for _ in range(2000):
-        n = rng.randint(1, 4)
-        rows = [[rng.choice((0, 1, 2, 3, 5)) for _ in range(n)] for _ in range(n)]
-        if rng.random() < 0.5:  # mostly symmetric with a zero diagonal
-            rows = [[0 if i == j else rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
-        if rng.random() < 0.05:
-            rows = rows[:-1] if rng.random() < 0.5 else [row[:-1] for row in rows]
-        space = FiniteMetricSpace(
-            tuple(f"p{i}" for i in range(n)), tuple(tuple(map(Fraction, row)) for row in rows)
-        )
-        ok = geometry._is_metric(rows, n)
-        assert ok == (space.metric_errors() == []), rows
-        verdicts.add(ok)
-    assert verdicts == {True, False}
+    # the constructor checks the axioms, so gh_distance never sees this matrix
+    rows = tuple(tuple(Fraction(v) for v in row) for row in ((0, 1, 5), (1, 0, 1), (5, 1, 0)))
+    with pytest.raises(PreconditionError, match="^not a metric space: triangle inequality"):
+        FiniteMetricSpace(("a", "b", "c"), rows)
 
 
 def test_gh_routes_agree_on_a_corpus():
@@ -352,3 +342,63 @@ def test_bimetric_violation_rejected_with_instances():
 def test_bimetric_requires_all_pairs():
     with pytest.raises(PreconditionError, match="missing"):
         try_bimetric_space(2, {}, {}, Fraction(0))
+
+
+# --- the library contract --------------------------------------------------------------
+
+@st.composite
+def matrices(draw):
+    """Points and a distance matrix on at most 4 of them: shortest paths over
+    random positive distances, then at most one defect."""
+    n = draw(st.integers(1, 4))
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i][j] = m[j][i] = Fraction(draw(st.integers(1, 6)), draw(st.sampled_from((1, 2))))
+    m = shortest_path_repair(m)
+    defect = draw(st.sampled_from(("none", "asymmetric", "zero", "negative", "non-square", "triangle")))
+    i, j = (0, 1) if n > 1 else (0, 0)
+    if defect == "asymmetric":
+        m[i][j] += 1
+    elif defect == "zero":
+        m[i][j] = m[j][i] = Fraction(0)
+    elif defect == "negative":
+        m[i][j] = m[j][i] = -1 - m[i][j]
+    elif defect == "non-square":
+        m = m[:-1] if draw(st.booleans()) else [m[0][:-1], *m[1:]]
+    elif defect == "triangle" and n > 2:
+        m[0][2] = m[2][0] = m[0][1] + m[1][2] + 1
+    return tuple(f"p{k}" for k in range(n)), tuple(map(tuple, m)), defect
+
+
+def outcome(call):
+    """What call() returns, or the metricat error it raises; any other
+    exception escapes."""
+    try:
+        return call()
+    except (PreconditionError, SizeGuardError) as exc:
+        return exc
+
+
+INDICES = st.lists(st.integers(-2, 5), max_size=5)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(matrices(), matrices(), INDICES, INDICES, INDICES,
+       st.lists(st.integers(-1, 3), max_size=4), st.none() | st.integers(0, 5))
+def test_geometry_refuses_bad_input_with_its_own_errors(mx, my, a, b, point_map, coords, labels):
+    built = []
+    for points, rows, defect in (mx, my):
+        space = outcome(lambda: FiniteMetricSpace(points, rows))
+        assert type(outcome(lambda: FiniteMetricSpace.from_matrix(points, rows))) is type(space)
+        assert defect != "none" or isinstance(space, FiniteMetricSpace)
+        built.append(space)
+    built.append(outcome(lambda: line_metric(coords, None if labels is None else list("abcde")[:labels])))
+    spaces = [s for s in built if isinstance(s, FiniteMetricSpace)]
+    outcome(lambda: bilip_slice(spaces))
+    for s in spaces:
+        outcome(lambda: hausdorff_distance(s, a, b))
+        for t in spaces:
+            outcome(lambda: bilip_constant(BiLipMap(s, t, tuple(point_map))))
+            outcome(lambda: lipschitz_distance(s, t))
+            outcome(lambda: gh_distance(s, t))
