@@ -311,8 +311,8 @@ def metrize(gens: CoarseGenerators) -> Metric1Space:
 
 def dominated_by(a: CoarseGenerators, b: CoarseGenerators) -> bool:
     """Every listed generator of `a` is contained in some generator of `b`.
-    Monotone families make this a containment in b's top set."""
-    return all(s <= b.top for s in a.sets)
+    Monotone families make this a containment of a's top set in b's."""
+    return a.top <= b.top
 
 
 def coarse_roundtrip_check(space: Metric1Space) -> bool:

@@ -1,12 +1,12 @@
 """Dagger structures and the four-level symmetry hierarchy.
 
-A dagger is an identity-on-objects contravariant involution, that is, an
-identity-on-objects functor C -> C^op whose arrow map is an involution; the
-search for them runs on `fincat.backtrack` and re-checks every dagger it
-finds.  Compatibility with the weights comes in decreasing strength:
-weight-preserving (iso), uniformly continuous, continuous; a space whose
-category is a groupoid sits above all of these, its inverse map being a
-canonical iso dagger.
+A dagger is an identity-on-objects functor C -> C^op whose arrow map is an
+involution, and it is validated and searched as one: `validate_functor`,
+then the involution law; `backtrack` with `composition_checks` into C^op.
+Compatibility with the weights comes in decreasing strength: weight-
+preserving (iso), uniformly continuous, continuous; a space whose category
+is a groupoid sits above all of these, its inverse map being a canonical
+iso dagger.
 """
 from __future__ import annotations
 
@@ -15,7 +15,10 @@ from typing import NamedTuple
 
 from .errors import Budget, PreconditionError, TheoremViolation
 from .continuity import forward_continuous, uniformly_continuous
-from .fincat import Functor, ValidationReport, backtrack, is_groupoid, opposite_functor
+from .fincat import (
+    Functor, ValidationReport, backtrack, composition_checks, is_groupoid, opposite,
+    opposite_functor, validate_functor,
+)
 from .weights import Metric1Space, lawvere, opposite_space
 
 
@@ -40,34 +43,18 @@ class Dagger(NamedTuple):
 
 
 def validate_dagger(space: Metric1Space, dag: Dagger) -> ValidationReport:
-    """The three dagger laws, exhaustively: identity on objects (each image
-    swaps dom and cod, identities map to themselves), contravariance over
-    every composable pair, and involutivity."""
-    report = ValidationReport(subject="dagger")
-    cat = space.category
-    m = len(cat.arrows)
+    """The dagger laws, exhaustively: the table covers the arrows, the
+    identity-on-objects functor into the opposite category it defines
+    (`dagger_functor`) passes `validate_functor`, and its arrow map is an
+    involution."""
+    m = len(space.category.arrows)
     if len(dag.mapping) != m or any(not (0 <= v < m) for v in dag.mapping):
-        report.fatal.append("dagger table does not cover the arrows")
-        return report
-    out = report.violations
-    for a in cat.arrows:
-        img = cat.arrows[dag.apply(a.id)]
-        if img.dom != a.cod or img.cod != a.dom:
-            out.append(f"image of {a} is {img}; a dagger only swaps endpoints")
-    for x, ida in cat.identity.items():
-        if dag.apply(ida) != ida:
-            out.append(f"identity of object {x} is not fixed")
-    for a in cat.arrows:
-        if dag.apply(dag.apply(a.id)) != a.id:
-            out.append(f"involution fails at arrow {a.id}")
-    if out:
-        return report
-    after, mapping = cat.after, dag.mapping
-    for f, row in enumerate(after):
-        for g, h in row.items():
-            # (g after f)^dagger == f^dagger after g^dagger
-            if mapping[h] != after[mapping[g]][mapping[f]]:
-                out.append(f"contravariance fails on pair ({f},{g})")
+        return ValidationReport("dagger", ["dagger table does not cover the arrows"])
+    report = validate_functor(dagger_functor(space, dag)[0])
+    report.subject = "dagger"
+    mapping = dag.mapping
+    report.violations += [f"involution fails at arrow {a}" for a, b in enumerate(mapping)
+                          if mapping[b] != a]
     return report
 
 
@@ -125,9 +112,9 @@ def enumerate_daggers(space: Metric1Space, guard: int | Budget | None = None) ->
     then hom(y, x) for x <= y.  An identity maps to itself.  An arrow that
     an earlier arrow took as its image maps back to it; any other arrow
     takes a non-identity arrow with swapped endpoints that is not yet set
-    and not yet taken (itself included).  Contravariance is checked once per
-    composable pair, when the last of its arrows is set, and every dagger
-    found is re-checked with `validate_dagger`.  Raises SizeGuardError past
+    and not yet taken (itself included).  Composition into the opposite is
+    checked once per composable pair, when the last of its arrows is set,
+    and every dagger found is re-checked with `validate_dagger`.  Raises SizeGuardError past
     the work budget `guard` (`errors.DEFAULT_BUDGET` when None).
     """
     cat = space.category
@@ -159,14 +146,8 @@ def enumerate_daggers(space: Metric1Space, guard: int | Budget | None = None) ->
 
         return candidates
 
-    after = cat.after
-    checks = []
-    for f, row in enumerate(after):
-        for g, h in row.items():
-            fv, gv, hv = pos[f], pos[g], pos[h]  # the variables of f, g and g∘f
-            # (g after f)^dagger == f^dagger after g^dagger
-            checks.append(((fv, gv, hv), lambda v, f=fv, g=gv, h=hv: after[v[g]][v[f]] == v[h]))
-
+    # (g after f)^dagger == f^dagger after g^dagger: composition in the opposite
+    checks = composition_checks(cat, opposite(cat).after, pos)
     found = []
     for values in backtrack([domain(a) for a in order], checks, guard, "dagger search"):
         dag = Dagger(tuple(values[pos[a]] for a in range(len(cat.arrows))))

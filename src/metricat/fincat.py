@@ -36,7 +36,9 @@ the full scan over composable triples runs and lists every failure.
 `backtrack` is the one search over functor-shaped tables (functors,
 transformations, natural contractions, daggers): one variable at a time,
 each check run once, when the last variable it reads is set, and its search
-nodes charged to the caller's `errors.Budget`.
+nodes charged to the caller's `errors.Budget`.  `composition_checks` builds
+the checks of a functor's arrow table, and of a dagger's, which is a
+functor into the opposite.
 """
 from __future__ import annotations
 
@@ -569,6 +571,19 @@ def backtrack(domains, checks, guard: int | Budget | None, what: str):
             i += 1
             candidates[i] = iter(domains[i](values))
     budget.spend(nodes, what, "search nodes")
+
+
+def composition_checks(source: FiniteCategory, after: list[dict], var) -> list:
+    """The `backtrack` checks that the images of `source`'s arrows, the image
+    of arrow a being variable ``var[a]``, preserve composition: one per
+    composable pair (f, g), ``after[image f][image g] == image(g∘f)``, where
+    `after` is the rows of the target (of its opposite, for a dagger)."""
+    checks = []
+    for f, row in enumerate(source.after):
+        for g, h in row.items():
+            fv, gv, hv = var[f], var[g], var[h]
+            checks.append(((fv, gv, hv), lambda v, f=fv, g=gv, h=hv: after[v[f]][v[g]] == v[h]))
+    return checks
 
 
 def is_groupoid(cat: FiniteCategory) -> dict[int, int] | None:

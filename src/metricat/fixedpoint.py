@@ -20,7 +20,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import Budget, PreconditionError, TheoremViolation
-from .continuity import uniformly_continuous
 from .fincat import (
     FiniteCategory, Functor, NatTransformation, backtrack, identity_functor, opposite,
     opposite_functor, validate_functor, validate_transformation,
@@ -35,7 +34,7 @@ from .limits import (
     check_series_limit,
     legs_before,
 )
-from .mapping import naturality_search
+from .mapping import NaturalitySquares
 from .weight import ZERO
 from .weights import BACKWARD, FORWARD, Metric1Space, is_backward, is_nondegenerate, opposite_space
 
@@ -105,7 +104,7 @@ def find_natural_contractions(
         found = find_natural_contractions(opposite_space(space), opposite_functor(fun), FORWARD, guard)
         return [NaturalContraction(BACKWARD, fun, nc.components) for nc in found]
     ident = identity_functor(space.category)
-    domains, checks = naturality_search(ident, fun)
+    domains, checks = NaturalitySquares(ident.source, ident.target).search(ident, fun)
     for x, fx in fun.obj_map.items():
         checks.append(((x, fx), lambda v, x=x, fx=fx: fun.arr_map[v[x]] == v[fx]))
     out = [
@@ -166,11 +165,12 @@ def banach_iterate(
 
     Preconditions are each checked and reported by name: the space is
     non-degenerate and valid enough for the run, the functor is a
-    contraction with factor below one, it is uniformly continuous, and the
-    supplied natural contraction matches the requested direction.  Backward
-    contractions run as the forward case of the opposite space (arrow ids
-    are stable, so the outcome needs no translation beyond the direction
-    tag).
+    contraction with factor below one (so uniformly continuous:
+    `contraction_factor` refuses a weight-0 arrow whose image weighs more),
+    and the supplied natural contraction matches the requested direction.
+    Backward contractions run as the forward case of the opposite space
+    (arrow ids are stable, so the outcome needs no translation beyond the
+    direction tag).
     """
     if is_backward(contraction.direction):
         op_fun = opposite_functor(fun)
@@ -189,8 +189,6 @@ def banach_iterate(
         raise PreconditionError(
             f"precondition 'contraction' fails (witness arrow {cert.witness})"
         )
-    if not uniformly_continuous(fun, space, space).holds:
-        raise PreconditionError("precondition 'uniformly continuous' fails")
 
     cat = space.category
     # orbit of x0 under the functor; pigeonhole bounds it by object count

@@ -94,7 +94,7 @@ from .errors import Budget, PreconditionError, TheoremViolation
 from .fincat import Arrow, FiniteCategory, Obj, ValidationReport
 from .metricspace import FiniteMetricSpace, shortest_path_repair
 from .record import Record
-from .weight import Weight, common_denominator
+from .weight import Weight
 from .weights import Metric1Space, validate_metric1
 
 
@@ -139,19 +139,17 @@ class BiLipSlice(Record):
     picture would need ln C, which is irrational; the multiplicative
     triangle below is its exact equivalent)."""
 
-    __slots__ = _fields = ("category", "spaces", "arrow_space", "arrow_perm", "factor")
+    __slots__ = _fields = ("category", "spaces", "arrow_perm", "factor")
 
     def __init__(
         self,
-        category: FiniteCategory,
+        category: FiniteCategory,  # object i is spaces[i]
         spaces: list[FiniteMetricSpace],
-        arrow_space: tuple[tuple[int, int], ...],  # arrow id -> (source idx, target idx)
         arrow_perm: tuple[tuple[int, ...], ...],  # arrow id -> point bijection
         factor: tuple[Fraction, ...],  # arrow id -> C
     ):
         self.category = category
         self.spaces = spaces
-        self.arrow_space = arrow_space
         self.arrow_perm = arrow_perm
         self.factor = factor
 
@@ -177,11 +175,7 @@ class BiLipSlice(Record):
         """Least constant among maps space i -> space j (the Lipschitz
         distance between them, multiplicatively); None when no bijections
         exist."""
-        best = None
-        for aid, (s, t) in enumerate(self.arrow_space):
-            if (s, t) == (i, j) and (best is None or self.factor[aid] < best):
-                best = self.factor[aid]
-        return best
+        return min((self.factor[a] for a in self.category.hom(i, j)), default=None)
 
     def canonical_dagger_iso(self) -> bool:
         """The inverse-bijection dagger preserves the factors."""
@@ -206,7 +200,6 @@ def bilip_slice(spaces: list[FiniteMetricSpace], guard: int | Budget | None = No
 
     objs = tuple(Obj(i, f"S{i}") for i in range(len(spaces)))
     arrows: list[Arrow] = []
-    arrow_space: list[tuple[int, int]] = []
     arrow_perm: list[tuple[int, ...]] = []
     index: dict[tuple[int, int, tuple[int, ...]], int] = {}
     for i, a in enumerate(spaces):
@@ -216,7 +209,6 @@ def bilip_slice(spaces: list[FiniteMetricSpace], guard: int | Budget | None = No
             for perm in itertools.permutations(range(len(a.points))):
                 aid = len(arrows)
                 arrows.append(Arrow(aid, i, j))
-                arrow_space.append((i, j))
                 arrow_perm.append(perm)
                 index[(i, j, perm)] = aid
     identity = {
@@ -224,18 +216,16 @@ def bilip_slice(spaces: list[FiniteMetricSpace], guard: int | Budget | None = No
     }
     cat = FiniteCategory(objs, tuple(arrows), identity, [], {})
     out = cat.adjacency.out
-    for f_id, (i, j) in enumerate(arrow_space):
-        # the row of f: each bijection g out of space j, to g∘f
-        perm = arrow_perm[f_id]
+    for f in arrows:
+        # the row of f: each bijection g out of the target of f, to g∘f
+        perm = arrow_perm[f.id]
         cat.after.append({
-            g: index[(i, arrow_space[g][1], tuple(arrow_perm[g][p] for p in perm))]
-            for g in out.get(j, ())
+            g: index[(f.dom, arrows[g].cod, tuple(arrow_perm[g][p] for p in perm))]
+            for g in out.get(f.cod, ())
         })
-    factors = tuple(
-        bilip_constant(BiLipMap(spaces[s], spaces[t], arrow_perm[aid]))
-        for aid, (s, t) in enumerate(arrow_space)
-    )
-    return BiLipSlice(cat, list(spaces), tuple(arrow_space), tuple(arrow_perm), factors)
+    factors = tuple(bilip_constant(BiLipMap(spaces[a.dom], spaces[a.cod], arrow_perm[a.id]))
+                    for a in arrows)
+    return BiLipSlice(cat, list(spaces), tuple(arrow_perm), factors)
 
 
 def lipschitz_distance(x: FiniteMetricSpace, y: FiniteMetricSpace) -> Fraction:
@@ -253,8 +243,8 @@ def lipschitz_distance(x: FiniteMetricSpace, y: FiniteMetricSpace) -> Fraction:
     if n != len(y.points):
         raise PreconditionError("no bijections between spaces of different sizes")
     budget = Budget()
-    scale = _common_scale(x, y)
-    dx, dy = _int_matrix(x, scale), _int_matrix(y, scale)
+    scale = math.lcm(x.scale, y.scale)
+    dx, dy = x.scaled(scale), y.scaled(scale)
     diameters = max(map(max, dx), default=0), max(map(max, dy), default=0)
     floor_num, floor_den = max(diameters), min(diameters)
     image = [0] * n
@@ -299,6 +289,8 @@ def _hausdorff(cross):
     """Hausdorff distance (Burago-Burago-Ivanov, 7.3.1) between two sets from
     their distances `cross`, a row per point of one and a column per point of
     the other: the larger of the maximum row minimum and the maximum column minimum."""
+    if not cross or not cross[0]:
+        raise PreconditionError("Hausdorff distance needs non-empty subsets")
     return max(max(map(min, cross)), max(map(min, zip(*cross))))
 
 
@@ -312,19 +304,9 @@ def _require_points(indices, n: int, what: str) -> None:
 def hausdorff_distance(space: FiniteMetricSpace, a: list[int], b: list[int]) -> Fraction:
     """Hausdorff distance between the subsets a and b of the space's points,
     given as point indices."""
-    if not a or not b:
-        raise PreconditionError("Hausdorff distance needs non-empty subsets")
     _require_points(a, len(space.points), "first subset")
     _require_points(b, len(space.points), "second subset")
     return _hausdorff([[space.d[p][q] for q in b] for p in a])
-
-
-def _common_scale(x: FiniteMetricSpace, y: FiniteMetricSpace) -> int:
-    return common_denominator(v for space in (x, y) for row in space.d for v in row)
-
-
-def _int_matrix(space: FiniteMetricSpace, scale: int) -> list[list[int]]:
-    return [[v.numerator * (scale // v.denominator) for v in row] for row in space.d]
 
 
 def _diameter_floor(dx: list[list[int]], dy: list[list[int]]) -> int:
@@ -375,11 +357,11 @@ def _bounded_maps(length, width, step, cap, budget, phase, transpose=False):
     return kept
 
 
-def _distortion_step(d_src: list[list[int]], d_dst: list[list[int]], floor: int):
+def _distortion_step(d_src, d_dst, ecc_src: list[int], ecc_dst: list[int], floor: int):
     """Search step for maps src -> dst: bound and state are the distortion
     of the fixed pairs, raised to the eccentricity bound |ecc x - ecc y| of
-    each placed pair (x, y) and to `floor`."""
-    ecc_src, ecc_dst = [max(row) for row in d_src], [max(row) for row in d_dst]
+    each placed pair (x, y), from the eccentricities of both sides, and to
+    `floor`."""
     # cost[x][y]: the bound of placing x on y
     cost = [[max(floor, abs(e - f)) for f in ecc_dst] for e in ecc_src]
 
@@ -408,10 +390,11 @@ def _gh_correspondences(dx: list[list[int]], dy: list[list[int]], budget=None):
     """
     n, m = len(dx), len(dy)
     budget, phase = Budget.of(budget), "Gromov-Hausdorff correspondence route"
-    floor = _eccentricity_floor([max(row) for row in dx], [max(row) for row in dy])
+    ecc_x, ecc_y = [max(row) for row in dx], [max(row) for row in dy]
+    floor = _eccentricity_floor(ecc_x, ecc_y)
     cap = [max(map(max, dx + dy)) + 1, None]  # above every distortion
-    f_choices = _bounded_maps(n, m, _distortion_step(dx, dy, floor), cap, budget, phase)
-    g_choices = _bounded_maps(m, n, _distortion_step(dy, dx, floor), cap, budget, phase, True)
+    f_choices = _bounded_maps(n, m, _distortion_step(dx, dy, ecc_x, ecc_y, floor), cap, budget, phase)
+    g_choices = _bounded_maps(m, n, _distortion_step(dy, dx, ecc_y, ecc_x, floor), cap, budget, phase, True)
     best, cells = cap
     pair = None  # the best pair of maps scanned
     for dis_f, f, _ in f_choices:
@@ -528,8 +511,8 @@ def gh_distance(x: FiniteMetricSpace, y: FiniteMetricSpace) -> Fraction:
     spaces are: a `FiniteMetricSpace` checks the axioms when it is built."""
     if not x.points or not y.points:
         raise PreconditionError("Gromov-Hausdorff distance needs non-empty spaces")
-    scale = _common_scale(x, y)
-    dx, dy = _int_matrix(x, scale), _int_matrix(y, scale)
+    scale = math.lcm(x.scale, y.scale)
+    dx, dy = x.scaled(scale), y.scaled(scale)
     budget = Budget()
     distortion, cells = _gh_correspondences(dx, dy, budget)
     # the correspondence witness only starts the gluing route's incumbent,
@@ -588,7 +571,8 @@ class Gluing(Record):
         return errs
 
     def hausdorff(self) -> Fraction:
-        """Hausdorff distance between the two halves inside the gluing."""
+        """Hausdorff distance between the two halves inside the gluing;
+        refused when one is empty."""
         return _hausdorff(self.cross)
 
 

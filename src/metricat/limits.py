@@ -27,7 +27,7 @@ import itertools
 import math
 from typing import NamedTuple
 
-from .errors import PreconditionError, TheoremViolation
+from .errors import Budget, PreconditionError, TheoremViolation
 from .fincat import FiniteCategory, Functor
 from .record import FrozenRecord
 from .weight import ZERO
@@ -140,17 +140,22 @@ def _exact_window(*descriptions: Description, starts: tuple[int, ...] = ()):
     return K0, math.lcm(*(d.cycle for d in descriptions))
 
 
-def _cone_window(arrows: Description, cone: EssentialCone) -> tuple[int, range | None]:
+def _cone_window(arrows: Description, cone: EssentialCone, budget: Budget) -> tuple[int, range | None]:
     """(upto, tail) for a cone over `arrows`: its checks read the indices
     below upto.  On eventually periodic data, tail is the period past
     stabilisation whose legs must weigh 0; on bounded data it is None, and
-    upto is the first index at which some description is unknown."""
+    upto is the first index at which some description is unknown.  Both
+    are charged to `budget` before either is scanned."""
     legs, start = cone.legs, cone.start_index
     if arrows.is_exact and legs.is_exact:
         K0, L = _exact_window(arrows, legs, starts=(start + legs.stable_from,))
         first = max(K0, start)
-        return first + L, range(first, first + L)
-    return min(offset + d.horizon for d, offset in ((arrows, 0), (legs, start)) if not d.is_exact), None
+        upto, tail = first + L, range(first, first + L)
+    else:
+        upto, tail = min(offset + d.horizon for d, offset in ((arrows, 0), (legs, start))
+                         if not d.is_exact), None
+    budget.spend(upto + len(tail or ()), "cone window", "indices")
+    return upto, tail
 
 
 def _series_upto(arr: Description) -> int:
@@ -172,6 +177,7 @@ def _weightless_tail(space: Metric1Space, cone: EssentialCone, tail: range,
 
 def require_sequence(space: Metric1Space, seq: ForwardSequence, upto: int) -> None:
     """Raise PreconditionError unless entries below `upto` share the base."""
+    Budget().spend(upto, "sequence check", "indices")
     arrows, at = space.category.arrows, seq.arrows.at
     errs = [f"sequence entry {n} is {arrows[at(n)]}; domain must be {seq.base}"
             for n in range(upto) if arrows[at(n)].dom != seq.base]
@@ -181,6 +187,7 @@ def require_sequence(space: Metric1Space, seq: ForwardSequence, upto: int) -> No
 
 def require_series(space: Metric1Space, series: ForwardSeries, upto: int) -> None:
     """Raise PreconditionError unless entries below `upto` compose in turn."""
+    Budget().spend(upto, "series check", "indices")
     arrows, at = space.category.arrows, series.arrows.at
     errs = [f"series entries {n},{n + 1} not composable: {arrows[at(n)]} then {arrows[at(n + 1)]}"
             for n in range(upto - 1) if arrows[at(n)].cod != arrows[at(n + 1)].dom]
@@ -199,7 +206,7 @@ def check_forward_limiting_cone(
     every leg consulted past stabilisation weighs exactly 0.
     """
     cat = space.category
-    upto, tail = _cone_window(seq.arrows, cone)
+    upto, tail = _cone_window(seq.arrows, cone, Budget())
     require_sequence(space, seq, upto)
 
     common: int | None = None
@@ -220,14 +227,16 @@ def check_forward_limiting_cone(
     return _weightless_tail(space, cone, tail, common)
 
 
-def _walk(cat: FiniteCategory, arr: Description) -> tuple[list[int], int | None]:
+def _walk(cat: FiniteCategory, arr: Description, budget: Budget) -> tuple[list[int], int | None]:
     """The composites n -> (entry n after ... after entry 0) of entries
     that compose in turn: up to the horizon of bounded data, or up to the
     first (phase, composite) pair seen before, returned with the index of
-    its first sighting, for eventually periodic data."""
+    its first sighting, for eventually periodic data.  Each composite is
+    charged to `budget` as it is taken."""
     accs: list[int] = []
     seen: dict[tuple[int, int], int] = {}
     for n in itertools.count() if arr.is_exact else range(arr.horizon):
+        budget.spend(1, "series walk", "composites")
         a = arr.at(n)
         accs.append(cat.compose(accs[-1], a) if accs else a)
         if arr.is_exact and n + 1 >= arr.stable_from:
@@ -250,7 +259,7 @@ def partial_compositions(space: Metric1Space, series: ForwardSeries) -> ForwardS
     require_series(space, series, _series_upto(arr))
     if not arr.is_exact and not arr.horizon:
         raise PreconditionError("partial compositions need a series entry; this bounded series has none")
-    accs, j = _walk(cat, arr)
+    accs, j = _walk(cat, arr, Budget())
     desc = (BoundedDescription(tuple(accs)) if j is None
             else EventuallyPeriodic(tuple(accs[:j + 1]), tuple(accs[j + 1:])))
     return ForwardSequence(cat.arrows[arr.at(0)].dom, desc)
@@ -267,16 +276,16 @@ def check_cauchy(space: Metric1Space, series: ForwardSeries) -> LimitCertificate
     position recurs beyond every N, so the series is Cauchy iff every start
     position only generates weight-0 windows.  Window (m, n) is entry n - m
     of the partial compositions of the series truncated at m; bounded data
-    is read from every start below the horizon.
+    is read from every start below the horizon.  All the walks charge one
+    work budget.
     """
-    cat = space.category
-    arr = series.arrows
+    cat, arr, budget = space.category, series.arrows, Budget()
     require_series(space, series, _series_upto(arr))
     starts = range(arr.stable_from, arr.stable_from + arr.cycle) if arr.is_exact else range(arr.horizon)
     bad = next((
         (m, n, space.w[acc])
         for m in starts
-        for n, acc in enumerate(_walk(cat, arr.drop(m))[0][1:], m + 1)
+        for n, acc in enumerate(_walk(cat, arr.drop(m), budget)[0][1:], m + 1)
         if space.w[acc] != ZERO
     ), None)
     if not arr.is_exact:
@@ -303,7 +312,7 @@ def check_series_limit(
     if cone.start_index != 0:
         raise PreconditionError("series cones carry legs from index 0")
     cat = space.category
-    upto, tail = _cone_window(series.arrows, cone)
+    upto, tail = _cone_window(series.arrows, cone, Budget())
     if tail is None:
         upto -= 1  # each index reads the leg after it
     require_series(space, series, upto + 1)
@@ -334,6 +343,8 @@ def truncate_series(series: ForwardSeries, k: int) -> ForwardSeries:
 
 def truncate_cone(cone: EssentialCone, k: int) -> EssentialCone:
     """Legs from index k re-indexed to certify the k-truncated series."""
+    if k < 0:
+        raise PreconditionError("truncation index must be non-negative")
     return EssentialCone(cone.start_index, cone.apex, cone.legs.drop(k))
 
 
@@ -347,22 +358,26 @@ def series_converges(
     period, current leg) then walk a finite graph; an infinite walk forces
     a cycle, which is itself an eventually periodic system of legs.  So
     searching cycles of zero-weight legs per candidate apex decides
-    convergence outright.
+    convergence outright.  The graph of each apex is charged to one work
+    budget before it is built: its phases, then its candidate edges.
     """
     arr = series.arrows
     if not arr.is_exact:
         raise PreconditionError("convergence search needs an eventually periodic series")
-    cat = space.category
+    cat, budget = space.category, Budget()
     require_series(space, series, _series_upto(arr))
     base = arr.stable_from
     L = arr.cycle
 
     for apex in range(len(cat.objects)):
         # nodes: (phase q, zero-weight arrow from the phase's object to apex)
+        budget.spend(L, "convergence search", "indices")
         nodes = [
             [a for a in cat.hom(cat.arrows[arr.at(base + q)].dom, apex) if space.w[a] == ZERO]
             for q in range(L)
         ]
+        budget.spend(sum(len(a) * len(b) for a, b in zip(nodes, nodes[1:] + nodes[:1])),
+                     "convergence search", "composites")
         edges = {
             (q, a): [((q + 1) % L, b) for b in nodes[(q + 1) % L]
                      if cat.compose(arr.at(base + q), b) == a]
@@ -418,13 +433,14 @@ def _find_cycle(edges: dict[tuple[int, int], list[tuple[int, int]]]):
 
 
 def _mediators(space: Metric1Space, seq: ForwardSequence | ForwardSeries, cone: EssentialCone,
-               other: EssentialCone, quantifier, need: str) -> tuple[int, ...]:
+               other: EssentialCone, quantifier, need: str, budget: Budget) -> tuple[int, ...]:
     """Arrows h: cone apex -> other apex with h after cone.leg(k) ==
     other.leg(k): with `all`, at every index both cones carry; with `any`,
     at some index of one period past the stabilised window, which for
     eventually periodic data is at infinitely many indices.  Other data
     raises PreconditionError(need), and so does a leg of `cone` read there
-    that does not end at its apex."""
+    that does not end at its apex.  The window is charged to `budget` once
+    per h, before any is scanned."""
     descs = (seq.arrows, cone.legs, other.legs)
     if not all(d.is_exact for d in descs):
         raise PreconditionError(need)
@@ -441,10 +457,9 @@ def _mediators(space: Metric1Space, seq: ForwardSequence | ForwardSeries, cone: 
             raise PreconditionError(f"cone leg at {k} is {rho}; must run {rho.dom} -> {cone.apex}")
         return rho.id
 
-    return tuple(
-        h for h in cat.hom(cone.apex, other.apex)
-        if quantifier(cat.compose(leg(k), h) == other.leg(k) for k in window)
-    )
+    homs = cat.hom(cone.apex, other.apex)
+    budget.spend(len(window) * len(homs), "mediator window", "composites")
+    return tuple(h for h in homs if quantifier(cat.compose(leg(k), h) == other.leg(k) for k in window))
 
 
 def find_mediating_arrows(
@@ -461,7 +476,7 @@ def find_mediating_arrows(
     stabilised window decides it.
     """
     return _mediators(space, seq, cone_a, cone_b, any,
-                      "mediating-arrow search needs eventually periodic data")
+                      "mediating-arrow search needs eventually periodic data", Budget())
 
 
 class MediatingReport(NamedTuple):
@@ -488,8 +503,9 @@ def check_weak_pushout(
     cones are defined.  `require_unique` asks for exactly one such h per
     competitor.
     """
+    budget = Budget()
     mediators = tuple(
-        _mediators(space, seq, cone, other, all, "pushout checks need eventually periodic data")
+        _mediators(space, seq, cone, other, all, "pushout checks need eventually periodic data", budget)
         for other in other_cones
     )
     ok = all(len(hs) == 1 if require_unique else len(hs) >= 1 for hs in mediators)

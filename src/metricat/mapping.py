@@ -40,6 +40,7 @@ from .fincat import (
     NatTransformation,
     Obj,
     backtrack,
+    composition_checks,
     validate_functor,
     validate_transformation,
 )
@@ -70,12 +71,7 @@ def enumerate_functors(
             domains.append(lambda values, x=forced[a.id]: (target.identity[values[x]],))
         else:
             domains.append(lambda values, x=a.dom, y=a.cod: target.hom(values[x], values[y]))
-    after = target.after
-    checks = []
-    for f, row in enumerate(source.after):
-        for g, h in row.items():
-            fv, gv, hv = n + f, n + g, n + h  # the variables of f, g and g∘f
-            checks.append(((fv, gv, hv), lambda v, f=fv, g=gv, h=hv: after[v[f]][v[g]] == v[h]))
+    checks = composition_checks(source, target.after, range(n, n + len(source.arrows)))
     return [
         Functor(source, target, dict(enumerate(values[:n])), dict(enumerate(values[n:])))
         for values in backtrack(domains, checks, guard, "functor enumeration")
@@ -142,12 +138,6 @@ class NaturalitySquares:
         return domains, checks
 
 
-def naturality_search(F: Functor, G: Functor):
-    """Variables and checks of the search for transformations F => G (see
-    `NaturalitySquares.search`)."""
-    return NaturalitySquares(F.source, F.target).search(F, G)
-
-
 def enumerate_transformations(
     F: Functor, G: Functor, guard: int | Budget | None = None,
     squares: NaturalitySquares | None = None,
@@ -156,7 +146,7 @@ def enumerate_transformations(
     charged to `guard` as in `enumerate_functors`.  `squares` shares the
     parts of the search with the other searches between functors of the
     same source and target."""
-    search = naturality_search(F, G) if squares is None else squares.search(F, G)
+    search = (squares or NaturalitySquares(F.source, F.target)).search(F, G)
     return [
         NatTransformation(F, G, dict(enumerate(components)))
         for components in backtrack(*search, guard, "transformation enumeration")

@@ -14,11 +14,20 @@ from .weight import common_denominator
 
 
 class FiniteMetricSpace(Record):
-    __slots__ = _fields = ("points", "d")
+    """Points and their distances `d`.  The constructor also keeps the
+    distances' integer form: `scale` is their common denominator and `ints`
+    holds each distance times `scale`; equality and repr read `points` and
+    `d` alone."""
+
+    __slots__ = ("points", "d", "scale", "ints")
+    _fields = ("points", "d")
 
     def __init__(self, points: tuple[str, ...], d: tuple[tuple[Fraction, ...], ...]):
         self.points = points
         self.d = d
+        # exact, and far cheaper than Fraction sums
+        self.scale = scale = common_denominator(v for row in d for v in row)
+        self.ints = tuple(tuple(v.numerator * (scale // v.denominator) for v in row) for row in d)
         errs = self.metric_errors()
         if errs:
             raise PreconditionError("not a metric space: " + "; ".join(errs))
@@ -32,15 +41,17 @@ class FiniteMetricSpace(Record):
     def __len__(self) -> int:
         return len(self.points)
 
+    def scaled(self, scale: int) -> tuple[tuple[int, ...], ...]:
+        """The distances times `scale`, a multiple of `self.scale`, as integers."""
+        return tuple(tuple(v * (scale // self.scale) for v in row) for row in self.ints)
+
     def metric_errors(self) -> list[str]:
         """Names every violated metric axiom instance."""
         errs: list[str] = []
         n = len(self.points)
         if len(self.d) != n or any(len(row) != n for row in self.d):
             return [f"distance matrix is not {n}x{n}"]
-        # exact on an integer rescaling, and far cheaper than Fraction sums
-        scale = common_denominator(v for row in self.d for v in row)
-        s = [[v.numerator * (scale // v.denominator) for v in row] for row in self.d]
+        s = self.ints
         for i in range(n):
             if s[i][i] != 0:
                 errs.append(f"reflexivity: d({self.points[i]},{self.points[i]}) = {self.d[i][i]} != 0")

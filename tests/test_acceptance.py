@@ -4,6 +4,7 @@ Each test finishes by printing a PASS line (straight to the real stdout so
 the lines show up under pytest's capture); a failed assertion inside a test
 is the corresponding FAIL.
 """
+import math
 import random
 from fractions import Fraction
 
@@ -43,10 +44,8 @@ from metricat.geometry import (
     gh_distance,
     lipschitz_distance,
     try_bimetric_space,
-    _common_scale,
     _gh_correspondences,
     _gh_gluings,
-    _int_matrix,
 )
 from metricat.limits import (
     EXACT_YES,
@@ -357,9 +356,9 @@ def test_criterion_09_geometry():
     corpus = [support.rand_metric(rng, rng.randint(1, 4)) for _ in range(30)]
     pairs = [(corpus[i], corpus[(i + 1) % 30]) for i in range(30)]
     for x, y in pairs:
-        scale = _common_scale(x, y)
-        via_corr = Fraction(_gh_correspondences(_int_matrix(x, scale), _int_matrix(y, scale))[0], 2 * scale)
-        via_glue = _gh_gluings(_int_matrix(x, scale), _int_matrix(y, scale)) / scale
+        scale = math.lcm(x.scale, y.scale)
+        via_corr = Fraction(_gh_correspondences(x.scaled(scale), y.scaled(scale))[0], 2 * scale)
+        via_glue = _gh_gluings(x.scaled(scale), y.scaled(scale)) / scale
         assert via_corr == via_glue
         assert gh_distance(x, y) == via_corr
     one = line_metric([0])

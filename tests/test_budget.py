@@ -4,6 +4,7 @@ Each bounded entry point charges an `errors.Budget`: an int `guard` or
 `errors.DEFAULT_BUDGET` sets its limit, and a refusal names the phase, the
 units being charged, the limit and the units used.
 """
+import math
 import random
 import re
 from fractions import Fraction
@@ -15,7 +16,7 @@ from metricat.dagger import enumerate_daggers
 from metricat.errors import Budget
 from metricat.fixedpoint import find_natural_contractions
 from metricat.geometry import (
-    _common_scale, _gh_correspondences, _int_matrix, bilip_slice, gh_distance, lipschitz_distance,
+    _gh_correspondences, bilip_slice, gh_distance, lipschitz_distance,
     try_bimetric_space,
 )
 from metricat.mapping import enumerate_functors, enumerate_transformations, mapping_space
@@ -40,9 +41,9 @@ def gh_pair():
 def correspondence_budget():
     """The units the correspondence route of `gh_pair` spends."""
     x, y = gh_pair()
-    scale = _common_scale(x, y)
+    scale = math.lcm(x.scale, y.scale)
     budget = Budget()
-    _gh_correspondences(_int_matrix(x, scale), _int_matrix(y, scale), budget)
+    _gh_correspondences(x.scaled(scale), y.scaled(scale), budget)
     return budget.used
 
 
@@ -111,10 +112,10 @@ def test_gh_charges_the_pairs_it_scans():
             super().spend(k, phase, units)
 
     x, y = gh_pair()
-    scale = _common_scale(x, y)
+    scale = math.lcm(x.scale, y.scale)
     budget = Recording()
     budget.spent = []
-    _gh_correspondences(_int_matrix(x, scale), _int_matrix(y, scale), budget)
+    _gh_correspondences(x.scaled(scale), y.scaled(scale), budget)
     pairs = sum(k for k, units in budget.spent if units == "map pairs")
     steps = sum(k for k, units in budget.spent if units == "half-map steps")
     assert pairs > 0 and steps > 0 and pairs + steps == budget.used

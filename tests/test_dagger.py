@@ -38,13 +38,25 @@ def test_identity_mapping_is_not_a_dagger_on_indiscrete():
     dag = Dagger(tuple(range(4)))
     report = validate_dagger(sp, dag)
     assert not report.ok
-    assert any("swap" in v for v in report.violations)
+    # into the opposite, the image of 0 -> 1 must run 0 -> 1 there, i.e. 1 -> 0
+    assert report.fatal == [
+        "arrow a1:0->1 maps to a1:1->0, incompatible with the object map",
+        "arrow a2:1->0 maps to a2:0->1, incompatible with the object map",
+    ]
+    assert report.violations == []
 
 
 def test_unfixed_identity_and_broken_involution_are_reported():
     z2 = support.z2_space(1)  # arrows: identity 0 and g = 1
     swapped = validate_dagger(z2, Dagger((1, 0)))
-    assert swapped.violations == ["identity of object 0 is not fixed"]
+    assert swapped.subject == "dagger" and swapped.fatal == []
+    assert swapped.violations == [
+        "identity of object 0 is not preserved",
+        "composition not preserved on pair (0,0): 1 != 0",
+        "composition not preserved on pair (0,1): 0 != 1",
+        "composition not preserved on pair (1,0): 0 != 1",
+        "composition not preserved on pair (1,1): 1 != 0",
+    ]
     collapsed = validate_dagger(z2, Dagger((0, 0)))
     assert collapsed.violations == ["involution fails at arrow 1"]
 

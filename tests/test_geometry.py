@@ -86,7 +86,7 @@ def test_slice_scaled_spaces_distance_three():
     assert sl.lawvere_factor(0, 1) == 3
     assert lipschitz_distance(a, b) == 3
     # both bijections realise the same constant
-    factors = [sl.factor[aid] for aid, (s, t) in enumerate(sl.arrow_space) if (s, t) == (0, 1)]
+    factors = [sl.factor[aid] for aid in sl.category.hom(0, 1)]
     assert factors == [3, 3]
 
 
@@ -394,10 +394,12 @@ def test_geometry_refuses_bad_input_with_its_own_errors(mx, my, a, b, point_map,
         assert defect != "none" or isinstance(space, FiniteMetricSpace)
         built.append(space)
     built.append(outcome(lambda: line_metric(coords, None if labels is None else list("abcde")[:labels])))
-    spaces = [s for s in built if isinstance(s, FiniteMetricSpace)]
+    # the empty space, whose gluings have an empty half
+    spaces = [s for s in built if isinstance(s, FiniteMetricSpace)] + [FiniteMetricSpace((), ())]
     outcome(lambda: bilip_slice(spaces))
     for s in spaces:
         outcome(lambda: hausdorff_distance(s, a, b))
+        outcome(lambda: cospan_weight_triangle_check(identity_gluing(s), identity_gluing(s)))
         for t in spaces:
             outcome(lambda: bilip_constant(BiLipMap(s, t, tuple(point_map))))
             outcome(lambda: lipschitz_distance(s, t))

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from metricat import PreconditionError, Weight, ZERO
+from metricat import PreconditionError, SizeGuardError, Weight, ZERO, errors
 from metricat.limits import (
     EXACT_NO,
     EXACT_YES,
@@ -19,6 +19,8 @@ from metricat.limits import (
     check_weak_pushout,
     find_mediating_arrows,
     partial_compositions,
+    require_sequence,
+    require_series,
     series_converges,
     truncate_cone,
     truncate_series,
@@ -440,3 +442,66 @@ def test_mediator_scans_refuse_a_leg_that_misses_the_apex():
         find_mediating_arrows(sp, seq, cone, cone)
     with pytest.raises(PreconditionError, match=message):
         check_weak_pushout(sp, seq, cone, [cone])
+
+
+# --- work budget ---------------------------------------------------------------
+
+def identities(k: int) -> EventuallyPeriodic:
+    """A period of k identities of object 0 in the 2-point indiscrete space."""
+    return EventuallyPeriodic((), (0,) * k)
+
+
+def test_coprime_periods_are_refused_before_their_window_is_scanned():
+    """Periods of 3001 and 3011 identities: every window is their lcm,
+    9,036,011 indices, which used to be scanned for about 21 s."""
+    sp = support.indiscrete_space([[0, 1], [1, 0]])
+    seq = ForwardSequence(0, identities(3001))
+    cone, other = EssentialCone(0, 0, identities(3011)), EssentialCone(0, 0, identities(1))
+    calls = {
+        "cone window": [lambda: check_forward_limiting_cone(sp, seq, cone),
+                        lambda: check_series_limit(sp, ForwardSeries(seq.arrows), cone)],
+        "mediator window": [lambda: find_mediating_arrows(sp, seq, cone, other),
+                            lambda: check_weak_pushout(sp, seq, other, [cone])],
+    }
+    for phase, checks in calls.items():
+        for check in checks:
+            with pytest.raises(SizeGuardError, match=f"^{phase} exceeded its budget of 300000 "):
+                check()
+
+
+def test_a_quadratic_cauchy_check_is_refused():
+    """2000 identities: 2000 walks of 2001 composites, which took about 7 s."""
+    sp = support.indiscrete_space([[0, 1], [1, 0]])
+    with pytest.raises(SizeGuardError, match="^series walk exceeded its budget of 300000 composites"):
+        check_cauchy(sp, ForwardSeries(identities(2000)))
+
+
+def test_walks_and_scans_charge_a_unit_per_index_or_composite(monkeypatch):
+    monkeypatch.setattr(errors, "DEFAULT_BUDGET", 1000)
+    sp, z2 = support.indiscrete_space([[0, 1], [1, 0]]), support.z2_space(1)
+
+    def refused(phase, units, used, call):
+        message = f"{phase} exceeded its budget of 1000 {units}; used {used}"
+        with pytest.raises(SizeGuardError, match=f"^{message}$"):
+            call()
+
+    # the Cauchy walks from every start of the period: 20 or 40 walks of 21 or 41 composites
+    assert check_cauchy(sp, ForwardSeries(identities(20))).verdict == EXACT_YES
+    refused("series walk", "composites", 1001, lambda: check_cauchy(sp, ForwardSeries(identities(40))))
+    # g repeated with an odd period P: the walk meets (phase, composite) again after 2P + 1
+    assert partial_compositions(z2, ForwardSeries(EventuallyPeriodic((), (1,) * 499)))
+    refused("series walk", "composites", 1001,
+            lambda: partial_compositions(z2, ForwardSeries(EventuallyPeriodic((), (1,) * 501))))
+    # each apex of the phase graph: P phases and P candidate edges
+    assert series_converges(sp, ForwardSeries(identities(400)))[0].verdict == EXACT_YES
+    refused("convergence search", "composites", 1200,
+            lambda: series_converges(sp, ForwardSeries(identities(600))))
+    # the entry checks, charged before they read an entry
+    refused("series check", "indices", 1001, lambda: require_series(sp, ForwardSeries(identities(1)), 1001))
+    refused("sequence check", "indices", 1001,
+            lambda: require_sequence(sp, ForwardSequence(0, identities(1)), 1001))
+    # a cone window of P indices and its tail of P: admitted at 500, refused at 501
+    cone = EssentialCone(0, 0, identities(1))
+    assert check_forward_limiting_cone(sp, ForwardSequence(0, identities(500)), cone).verdict == EXACT_YES
+    refused("cone window", "indices", 1002,
+            lambda: check_forward_limiting_cone(sp, ForwardSequence(0, identities(501)), cone))

@@ -104,11 +104,9 @@ from metricat.limits import (
     truncate_cone, truncate_series,
 )
 from metricat.geometry import (
-    _common_scale,
     _eccentricity_floor,
     _gh_correspondences,
     _gh_gluings,
-    _int_matrix,
     bilip_slice,
     bimetric_space,
     gh_distance,
@@ -1128,8 +1126,8 @@ def test_gh_routes_match_the_exhaustive_scans():
     sizes = [(n, m) for n in range(1, 5) for m in range(1, 5)]
     values = set()
     for x, y in geometry_pairs(108, sizes) + scan_decided_pairs():
-        scale = _common_scale(x, y)
-        dx, dy = _int_matrix(x, scale), _int_matrix(y, scale)
+        scale = math.lcm(x.scale, y.scale)
+        dx, dy = x.scaled(scale), y.scaled(scale)
         distortion, _ = _gh_correspondences(dx, dy)
         assert distortion == ref_gh_correspondences(dx, dy), (x, y)
         assert _gh_gluings(dx, dy) == ref_gh_gluings(dx, dy), (x, y)
@@ -1142,8 +1140,8 @@ def test_eccentricity_floor_never_exceeds_the_correspondence_value():
     sizes = [(n, m) for n in range(1, 5) for m in range(1, 5)]
     raised = 0
     for x, y in geometry_pairs(110, sizes) + scan_decided_pairs():
-        scale = _common_scale(x, y)
-        dx, dy = _int_matrix(x, scale), _int_matrix(y, scale)
+        scale = math.lcm(x.scale, y.scale)
+        dx, dy = x.scaled(scale), y.scaled(scale)
         floor = _eccentricity_floor([max(row) for row in dx], [max(row) for row in dy])
         assert floor <= ref_gh_correspondences(dx, dy), (x, y)
         raised += floor > abs(max(map(max, dx)) - max(map(max, dy)))
@@ -1163,8 +1161,8 @@ def test_correspondence_witness_attains_the_correspondence_value():
     pairs = geometry_pairs(112, sizes) + scan_decided_pairs()
     isometric = 0
     for x, y in pairs:
-        scale = _common_scale(x, y)
-        dx, dy = _int_matrix(x, scale), _int_matrix(y, scale)
+        scale = math.lcm(x.scale, y.scale)
+        dx, dy = x.scaled(scale), y.scaled(scale)
         d, cells = _gh_correspondences(dx, dy)
         assert {a for a, _ in cells} == set(range(len(dx))), (x, y, cells)
         assert {b for _, b in cells} == set(range(len(dy))), (x, y, cells)
@@ -1190,8 +1188,8 @@ def test_gluing_route_started_from_any_correspondence():
     sizes = [(n, m) for n in range(1, 5) for m in range(1, 5)]
     above = 0
     for x, y in geometry_pairs(111, sizes) + scan_decided_pairs():
-        scale = _common_scale(x, y)
-        dx, dy = _int_matrix(x, scale), _int_matrix(y, scale)
+        scale = math.lcm(x.scale, y.scale)
+        dx, dy = x.scaled(scale), y.scaled(scale)
         n, m = len(dx), len(dy)
         value = ref_gh_gluings(dx, dy)
         assert _gh_gluings(dx, dy) == value, (x, y)
@@ -1467,9 +1465,50 @@ def ref_enumerate_daggers(space: Metric1Space, guard: int = 100_000) -> list[Dag
         for block in combo:
             table.update(block)
         dag = Dagger(tuple(table[a] for a in range(m)))
-        if validate_dagger(space, dag).ok:
+        if checked_dagger(space, dag):
             found.append(dag)
     return found
+
+
+def ref_validate_dagger(space: Metric1Space, dag: Dagger) -> ValidationReport:
+    """The three dagger laws, exhaustively: identity on objects (each image
+    swaps dom and cod, identities map to themselves), contravariance over
+    every composable pair, and involutivity."""
+    report = ValidationReport(subject="dagger")
+    cat = space.category
+    m = len(cat.arrows)
+    if len(dag.mapping) != m or any(not (0 <= v < m) for v in dag.mapping):
+        report.fatal.append("dagger table does not cover the arrows")
+        return report
+    out = report.violations
+    for a in cat.arrows:
+        img = cat.arrows[dag.apply(a.id)]
+        if img.dom != a.cod or img.cod != a.dom:
+            out.append(f"image of {a} is {img}; a dagger only swaps endpoints")
+    for x, ida in cat.identity.items():
+        if dag.apply(ida) != ida:
+            out.append(f"identity of object {x} is not fixed")
+    for a in cat.arrows:
+        if dag.apply(dag.apply(a.id)) != a.id:
+            out.append(f"involution fails at arrow {a.id}")
+    if out:
+        return report
+    after, mapping = cat.after, dag.mapping
+    for f, row in enumerate(after):
+        for g, h in row.items():
+            # (g after f)^dagger == f^dagger after g^dagger
+            if mapping[h] != after[mapping[g]][mapping[f]]:
+                out.append(f"contravariance fails on pair ({f},{g})")
+    return report
+
+
+def checked_dagger(space: Metric1Space, dag: Dagger) -> bool:
+    """Whether `dag` is a dagger of the space, once `validate_dagger` (the
+    functor laws into the opposite, then the involution) and the three-law
+    scan agree on it."""
+    ok = ref_validate_dagger(space, dag).ok
+    assert validate_dagger(space, dag).ok == ok, (space, dag)
+    return ok
 
 
 def _involutions(elements: list[int]) -> list[dict[int, int]]:
@@ -1541,6 +1580,25 @@ def test_dagger_search_matches_the_candidate_product():
         assert got == ref_enumerate_daggers(sp)
         with_daggers += bool(got)
     assert with_daggers > 60
+
+
+def test_dagger_check_matches_the_three_law_scan_off_the_candidates():
+    """Arrow maps the candidate product never tries: random ones, ones that
+    swap every arrow's endpoints, and tables of the wrong length or naming
+    a missing arrow."""
+    rng = random.Random(112)
+    seen = Counter()
+    for sp in search_spaces(112):
+        cat = sp.category
+        m = len(cat.arrows)
+        swapping = [cat.hom(a.cod, a.dom) for a in cat.arrows]
+        maps = [tuple(rng.randrange(m) for _ in range(m)) for _ in range(10)]
+        if all(swapping):
+            maps += [tuple(map(rng.choice, swapping)) for _ in range(30)]
+        maps += [tuple(range(m - 1)), tuple(range(m + 1)), (m, *range(1, m)), (-1, *range(1, m))]
+        for mapping in maps:
+            seen[checked_dagger(sp, Dagger(mapping))] += 1
+    assert seen[True] > 20 and seen[False] > 1000, seen
 
 
 def test_mapping_space_composes_like_vertical_compose():
@@ -2025,7 +2083,11 @@ def test_cone_checks_match_the_two_body_scans():
         exact = rng.random() < 0.85
         seq = random_sequence(rng, n, exact)
         cones = [random_cone(rng, n, seq, exact or rng.random() < 0.5) for _ in range(4)]
-        for k in (-1, 0, 1, rng.randint(2, 7)):
+        # the reference slices k = -1 to the last leg; the library refuses it,
+        # as truncate_series does
+        with pytest.raises(PreconditionError, match="^truncation index must be non-negative$"):
+            truncate_cone(cones[0], -1)
+        for k in (0, 1, rng.randint(2, 7)):
             same_outcome(truncate_cone, ref_truncate_cone, cones[0], k)
         found = same_outcome(find_mediating_arrows, ref_find_mediating_arrows, space, seq, cones[0], cones[1],
                              retyped=LEG_OFF_APEX)
