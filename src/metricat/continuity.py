@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import PreconditionError, TheoremViolation
-from .fincat import Functor, opposite_functor
+from .fincat import Functor, opposite_functor, require_arrow
 from .limits import (
     EXACT_YES,
     EssentialCone,
@@ -53,8 +53,10 @@ class ContinuityVerdict(FrozenRecord):
 
 def factorizations(space: Metric1Space, psi: int) -> list[tuple[int, int]]:
     """All (rho, phi) with phi after rho == psi, including the trivial ones
-    through the endpoints themselves (rho or phi an identity)."""
+    through the endpoints themselves (rho or phi an identity).  Raises
+    PreconditionError on an id that is not an arrow's."""
     cat = space.category
+    require_arrow(cat, psi)
     target = cat.arrows[psi]
     out = []
     for rho in cat.arrows_from(target.dom):
@@ -70,9 +72,8 @@ def forward_continuous_at_arrow(
 ) -> ContinuityVerdict:
     """Holds iff every factorization of psi whose second leg weighs 0 maps
     to a second leg weighing 0 (see the module docstring for why this is
-    the epsilon/delta statement)."""
-    if not (0 <= psi < len(src.category.arrows)):
-        raise PreconditionError(f"arrow {psi} not in the functor's source")
+    the epsilon/delta statement).  Raises PreconditionError on an id that
+    is not an arrow's."""
     for _, phi in factorizations(src, psi):
         if src.w[phi] == ZERO and dst.w[fun.arr_map[phi]] != ZERO:
             return ContinuityVerdict("forward-at-arrow", False, witness=(psi, phi))

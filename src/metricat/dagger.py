@@ -2,7 +2,9 @@
 
 A dagger is an identity-on-objects functor C -> C^op whose arrow map is an
 involution, and it is validated and searched as one: `validate_functor`,
-then the involution law; `backtrack` with `composition_checks` into C^op.
+then the involution law; `backtrack` on the plan of `composition_checks`
+into C^op.  Every step reads the opposite C keeps (`FiniteCategory.opposite`),
+built once.
 Compatibility with the weights comes in decreasing strength: weight-
 preserving (iso), uniformly continuous, continuous; a space whose category
 is a groupoid sits above all of these, its inverse map being a canonical
@@ -147,9 +149,9 @@ def enumerate_daggers(space: Metric1Space, guard: int | Budget | None = None) ->
         return candidates
 
     # (g after f)^dagger == f^dagger after g^dagger: composition in the opposite
-    checks = composition_checks(cat, opposite(cat).after, pos)
+    plan = composition_checks(cat, opposite(cat).after, pos, len(order))
     found = []
-    for values in backtrack([domain(a) for a in order], checks, guard, "dagger search"):
+    for values in backtrack([domain(a) for a in order], plan, guard, "dagger search"):
         dag = Dagger(tuple(values[pos[a]] for a in range(len(cat.arrows))))
         validate_dagger(space, dag).require_ok("enumerated dagger")
         found.append(dag)

@@ -36,16 +36,21 @@ the full scan over composable triples runs and lists every failure.
 `backtrack` is the one search over functor-shaped tables (functors,
 transformations, natural contractions, daggers): one variable at a time,
 each check run once, when the last variable it reads is set, and its search
-nodes charged to the caller's `errors.Budget`.  `composition_checks` builds
-the checks of a functor's arrow table, and of a dagger's, which is a
-functor into the opposite.
+nodes charged to the caller's `errors.Budget`.  It takes a plan, the checks
+already grouped by the variable they run at, built once per source:
+`composition_checks` builds the plan of a functor's arrow table, and of a
+dagger's, which is a functor into the opposite; `mapping.NaturalitySquares`
+builds one for every search between functors of one source and target,
+each search handing over its pair of functors as given values.  A category
+builds its opposite once and keeps it, and the opposite's opposite is the
+category itself.
 """
 from __future__ import annotations
 
 from functools import cached_property
 from types import MappingProxyType
 
-from .errors import Budget, TheoremViolation
+from .errors import Budget, PreconditionError, TheoremViolation
 from .record import FrozenRecord, Record
 
 
@@ -157,8 +162,9 @@ class FiniteCategory(FrozenRecord):
     those on pairs that do not compose and those naming an id outside the
     arrows (all of them when the arrow ids are not their positions).
 
-    No ``__slots__``: the ``cached_property`` indices live in the instance
-    ``__dict__``, past the frozen ``__setattr__``."""
+    No ``__slots__``: the ``cached_property`` indices and the opposite live
+    in the instance ``__dict__``, past the frozen ``__setattr__``; equality,
+    repr, copy and pickle read ``_fields`` only, so they never see them."""
 
     _fields = ("objects", "arrows", "identity", "after", "side")
 
@@ -228,6 +234,29 @@ class FiniteCategory(FrozenRecord):
     def adjacency(self) -> Adjacency:
         """Built on first use."""
         return Adjacency.of(self.arrows)
+
+    @cached_property
+    def opposite(self) -> "FiniteCategory":
+        """The opposite category, built on first read and kept, with this
+        category kept as its own opposite: every arrow reversed, the ids
+        preserved, so data indexed by id (weights, sequences) transfers
+        verbatim; the rows and the side record transpose, g∘f in the row
+        of f becoming f∘g in the row of g, whose keys are the arrows into
+        dom g.  Like `adjacency` it is read off the tables once, so it must
+        not be read before they are complete: `from_triples` and
+        `mapping.mapping_space` fill ``after`` in place right after they
+        construct a category, and nothing reads the opposite in between."""
+        arrows = tuple(Arrow(a.id, a.cod, a.dom, a.label) for a in self.arrows)
+        into = self.adjacency.into
+        after = [dict.fromkeys(into.get(a.dom, ())) for a in self.arrows]
+        for f, row in enumerate(self.after):
+            for g, h in row.items():
+                if h is not None:
+                    after[g][f] = h
+        side = {(g, f): h for (f, g), h in self.side.items()}
+        op = FiniteCategory(self.objects, arrows, dict(self.identity), after, side)
+        op.__dict__["opposite"] = self
+        return op
 
     def hom(self, x: int, y: int) -> tuple[int, ...]:
         return self.adjacency.hom.get((x, y), ())
@@ -439,28 +468,24 @@ def terminal_category() -> FiniteCategory:
     return indiscrete(1)
 
 
+def require_arrow(cat: FiniteCategory, aid) -> None:
+    """Raise PreconditionError unless `aid` is the id of one of the arrows
+    of `cat` (a negative id would read an arrow from the end)."""
+    if not (isinstance(aid, int) and 0 <= aid < len(cat.arrows)):
+        raise PreconditionError(f"arrow {aid!r} is not one of the {len(cat.arrows)} arrows of the category")
+
+
 def opposite(cat: FiniteCategory) -> FiniteCategory:
-    """Reverse every arrow.  Arrow ids are preserved, so data indexed by id
-    (weights, sequences) transfers between a category and its opposite
-    verbatim; the rows and the side record transpose: g∘f in the row of
-    f becomes f∘g in the row of g, whose keys are the arrows into dom g."""
-    arrows = tuple(Arrow(a.id, a.cod, a.dom, a.label) for a in cat.arrows)
-    into = cat.adjacency.into
-    after = [dict.fromkeys(into.get(a.dom, ())) for a in cat.arrows]
-    for f, row in enumerate(cat.after):
-        for g, h in row.items():
-            if h is not None:
-                after[g][f] = h
-    side = {(g, f): h for (f, g), h in cat.side.items()}
-    return FiniteCategory(cat.objects, arrows, dict(cat.identity), after, side)
+    """The opposite category, `FiniteCategory.opposite`: built once per
+    category, and ``opposite(opposite(cat)) is cat``."""
+    return cat.opposite
 
 
 def opposite_functor(fun: Functor) -> Functor:
-    """The same object and arrow maps between the opposite categories; an
-    endofunctor stays an endofunctor of a single opposite category."""
-    src = opposite(fun.source)
-    dst = src if fun.target is fun.source else opposite(fun.target)
-    return Functor(src, dst, fun.obj_map, fun.arr_map)
+    """The same object and arrow maps between the opposite categories (each
+    category's cached one); an endofunctor stays an endofunctor of a single
+    opposite category."""
+    return Functor(fun.source.opposite, fun.target.opposite, fun.obj_map, fun.arr_map)
 
 
 class Functor(Record):
@@ -485,27 +510,31 @@ def identity_functor(cat: FiniteCategory) -> Functor:
     return Functor(cat, cat, {o.index: o.index for o in cat.objects}, {a.id: a.id for a in cat.arrows})
 
 
+def shape_errors(fun: Functor) -> list[str]:
+    """The fatal findings of `validate_functor`, in O(n + m): an object or
+    arrow map missing or dangling somewhere, else every arrow image whose
+    endpoints disagree with the object map.  Empty when the maps are total,
+    in range and compatible, which is what a search over the functor's
+    images reads."""
+    src, dst, obj_map, arr_map = fun.source, fun.target, fun.obj_map, fun.arr_map
+    errs = [f"object map missing or dangling at object {x}" for x in range(len(src.objects))
+            if x not in obj_map or not (0 <= obj_map[x] < len(dst.objects))]
+    errs += [f"arrow map missing or dangling at arrow {a.id}" for a in src.arrows
+             if a.id not in arr_map or not (0 <= arr_map[a.id] < len(dst.arrows))]
+    if errs:
+        return errs
+    images = [(a, dst.arrows[arr_map[a.id]]) for a in src.arrows]
+    return [f"arrow {a} maps to {img}, incompatible with the object map" for a, img in images
+            if img.dom != obj_map[a.dom] or img.cod != obj_map[a.cod]]
+
+
 def validate_functor(fun: Functor) -> ValidationReport:
     """Check endpoint compatibility (fatal), identity and composition
     preservation (violations), exhaustively."""
-    report = ValidationReport(subject="functor")
+    report = ValidationReport(subject="functor", fatal=shape_errors(fun))
+    if report.fatal:
+        return report
     src, dst = fun.source, fun.target
-    for x in range(len(src.objects)):
-        if x not in fun.obj_map or not (0 <= fun.obj_map[x] < len(dst.objects)):
-            report.fatal.append(f"object map missing or dangling at object {x}")
-    for a in src.arrows:
-        if a.id not in fun.arr_map or not (0 <= fun.arr_map[a.id] < len(dst.arrows)):
-            report.fatal.append(f"arrow map missing or dangling at arrow {a.id}")
-    if report.fatal:
-        return report
-    for a in src.arrows:
-        img = dst.arrows[fun.arr_map[a.id]]
-        if img.dom != fun.obj_map[a.dom] or img.cod != fun.obj_map[a.cod]:
-            report.fatal.append(
-                f"arrow {a} maps to {img}, incompatible with the object map"
-            )
-    if report.fatal:
-        return report
     out = report.violations
     for x in range(len(src.objects)):
         if fun.arr_map[src.identity[x]] != dst.identity[fun.obj_map[x]]:
@@ -521,16 +550,18 @@ def validate_functor(fun: Functor) -> ValidationReport:
     return report
 
 
-def backtrack(domains, checks, guard: int | Budget | None, what: str):
-    """Yield every assignment of the variables that passes all checks, as a
-    tuple of values, in lexicographic order of the domains.
+def backtrack(domains, plan, guard: int | Budget | None, what: str, given=()) -> list[tuple]:
+    """Every assignment of the variables that passes all checks, as a tuple
+    of values, in lexicographic order of the domains.
 
     Variable i takes the values ``domains[i](values)`` in order, where
-    ``values`` holds the variables before it.  A check is a pair
-    ``(reads, predicate)``: it is attached to the last variable it reads,
-    so ``predicate(values)`` runs exactly once, when that variable is set.
-    A variable's checks run in order, in a plain loop that stops at the
-    first one that fails.
+    ``values`` holds the variables before it and, past the n variables,
+    the constants `given`.  The plan is the checks grouped by variable:
+    ``plan[i]`` lists the predicates that read variable i and no later one,
+    so each ``predicate(values)`` runs exactly once, when that variable is
+    set, in a plain loop that stops at the first one that fails.  A source
+    builds its plan once; `given` carries what differs between searches on
+    one plan (the functors of a pair, in `mapping.NaturalitySquares`).
     One search node is one candidate value tried.  The loop counts them and
     charges the work budget ``guard`` (see `Budget.of`) once, when the
     search ends or passes the budget and raises ``SizeGuardError``.  The
@@ -540,18 +571,16 @@ def backtrack(domains, checks, guard: int | Budget | None, what: str):
     budget = Budget.of(guard)
     n = len(domains)
     if n == 0:
-        yield ()
-        return
-    attached: list[list] = [[] for _ in range(n)]
-    for reads, predicate in checks:
-        attached[max(reads)].append(predicate)
+        return [()]
+    found = []
     values: list = [None] * n
+    values += given
     candidates = [iter(())] * n
     candidates[0] = iter(domains[0](values))
     nodes, room = 0, budget.limit - budget.used
     i = 0
     while i >= 0:
-        here = attached[i]
+        here = plan[i]
         for value in candidates[i]:
             nodes += 1
             if nodes > room:
@@ -566,24 +595,37 @@ def backtrack(domains, checks, guard: int | Budget | None, what: str):
             i -= 1
             continue
         if i + 1 == n:
-            yield tuple(values)
+            found.append(tuple(values[:n]))
         else:
             i += 1
             candidates[i] = iter(domains[i](values))
     budget.spend(nodes, what, "search nodes")
+    return found
 
 
-def composition_checks(source: FiniteCategory, after: list[dict], var) -> list:
-    """The `backtrack` checks that the images of `source`'s arrows, the image
-    of arrow a being variable ``var[a]``, preserve composition: one per
-    composable pair (f, g), ``after[image f][image g] == image(g∘f)``, where
-    `after` is the rows of the target (of its opposite, for a dagger)."""
-    checks = []
+def composition_checks(source: FiniteCategory, after: list[dict], var, size: int) -> list[list]:
+    """The `backtrack` plan of `size` variables whose checks say that the
+    images of `source`'s arrows, the image of arrow a being variable
+    ``var[a]``, preserve composition: per composable pair (f, g),
+    ``after[image f][image g] == image(g∘f)``, where `after` is the rows of
+    the target (of its opposite, for a dagger).  A variable's pairs, those
+    whose last variable it is, make one predicate."""
+    triples: list[list] = [[] for _ in range(size)]
     for f, row in enumerate(source.after):
         for g, h in row.items():
             fv, gv, hv = var[f], var[g], var[h]
-            checks.append(((fv, gv, hv), lambda v, f=fv, g=gv, h=hv: after[v[f]][v[g]] == v[h]))
-    return checks
+            triples[max(fv, gv, hv)].append((fv, gv, hv))
+    return [[_preserved(after, ts)] if ts else [] for ts in triples]
+
+
+def _preserved(after: list[dict], triples: list[tuple[int, int, int]]):
+    def preserved(v) -> bool:
+        for f, g, h in triples:
+            if after[v[f]][v[g]] != v[h]:
+                return False
+        return True
+
+    return preserved
 
 
 def is_groupoid(cat: FiniteCategory) -> dict[int, int] | None:

@@ -22,7 +22,7 @@ from typing import NamedTuple
 from .errors import Budget, PreconditionError, TheoremViolation
 from .fincat import (
     FiniteCategory, Functor, NatTransformation, backtrack, identity_functor, opposite,
-    opposite_functor, validate_functor, validate_transformation,
+    opposite_functor, require_arrow, validate_functor, validate_transformation,
 )
 from .limits import (
     EXACT_YES,
@@ -99,17 +99,21 @@ def find_natural_contractions(
     with one more check per object x, run once x and F(x) are both set.
     Backward contractions are the forward ones of the opposite functor.
     Raises SizeGuardError past the work budget `guard` (`errors.DEFAULT_BUDGET`
-    when None)."""
+    when None), and PreconditionError on a functor map that is short,
+    dangling or incompatible with the object map."""
     if is_backward(direction):
         found = find_natural_contractions(opposite_space(space), opposite_functor(fun), FORWARD, guard)
         return [NaturalContraction(BACKWARD, fun, nc.components) for nc in found]
     ident = identity_functor(space.category)
-    domains, checks = NaturalitySquares(ident.source, ident.target).search(ident, fun)
-    for x, fx in fun.obj_map.items():
-        checks.append(((x, fx), lambda v, x=x, fx=fx: fun.arr_map[v[x]] == v[fx]))
+    squares = NaturalitySquares(ident.source, ident.target)
+    given = squares.images(ident) + squares.images(fun)
+    plan = [list(checks) for checks in squares.plan]
+    for x in range(len(plan)):
+        fx = fun.obj_map[x]
+        plan[max(x, fx)].append(lambda v, x=x, fx=fx: fun.arr_map[v[x]] == v[fx])
     out = [
         NaturalContraction(FORWARD, fun, components)
-        for components in backtrack(domains, checks, guard, "natural-contraction search")
+        for components in backtrack(squares.domains, plan, guard, "natural-contraction search", given)
     ]
     for nc in out:
         t = NatTransformation(ident, fun, dict(enumerate(nc.components)))
@@ -119,7 +123,9 @@ def find_natural_contractions(
 
 def is_epimorphism(cat: FiniteCategory, aid: int) -> bool:
     """Right cancelable: g after psi == h after psi forces g == h,
-    checked over every parallel pair out of psi's codomain."""
+    checked over every parallel pair out of psi's codomain.  Raises
+    PreconditionError on an id that is not an arrow's."""
+    require_arrow(cat, aid)
     psi = cat.arrows[aid]
     outgoing = cat.arrows_from(psi.cod)
     for g in outgoing:
@@ -133,6 +139,7 @@ def is_epimorphism(cat: FiniteCategory, aid: int) -> bool:
 def is_monomorphism(cat: FiniteCategory, aid: int) -> bool:
     """Left cancelable: psi after g == psi after h forces g == h; that is,
     psi is an epimorphism of the opposite category."""
+    require_arrow(cat, aid)
     return is_epimorphism(opposite(cat), aid)
 
 

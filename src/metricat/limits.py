@@ -168,11 +168,18 @@ def _weightless_tail(space: Metric1Space, cone: EssentialCone, tail: range,
                      limit: int | None) -> LimitCertificate:
     """Exact-yes with `limit` if the legs at the indices of `tail` all
     weigh 0, else exact-no at the first that does not."""
+    zero = _weightless(space)
     for k in tail:
-        if space.w[cone.leg(k)] != ZERO:
+        if cone.leg(k) not in zero:
             return LimitCertificate(EXACT_NO, witness_index=k, detail=(
                 f"leg weight at index {k} is {space.w[cone.leg(k)]}; periodic tail must weigh 0"))
     return LimitCertificate(EXACT_YES, limiting_arrow=limit)
+
+
+def _weightless(space: Metric1Space) -> set[int]:
+    """The ids of the arrows of weight 0: one comparison per arrow, so that
+    a scan tests each arrow it meets by membership."""
+    return set(itertools.compress(itertools.count(), map(ZERO.__eq__, space.w)))
 
 
 def require_sequence(space: Metric1Space, seq: ForwardSequence, upto: int) -> None:
@@ -282,11 +289,12 @@ def check_cauchy(space: Metric1Space, series: ForwardSeries) -> LimitCertificate
     cat, arr, budget = space.category, series.arrows, Budget()
     require_series(space, series, _series_upto(arr))
     starts = range(arr.stable_from, arr.stable_from + arr.cycle) if arr.is_exact else range(arr.horizon)
+    zero = _weightless(space)
     bad = next((
         (m, n, space.w[acc])
         for m in starts
         for n, acc in enumerate(_walk(cat, arr.drop(m), budget)[0][1:], m + 1)
-        if space.w[acc] != ZERO
+        if acc not in zero
     ), None)
     if not arr.is_exact:
         return LimitCertificate(TO_HORIZON, detail=(
@@ -369,11 +377,12 @@ def series_converges(
     base = arr.stable_from
     L = arr.cycle
 
+    zero = _weightless(space)
     for apex in range(len(cat.objects)):
         # nodes: (phase q, zero-weight arrow from the phase's object to apex)
         budget.spend(L, "convergence search", "indices")
         nodes = [
-            [a for a in cat.hom(cat.arrows[arr.at(base + q)].dom, apex) if space.w[a] == ZERO]
+            [a for a in cat.hom(cat.arrows[arr.at(base + q)].dom, apex) if a in zero]
             for q in range(L)
         ]
         budget.spend(sum(len(a) * len(b) for a, b in zip(nodes, nodes[1:] + nodes[:1])),

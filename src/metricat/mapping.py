@@ -10,29 +10,29 @@ continuous functors (on finite spaces the forward, backward and uniform
 notions agree), all natural transformations between them, their pointwise
 composites and the sup-of-component weights.
 
-[X, Y] runs one transformation search per ordered pair of functors, but
-the parts of those searches are built once (`NaturalitySquares`): each
-component domain per object and pair of images (F x, G x), each square
-check per source arrow and pair of images (F a, G a).  Every found
-transformation is then re-checked in one pass over its components'
-endpoints and its squares, independent of the shared checks; only a
-failure builds a `validate_transformation` report, which raises.  One
-budget bounds all of [X, Y]: the functor search, every transformation
-search, and the arrows and composition entries, charged pair by pair as
-[X, Y] grows, so an [X, Y] too large is refused before its last searches
-run.  Every check reads the rows (`FiniteCategory.after`) of the categories
-involved.  The table of [X, Y] is filled column-wise: the arrows out of
-each functor are held as columns of components, each column is mapped
-through one row of the target, and each composite is found by its key
-(target functor, components).  The weights are read off the target's
-arrows ranked by weight.  [X, Y] is built as rows, and no step derives a
-tuple-keyed table.
+[X, Y] runs one transformation search per ordered pair of functors, all on
+one plan (`NaturalitySquares`) built once for the source and target: a
+component domain per object and one check per variable for the squares it
+closes, both reading the pair's images from the search's given values, so
+a pair costs no set-up.  Each functor's maps are read once, and one that is
+short, dangling or incompatible with its object map is refused with
+PreconditionError.  Each search hands back component rows, and every row is
+re-checked in one pass over its components' endpoints and its squares,
+independent of the plan; only a failure builds a `validate_transformation`
+report, which raises.  One budget bounds all of [X, Y]: the functor
+search, every transformation search, and the arrows and composition
+entries, charged pair by pair as [X, Y] grows, so an [X, Y] too large is
+refused before its last searches run.  Every check reads the rows
+(`FiniteCategory.after`) of the categories involved.  The table of [X, Y]
+is filled column-wise: the arrows out of each functor are held as columns
+of components, each column is mapped through one row of the target, and
+each composite is found by its key (target functor, components).  The
+weights are read off the target's arrows ranked by weight.  [X, Y] is
+built as rows, and no step derives a tuple-keyed table.
 """
 from __future__ import annotations
 
-from operator import getitem
-
-from .errors import Budget, TheoremViolation
+from .errors import Budget, PreconditionError, TheoremViolation
 from .fincat import (
     Arrow,
     FiniteCategory,
@@ -41,6 +41,7 @@ from .fincat import (
     Obj,
     backtrack,
     composition_checks,
+    shape_errors,
     validate_functor,
     validate_transformation,
 )
@@ -71,86 +72,76 @@ def enumerate_functors(
             domains.append(lambda values, x=forced[a.id]: (target.identity[values[x]],))
         else:
             domains.append(lambda values, x=a.dom, y=a.cod: target.hom(values[x], values[y]))
-    checks = composition_checks(source, target.after, range(n, n + len(source.arrows)))
+    plan = composition_checks(source, target.after, range(n, n + len(source.arrows)), len(domains))
     return [
         Functor(source, target, dict(enumerate(values[:n])), dict(enumerate(values[n:])))
-        for values in backtrack(domains, checks, guard, "functor enumeration")
+        for values in backtrack(domains, plan, guard, "functor enumeration")
     ]
 
 
 class NaturalitySquares:
-    """The parts of the searches for transformations between functors
-    source -> target, each built once and shared by every pair of functors:
-    the domain of a component, per object x and pair of images (F x, G x),
-    and the naturality check of a square, per source arrow a and pair of
-    images (F a, G a)."""
+    """The plan of the searches for transformations between functors
+    source -> target, built once and shared by every pair of functors.
 
-    __slots__ = ("source", "target", "_objects", "_arrows", "_reads", "_domains", "_checks",
-                 "_functors")
+    Component x is variable x and ranges over hom(F x, G x); the square of
+    source arrow a, G a after c_(dom a) == c_(cod a) after F a, is checked
+    at the later of its two components, and a variable's squares make one
+    check.  Domains and checks read the pair from the search's given
+    values, the `images` of F then those of G, so a search of a pair costs
+    no set-up once each functor's images are read.
+    """
+
+    __slots__ = ("source", "target", "domains", "plan")
 
     def __init__(self, source: FiniteCategory, target: FiniteCategory):
         self.source, self.target = source, target
-        self._objects = range(len(source.objects))
-        self._arrows = tuple(a.id for a in source.arrows)
-        self._reads = tuple((a.dom, a.cod) for a in source.arrows)
-        self._domains: list[dict] = [{} for _ in self._objects]  # x -> F x -> G x -> domain
-        self._checks: list[dict] = [{} for _ in self._arrows]  # a -> F a -> G a -> check
-        self._functors: dict = {}  # id(F) -> (F, its images, its parts keyed by G's images)
+        n, m = len(source.objects), len(source.arrows)
+        # the given values past the n components: F x at n + x, F a at
+        # 2n + a, G x at 2n + m + x and G a at 3n + m + a
+        hom = target.adjacency.hom.get
+        self.domains = [lambda v, f=n + x, g=2 * n + m + x: hom((v[f], v[g]), ())
+                        for x in range(n)]
+        squares: list[list] = [[] for _ in range(n)]
+        for a in source.arrows:
+            squares[max(a.dom, a.cod)].append((a.dom, a.cod, 2 * n + a.id, 3 * n + m + a.id))
+        self.plan = [[_commuting(target.after, sq)] if sq else [] for sq in squares]
 
-    def _functor(self, F: Functor):
-        """The images of F's objects and arrows, and the domains and checks
-        of the searches out of F, keyed by the images of the other functor.
-        The entry holds F, so its id is not reused while it is cached."""
-        entry = self._functors.get(id(F))
-        if entry is None or entry[0] is not F:
-            objs = tuple(map(F.obj_map.__getitem__, self._objects))
-            arrs = tuple(map(F.arr_map.__getitem__, self._arrows))
-            entry = self._functors[id(F)] = (
-                F, objs, arrs,
-                [by_fx.setdefault(fx, {}) for by_fx, fx in zip(self._domains, objs)],
-                [by_fa.setdefault(fa, {}) for by_fa, fa in zip(self._checks, arrs)],
-            )
-        return entry
+    def images(self, F: Functor) -> list[int]:
+        """F's object images, then its arrow images, in id order: what a
+        search out of or into F reads as given values.  Raises
+        PreconditionError unless F runs between the plan's categories with
+        maps that are total, in range and compatible."""
+        if F.source != self.source or F.target != self.target:
+            raise PreconditionError("functors do not share source and target")
+        errs = shape_errors(F)
+        if errs:
+            raise PreconditionError(f"not a functor: {errs[0]}")
+        return [*map(F.obj_map.__getitem__, range(len(self.source.objects))),
+                *map(F.arr_map.__getitem__, range(len(self.source.arrows)))]
 
-    def search(self, F: Functor, G: Functor):
-        """Variables and checks of the search for transformations F => G: one
-        component per object, and one naturality square per arrow, checked
-        once both of its components are set."""
-        if F.source is not self.source or F.target is not self.target:
-            return NaturalitySquares(F.source, F.target).search(F, G)
-        _, f_objs, f_arrs, by_gx, by_ga = self._functor(F)
-        _, g_objs, g_arrs, _, _ = self._functor(G)
-        domains = list(map(dict.get, by_gx, g_objs))
-        checks = list(map(dict.get, by_ga, g_arrs))
-        if None in domains:
-            hom = self.target.hom
-            for x, (fx, gx) in enumerate(zip(f_objs, g_objs)):
-                if domains[x] is None:
-                    domains[x] = by_gx[x][gx] = lambda values, h=hom(fx, gx): h
-        if None in checks:
-            after = self.target.after
-            for i, (fa, ga) in enumerate(zip(f_arrs, g_arrs)):
-                if checks[i] is None:
-                    reads = x, y = self._reads[i]
-                    checks[i] = by_ga[i][ga] = (
-                        reads, lambda v, x=x, y=y, f=fa, g=ga: after[v[x]][g] == after[f][v[y]]
-                    )
-        return domains, checks
+
+def _commuting(after: list[dict], squares: list[tuple[int, int, int, int]]):
+    """One check for the squares (x, y, F a, G a) of a variable's arrows."""
+    def commuting(v) -> bool:
+        for x, y, f, g in squares:
+            if after[v[x]][v[g]] != after[v[f]][v[y]]:
+                return False
+        return True
+
+    return commuting
 
 
 def enumerate_transformations(
-    F: Functor, G: Functor, guard: int | Budget | None = None,
-    squares: NaturalitySquares | None = None,
+    F: Functor, G: Functor, guard: int | Budget | None = None
 ) -> list[NatTransformation]:
     """All natural transformations F -> G in component-lexicographic order,
-    charged to `guard` as in `enumerate_functors`.  `squares` shares the
-    parts of the search with the other searches between functors of the
-    same source and target."""
-    search = (squares or NaturalitySquares(F.source, F.target)).search(F, G)
-    return [
-        NatTransformation(F, G, dict(enumerate(components)))
-        for components in backtrack(*search, guard, "transformation enumeration")
-    ]
+    charged to `guard` as in `enumerate_functors`.  Raises
+    PreconditionError on a map that is short, out of range or incompatible
+    with the object map."""
+    squares = NaturalitySquares(F.source, F.target)
+    rows = backtrack(squares.domains, squares.plan, guard, "transformation enumeration",
+                     squares.images(F) + squares.images(G))
+    return [NatTransformation(F, G, dict(enumerate(row))) for row in rows]
 
 
 def nat_weight(t: NatTransformation, target_space: Metric1Space) -> Weight:
@@ -196,39 +187,41 @@ def mapping_space(
         validate_functor(f).require_ok("enumerated functor")
         if uniformly_continuous(f, X, Y).holds:
             funs.append(f)
-    xs = range(len(X.category.objects))
+    n = len(X.category.objects)
     squares = NaturalitySquares(X.category, Y.category)
     x_arrows, y_arrows, y_after = X.category.arrows, Y.category.arrows, Y.category.after
-    x_ids, x_doms, x_cods = ([a.id for a in x_arrows], [a.dom for a in x_arrows],
-                             [a.cod for a in x_arrows])
+    x_squares = [(a.dom, a.cod, a.id) for a in x_arrows]
     y_doms, y_cods = [a.dom for a in y_arrows], [a.cod for a in y_arrows]
-    # per functor, the images of the objects and of the arrows, in id order
-    images = [(list(map(f.obj_map.__getitem__, xs)), list(map(f.arr_map.__getitem__, x_ids)))
-              for f in funs]
+    # per functor, the images of the objects then of the arrows, in id order
+    images = list(map(squares.images, funs))
+    domains, plan = squares.domains, squares.plan
     transformations: list[NatTransformation] = []
     rows: list[tuple[int, ...]] = []  # a transformation's component ids in object order
     arrow_meta: list[tuple[int, int]] = []  # (source functor index, target functor index)
     into, out = [0] * len(funs), [0] * len(funs)  # arrows into and out of each functor
     for i, F in enumerate(funs):
-        f_objs, f_arrs = images[i]
-        f_rows = list(map(y_after.__getitem__, f_arrs))  # the rows of the F a
+        f_image = images[i]
+        f_objs = f_image[:n]
+        f_rows = list(map(y_after.__getitem__, f_image[n:]))  # the rows of the F a
         for j, G in enumerate(funs):
-            found = enumerate_transformations(F, G, budget, squares)
+            found = backtrack(domains, plan, budget, "transformation enumeration", f_image + images[j])
             if not found:
                 continue
-            g_objs, g_arrs = images[j]
-            for t in found:
-                # the checks of validate_transformation, run on the row: each
-                # component c_x runs F x -> G x, and each square commutes,
-                # G a after c_(dom a) == c_(cod a) after F a; only a failure
-                # builds the report, which raises with its message
-                row = tuple(map(t.components.get, xs))
-                if not (t.F is F and t.G is G and None not in row
-                        and list(map(y_doms.__getitem__, row)) == f_objs
-                        and list(map(y_cods.__getitem__, row)) == g_objs
-                        and list(map(getitem, map(y_after.__getitem__, map(row.__getitem__, x_doms)),
-                                     g_arrs))
-                        == list(map(getitem, f_rows, map(row.__getitem__, x_cods)))):
+            g_objs, g_arrs = images[j][:n], images[j][n:]
+            for row in found:
+                # the checks of validate_transformation, run on the row apart
+                # from the plan: each component c_x runs F x -> G x, and each
+                # square commutes, G a after c_(dom a) == c_(cod a) after F a;
+                # only a failure builds the report, which raises
+                t = NatTransformation(F, G, dict(enumerate(row)))
+                natural = (list(map(y_doms.__getitem__, row)) == f_objs
+                           and list(map(y_cods.__getitem__, row)) == g_objs)
+                if natural:
+                    for x, y, a in x_squares:
+                        if y_after[row[x]][g_arrs[a]] != f_rows[a][row[y]]:
+                            natural = False
+                            break
+                if not natural:
                     validate_transformation(t).require_ok("enumerated transformation")
                 transformations.append(t)
                 rows.append(row)
@@ -249,8 +242,8 @@ def mapping_space(
     for k, ((i, j), row) in enumerate(zip(arrow_meta, rows)):
         keys[i][(j, *row)] = k
     y_identity = Y.category.identity
-    identity = {i: keys[i][(i, *map(y_identity.__getitem__, f_objs))]
-                for i, (f_objs, _) in enumerate(images)}
+    identity = {i: keys[i][(i, *map(y_identity.__getitem__, image[:n]))]
+                for i, image in enumerate(images)}
     objs = tuple(Obj(i, f"F{i}") for i in range(len(funs)))
     arrs = tuple(Arrow(k, i, j) for k, (i, j) in enumerate(arrow_meta))
     cat = FiniteCategory(objs, arrs, identity, [], {})

@@ -299,3 +299,11 @@ def test_series_completeness_labels():
 
     bward = series_completeness(z2, ForwardSeries(EventuallyPeriodic((), (1,))), BACKWARD)
     assert bward.holds
+
+
+@pytest.mark.parametrize("psi", [-1, 4, 99])
+def test_factorizations_of_an_id_outside_the_arrows_is_a_precondition(psi):
+    # -1 used to read the last arrow's factorizations, and give []
+    space = support.indiscrete_space([[0, 1], [1, 0]])
+    with pytest.raises(PreconditionError, match=f"^arrow {psi} is not one of the 4 arrows of the category$"):
+        factorizations(space, psi)

@@ -312,3 +312,16 @@ def test_category_is_frozen_and_indexes_its_arrows():
         for y in range(len(cat.objects)):
             assert cat.hom(x, y) == tuple(a.id for a in cat.arrows if (a.dom, a.cod) == (x, y))
     assert cat.arrows_from(99) == cat.arrows_to(99) == cat.hom(0, 99) == ()
+
+
+def test_a_category_keeps_its_opposite():
+    cat = support.one_sided_space().category
+    op = opposite(cat)
+    assert op is opposite(cat) is cat.opposite and opposite(op) is cat
+    # the cache is no field: equality, repr, copy and pickle never read it
+    assert "opposite" not in repr(cat) and op != cat
+    twin = pickle.loads(pickle.dumps(cat))
+    assert "opposite" not in twin.__dict__ and twin == cat == copy.deepcopy(cat)
+    assert opposite(twin) == op and opposite(twin) is not op
+    for (f, g), h in cat.composition.items():
+        assert op.composition[(g, f)] == h

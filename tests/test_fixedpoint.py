@@ -252,3 +252,12 @@ def test_natural_contraction_budget_counts_search_nodes():
     assert len(find_natural_contractions(sp, fun, guard=4)) == 1
     with pytest.raises(SizeGuardError, match="natural-contraction search exceeded its budget of 3 search nodes"):
         find_natural_contractions(sp, fun, guard=3)
+
+
+@pytest.mark.parametrize("check", [is_epimorphism, is_monomorphism])
+@pytest.mark.parametrize("aid", [-1, 2, 99])
+def test_an_id_outside_the_arrows_is_a_precondition(check, aid):
+    # -1 used to read the last arrow (is_epimorphism(cat, -1) answered True),
+    # and an id past the arrows raised IndexError or KeyError
+    with pytest.raises(PreconditionError, match=f"^arrow {aid} is not one of the 2 arrows of the category$"):
+        check(support.z2_category(), aid)

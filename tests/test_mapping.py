@@ -5,6 +5,7 @@ import pytest
 from metricat import (
     INF,
     Functor,
+    PreconditionError,
     SizeGuardError,
     TheoremViolation,
     Weight,
@@ -188,47 +189,77 @@ def test_mapping_space_raises_on_an_enumerated_non_functor(monkeypatch):
 
 def test_mapping_space_raises_on_an_enumerated_non_natural_transformation(monkeypatch):
     z2 = support.z2_space(1)
-    real = mapping.enumerate_transformations
+    real = mapping.backtrack
 
-    def with_a_stray(F, G, guard, *shared):
-        found = real(F, G, guard, *shared)
-        if F != G:
+    def with_a_stray(domains, plan, guard, what, given=()):
+        found = real(domains, plan, guard, what, given)
+        if what == "transformation enumeration" and not found:
             # between the identity and the collapse of g, no component is natural
-            found.append(NatTransformation(F, G, {0: 0}))
+            found.append((0,))
         return found
 
-    monkeypatch.setattr(mapping, "enumerate_transformations", with_a_stray)
+    monkeypatch.setattr(mapping, "backtrack", with_a_stray)
     with pytest.raises(TheoremViolation, match="enumerated transformation failed validation"):
         mapping_space(z2, z2)
 
 
 def test_a_corrupted_shared_square_check_is_caught_by_the_recheck(monkeypatch):
-    # every naturality check the shared search parts hand out passes: the
-    # search then finds components that are not natural, and the re-check
-    # of each found transformation still refuses them
+    # every naturality check of the shared plan passes: the search then
+    # finds components that are not natural, and the re-check of each found
+    # transformation still refuses them
     z2 = support.z2_space(1)
-    real = mapping.NaturalitySquares.search
+    real = mapping.NaturalitySquares.__init__
 
-    def passing_every_square(self, F, G):
-        domains, checks = real(self, F, G)
-        return domains, [(reads, lambda values: True) for reads, _ in checks]
+    def passing_every_square(self, source, target):
+        real(self, source, target)
+        self.plan = [[lambda values: True for _ in checks] for checks in self.plan]
 
-    monkeypatch.setattr(mapping.NaturalitySquares, "search", passing_every_square)
+    monkeypatch.setattr(mapping.NaturalitySquares, "__init__", passing_every_square)
     with pytest.raises(TheoremViolation, match="enumerated transformation failed validation"):
         mapping_space(z2, z2)
 
 
 def test_a_corrupted_shared_domain_is_caught_by_the_recheck(monkeypatch):
-    # a component domain that offers every arrow of the target: the found
-    # components run between the wrong objects, which the re-check refuses
+    # a plan whose component domains offer every arrow of the target, last
+    # arrow first, and whose checks are gone: the first components found run
+    # between the wrong objects, which the re-check refuses before it reads
+    # a square off the rows
     X = support.indiscrete_space([[0, 1], [1, 0]])
-    real = mapping.NaturalitySquares.search
+    real = mapping.NaturalitySquares.__init__
 
-    def every_arrow(self, F, G):
-        domains, checks = real(self, F, G)
-        arrows = tuple(range(len(self.target.arrows)))
-        return [lambda values: arrows for _ in domains], []
+    def every_arrow(self, source, target):
+        real(self, source, target)
+        arrows = tuple(reversed(range(len(target.arrows))))
+        self.domains = [lambda values: arrows for _ in self.domains]
+        self.plan = [[] for _ in self.plan]
 
-    monkeypatch.setattr(mapping.NaturalitySquares, "search", every_arrow)
+    monkeypatch.setattr(mapping.NaturalitySquares, "__init__", every_arrow)
     with pytest.raises(TheoremViolation, match="enumerated transformation failed validation"):
         mapping_space(X, X)
+
+
+@pytest.mark.parametrize("field, broken, named", [
+    ("obj_map", {0: 0}, "object map missing or dangling at object 1"),
+    ("obj_map", {0: 0, 1: 2}, "object map missing or dangling at object 1"),
+    ("arr_map", {0: 0, 1: 1, 2: 2}, "arrow map missing or dangling at arrow 3"),
+    ("arr_map", {0: 0, 1: 2, 2: 1, 3: 3}, "arrow a1:0->1 maps to a2:1->0, incompatible with the object map"),
+])
+def test_a_short_or_dangling_functor_map_is_a_precondition(field, broken, named):
+    # a short map used to end the transformation search in a bare KeyError
+    cat = indiscrete(2)
+    ident = identity_functor(cat)
+    maps = {"obj_map": ident.obj_map, "arr_map": ident.arr_map, field: broken}
+    bad = Functor(cat, cat, maps["obj_map"], maps["arr_map"])
+    for F, G in ((bad, ident), (ident, bad)):
+        with pytest.raises(PreconditionError, match=f"^not a functor: {named}$"):
+            enumerate_transformations(F, G)
+
+
+def test_functor_shapes_are_checked_once_per_functor_in_the_mapping_space(monkeypatch):
+    X = support.indiscrete_space([[0, 1], [1, 0]])
+    calls = []
+    real = mapping.shape_errors
+    monkeypatch.setattr(mapping, "shape_errors", lambda fun: calls.append(fun) or real(fun))
+    ms = mapping_space(X, X)
+    assert len(ms.space.category.arrows) == len(ms.functors) ** 2 == 16
+    assert calls == ms.functors

@@ -114,7 +114,7 @@ from metricat.geometry import (
 )
 from metricat import mapping
 from metricat.errors import Budget
-from metricat.fincat import Obj, backtrack, identity_transformation
+from metricat.fincat import Obj, identity_transformation
 from metricat.mapping import enumerate_functors, enumerate_transformations, mapping_space, nat_weight
 from metricat.metricspace import line_metric, shortest_path_repair
 from metricat.weights import is_backward, opposite_space
@@ -1614,6 +1614,183 @@ def test_mapping_space_composes_like_vertical_compose():
     assert composites > 500
 
 
+# --- the search plan: the engine with per-call check attachment --------------------
+
+
+def ref_backtrack(domains, checks, guard, what: str):
+    """`fincat.backtrack` as it was before it took a plan (kept verbatim):
+    a check is a pair ``(reads, predicate)``, attached on every call to the
+    last variable it reads with ``max(reads)``, and the assignments are
+    yielded one by one."""
+    budget = Budget.of(guard)
+    n = len(domains)
+    if n == 0:
+        yield ()
+        return
+    attached: list[list] = [[] for _ in range(n)]
+    for reads, predicate in checks:
+        attached[max(reads)].append(predicate)
+    values: list = [None] * n
+    candidates = [iter(())] * n
+    candidates[0] = iter(domains[0](values))
+    nodes, room = 0, budget.limit - budget.used
+    i = 0
+    while i >= 0:
+        here = attached[i]
+        for value in candidates[i]:
+            nodes += 1
+            if nodes > room:
+                budget.spend(nodes, what, "search nodes")
+            values[i] = value
+            for predicate in here:
+                if not predicate(values):
+                    break
+            else:
+                break  # every check passed: the value stays
+        else:
+            i -= 1
+            continue
+        if i + 1 == n:
+            yield tuple(values)
+        else:
+            i += 1
+            candidates[i] = iter(domains[i](values))
+    budget.spend(nodes, what, "search nodes")
+
+
+def ref_composition_checks(source, after, var) -> list:
+    checks = []
+    for f, row in enumerate(source.after):
+        for g, h in row.items():
+            fv, gv, hv = var[f], var[g], var[h]
+            checks.append(((fv, gv, hv), lambda v, f=fv, g=gv, h=hv: after[v[f]][v[g]] == v[h]))
+    return checks
+
+
+def ref_search_functors(source, target, guard=None) -> list[Functor]:
+    n = len(source.objects)
+    objects = range(len(target.objects))
+    forced = {source.identity[x]: x for x in range(n)}
+    domains = [lambda values: objects] * n
+    for a in source.arrows:
+        if a.id in forced:
+            domains.append(lambda values, x=forced[a.id]: (target.identity[values[x]],))
+        else:
+            domains.append(lambda values, x=a.dom, y=a.cod: target.hom(values[x], values[y]))
+    checks = ref_composition_checks(source, target.after, range(n, n + len(source.arrows)))
+    return [
+        Functor(source, target, dict(enumerate(values[:n])), dict(enumerate(values[n:])))
+        for values in ref_backtrack(domains, checks, guard, "functor enumeration")
+    ]
+
+
+def ref_search_transformations(F, G, guard=None) -> list[NatTransformation]:
+    return [NatTransformation(F, G, dict(enumerate(components)))
+            for components in ref_backtrack(*ref_naturality_search(F, G), guard,
+                                            "transformation enumeration")]
+
+
+def ref_search_natural_contractions(space, fun, guard=None) -> list[NaturalContraction]:
+    """Forward natural contractions, as `find_natural_contractions` found them."""
+    ident = identity_functor(space.category)
+    domains, checks = ref_naturality_search(ident, fun)
+    for x, fx in fun.obj_map.items():
+        checks.append(((x, fx), lambda v, x=x, fx=fx: fun.arr_map[v[x]] == v[fx]))
+    out = [NaturalContraction(FORWARD, fun, components)
+           for components in ref_backtrack(domains, checks, guard, "natural-contraction search")]
+    for nc in out:
+        t = NatTransformation(ident, fun, dict(enumerate(nc.components)))
+        validate_transformation(t).require_ok("enumerated contraction")
+    return out
+
+
+def ref_search_daggers(space, guard=None) -> list[Dagger]:
+    cat = space.category
+    n = len(cat.objects)
+    order = [
+        a
+        for x in range(n)
+        for y in range(x, n)
+        for a in (cat.hom(x, y) + cat.hom(y, x) if x != y else cat.hom(x, x))
+    ]
+    pos = {a: i for i, a in enumerate(order)}
+    identities = set(cat.identity.values())
+
+    def domain(a: int):
+        if a in identities:
+            return lambda values: (a,)
+        i, arrow = pos[a], cat.arrows[a]
+        partners = cat.hom(arrow.cod, arrow.dom)
+        earlier = [(b, pos[b]) for b in partners if pos[b] < i]
+        taking = [pos[b] for b in cat.hom(arrow.dom, arrow.cod) if pos[b] < i]
+        later = [c for c in partners if pos[c] >= i and c not in identities]
+
+        def candidates(values):
+            for b, j in earlier:
+                if values[j] == a:
+                    return (b,)
+            taken = {values[j] for j in taking}
+            return [c for c in later if c not in taken]
+
+        return candidates
+
+    checks = ref_composition_checks(cat, opposite(cat).after, pos)
+    found = []
+    for values in ref_backtrack([domain(a) for a in order], checks, guard, "dagger search"):
+        dag = Dagger(tuple(values[pos[a]] for a in range(len(cat.arrows))))
+        validate_dagger(space, dag).require_ok("enumerated dagger")
+        found.append(dag)
+    return found
+
+
+def searched(search, *args, guard=None):
+    """A search's result and the budget it used, or its refusal."""
+    budget = Budget(guard)
+    try:
+        return search(*args, budget), budget.used
+    except SizeGuardError as exc:
+        return "refused", str(exc)
+
+
+def test_searches_on_a_plan_match_the_engine_that_attaches_checks_per_call():
+    """The four functor-shaped searches on a plan built once per source give
+    the lists, the budget use and the refusals of the same searches on the
+    engine that attached each check with ``max(reads)`` on every call: with
+    the default budget, at exactly the nodes a search visits, one node
+    short and at half of them."""
+    rng = random.Random(116)
+    spaces = fixture_spaces(116) + [support.rand_space(rng) for _ in range(40)]
+    spaces += [support.max_monoid_space(6), support.null_product_space(5),
+               support.cyclic_groupoid_space(2, 3)]
+    calls = Counter()
+
+    def agree(search, ref, *args):
+        got = searched(search, *args)
+        assert got == searched(ref, *args)
+        if got[0] != "refused" and got[1] > 0:
+            for guard in {got[1], got[1] - 1, got[1] // 2}:
+                assert searched(search, *args, guard=guard) == searched(ref, *args, guard=guard), guard
+                calls["refused"] += guard < got[1]
+        calls[search.__name__] += 1
+
+    def find_forward(space, fun, guard):
+        return find_natural_contractions(space, fun, FORWARD, guard)
+
+    for X, Y in [(sp, sp) for sp in spaces] + list(zip(spaces, spaces[1:])):
+        agree(enumerate_functors, ref_search_functors, X.category, Y.category)
+        funs = enumerate_functors(X.category, Y.category)[:4]
+        for F in funs:
+            for G in funs:
+                agree(enumerate_transformations, ref_search_transformations, F, G)
+    for sp in spaces:
+        agree(enumerate_daggers, ref_search_daggers, sp)
+        for fun in enumerate_functors(sp.category, sp.category)[:6]:
+            agree(find_forward, ref_search_natural_contractions, sp, fun)
+    assert calls["enumerate_functors"] > 90 and calls["enumerate_transformations"] > 900, calls
+    assert calls["enumerate_daggers"] > 50 and calls["find_forward"] > 150, calls
+    assert calls["refused"] > 1000, calls
+
+
 # --- [X, Y]: the pair-by-pair build ------------------------------------------------
 
 
@@ -1649,7 +1826,8 @@ def ref_mapping_space(X, Y, guard=None):
     arrow_meta = []
     for i, F in enumerate(funs):
         for j, G in enumerate(funs):
-            for components in backtrack(*ref_naturality_search(F, G), budget, "transformation enumeration"):
+            for components in ref_backtrack(*ref_naturality_search(F, G), budget,
+                                            "transformation enumeration"):
                 t = NatTransformation(F, G, dict(enumerate(components)))
                 validate_transformation(t).require_ok("enumerated transformation")
                 transformations.append(t)
