@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import PreconditionError, TheoremViolation
-from .fincat import Functor, opposite_functor, require_arrow
+from .fincat import Functor, opposite_functor, require_arrow, require_functor
 from .limits import (
     EXACT_YES,
     EssentialCone,
@@ -95,7 +95,10 @@ def object_continuity(
 
 
 def uniformly_continuous(fun: Functor, src: Metric1Space, dst: Metric1Space) -> ContinuityVerdict:
-    """Every arrow of weight 0 maps to an arrow of weight 0."""
+    """Every arrow of weight 0 maps to an arrow of weight 0.  Raises
+    PreconditionError on a functor map that is short, dangling or
+    incompatible with the object map, as do the two functions below."""
+    require_functor(fun)
     for a in src.category.arrows:
         if src.w[a.id] == ZERO and dst.w[fun.arr_map[a.id]] != ZERO:
             return ContinuityVerdict("uniform", False, witness=(a.id,))
@@ -104,6 +107,7 @@ def uniformly_continuous(fun: Functor, src: Metric1Space, dst: Metric1Space) -> 
 
 def forward_continuous(fun: Functor, src: Metric1Space, dst: Metric1Space) -> ContinuityVerdict:
     """Forward continuity at every arrow."""
+    require_functor(fun)
     for a in src.category.arrows:
         v = forward_continuous_at_arrow(fun, src, dst, a.id)
         if not v.holds:
@@ -161,6 +165,7 @@ def epsdelta_at_object(
 
 
 def epsdelta_uniform(fun: Functor, src: Metric1Space, dst: Metric1Space) -> bool:
+    require_functor(fun)
     return _epsdelta([(src.w[a.id], dst.w[fun.arr_map[a.id]]) for a in src.category.arrows])
 
 

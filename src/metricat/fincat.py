@@ -528,6 +528,14 @@ def shape_errors(fun: Functor) -> list[str]:
             if img.dom != obj_map[a.dom] or img.cod != obj_map[a.cod]]
 
 
+def require_functor(fun: Functor) -> None:
+    """Raise PreconditionError with the first of `shape_errors(fun)`, if
+    any: the entry check of a function that reads a functor's maps."""
+    errs = shape_errors(fun)
+    if errs:
+        raise PreconditionError(f"not a functor: {errs[0]}")
+
+
 def validate_functor(fun: Functor) -> ValidationReport:
     """Check endpoint compatibility (fatal), identity and composition
     preservation (violations), exhaustively."""

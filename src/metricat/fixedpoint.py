@@ -22,7 +22,7 @@ from typing import NamedTuple
 from .errors import Budget, PreconditionError, TheoremViolation
 from .fincat import (
     FiniteCategory, Functor, NatTransformation, backtrack, identity_functor, opposite,
-    opposite_functor, require_arrow, validate_functor, validate_transformation,
+    opposite_functor, require_arrow, require_functor, validate_functor, validate_transformation,
 )
 from .limits import (
     EXACT_YES,
@@ -57,7 +57,9 @@ class ContractionCertificate(NamedTuple):
 def contraction_factor(space: Metric1Space, fun: Functor) -> ContractionCertificate:
     """Least alpha with w(F psi) <= alpha * w(psi), certified only when
     alpha < 1, weight 0 transfers to weight 0, and finite weights stay
-    finite."""
+    finite.  Raises PreconditionError on a functor map that is short,
+    dangling or incompatible with the object map."""
+    require_functor(fun)
     best, worst = Fraction(0), None
     for a in space.category.arrows:
         w = space.w[a.id]

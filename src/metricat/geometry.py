@@ -66,13 +66,24 @@ only what provably cannot beat it, so the minimum is unchanged:
   Thm 7.3.25), and it is the largest feasible r of the pattern that
   designates R's cells at h = dis R / 2, so that pattern has 2 h* <= d.
   The route evaluates it in its closed form and takes it as its first
-  incumbent; where d is the diameter floor, every half map is then cut at
-  the root.  The start only prunes from above: the search below it is
-  exhaustive, so a wrong low gluing value is still found, and a wrong
-  witness costs time but never changes the value returned.  The route
-  never uses the eccentricity bound: a floor taken from correspondence
-  theory could lift a wrong, low gluing value to the right one, and the
-  agreement check is worth what the routes' independence makes it.
+  incumbent.  Where that value is the diameter floor the route returns it
+  before any search, which is exact: every pattern's bound is raised to
+  the floor, so every half map would be cut at the root and the pair scan
+  would stop before its first pair.  The start only prunes from above:
+  the search below it is exhaustive, so a wrong low gluing value is still
+  found, and a wrong witness costs time but never changes the value
+  returned.  The route never uses the eccentricity bound: a floor taken
+  from correspondence theory could lift a wrong, low gluing value to the
+  right one, and the agreement check is worth what the routes'
+  independence makes it.
+
+* gluing steps rescan only what they change.  Along a search path a
+  pattern only gains designated cells, so its row of shortest distances
+  sp(D, .) only falls, and no lower triangle's v - sp(D,p) - sp(D,q) can
+  fall.  A step's value is therefore the larger of its parent's value and
+  the values of the lower triangles that touch a cell whose entry fell;
+  the others are unchanged.  A step stops rescanning once its value
+  reaches the incumbent, as such a step is cut whatever its exact value.
 
 The Lipschitz distance is likewise a branch-and-bound over bijections that
 cuts a branch once the constant of its fixed pairs reaches the best found,
@@ -433,13 +444,17 @@ def _gh_gluings(dx: list[list[int]], dy: list[list[int]], budget=None, start=Non
     docstring.  The incumbent starts at the value of the pattern that
     designates the cells (x, y) of `start`, a correspondence, and above
     every bound when None; the search below it is exhaustive, so the exact
-    optimum (possibly half-integral) is returned either way.  Charges
-    `budget` as `_gh_correspondences` does."""
+    optimum (possibly half-integral) is returned either way, at once when
+    the start's value is the diameter floor.  Charges `budget` as
+    `_gh_correspondences` does."""
     n, m = len(dx), len(dy)
     budget, phase = Budget.of(budget), "Gromov-Hausdorff gluing route"
-    # shortest distances on the grid of cells (x, y) = x * m + y, the product of X and Y
-    sp = [[dx[x][x2] + dy[y][y2] for x2 in range(n) for y2 in range(m)]
-          for x in range(n) for y in range(m)]
+    cells = range(n * m)
+
+    def grid_row(x, y):
+        """Shortest distances from the cell (x, y) = x * m + y to every cell
+        of the grid, the product of X and Y."""
+        return [a + b for a in dx[x] for b in dy[y]]
 
     # lower-bound constraints (p, q, v): r_p + r_q >= v; every bound below is
     # at least the diameter bound, so those with v <= floor never bind
@@ -449,42 +464,70 @@ def _gh_gluings(dx: list[list[int]], dy: list[list[int]], budget=None, start=Non
     lower += [(x * m + y, x * m + y2, dy[y][y2])
               for x in range(n) for y in range(m) for y2 in range(y + 1, m)]
     lower = [(p, q, v) for p, q, v in lower if v > floor]
-    # two void constraints (0 - 2 r_0 <= 0) keep itemgetter returning tuples
-    ps, qs, vs = zip(*lower, (0, 0, 0), (0, 0, 0))
-    ps, qs = itemgetter(*ps), itemgetter(*qs)
+    # per cell, the values v and the other cells of the constraints it is in
+    values, others = [[] for _ in cells], [[] for _ in cells]
+    for p, q, v in lower:
+        for c, other in (p, q), (q, p):
+            values[c].append(v)
+            others[c].append(other)
+    cap = [max(map(max, dx + dy)) + 1, None]  # above every bound
 
-    def twice_h(near):
+    def rescan(near, value, fallen):
         """Twice h* of the pattern whose row of shortest distances to its
-        designated cells is `near`, raised to the floor."""
-        return max(floor, *map(sub, map(sub, vs, ps(near)), qs(near)))
+        designated cells is `near`, raised to the floor, from `value`, that
+        of a pattern whose row is nowhere lower and differs only at the
+        cells `fallen` (the empty pattern, of row infinity and value the
+        floor, for all cells): only the constraints of those cells can have
+        risen.  Stops once the value reaches cap[0]."""
+        get = near.__getitem__
+        for c in fallen:
+            if values[c]:
+                slack = max(map(sub, values[c], map(get, others[c]))) - near[c]
+                if slack > value:
+                    value = slack
+                    if value >= cap[0]:
+                        break
+        return value
 
-    def pattern_step(designated):
-        """Search step for half patterns: the state is the row of shortest
-        distances to the designated cells, the bound LB raised to the floor."""
+    def pattern_step(rows):
+        """Search step for half patterns: `rows[k][j]` is the grid row of
+        the cell that places k on j, the state the row of shortest distances
+        to the designated cells and its bound, LB raised to the floor.
+        Along a search path the row only falls."""
 
-        def step(row, prefix, j):
-            near = sp[designated(len(prefix), j)]
-            if row is not None:
-                near = [a if a < b else b for a, b in zip(row, near)]
-            return twice_h(near), near
+        def step(state, prefix, j):
+            row = rows[len(prefix)][j]
+            if state is None:
+                value = rescan(row, floor, cells)
+                return value, (row, value)
+            near, value = state
+            fallen = [c for c in cells if row[c] < near[c]]
+            if not fallen:
+                return value, state
+            near = near.copy()
+            for c in fallen:
+                near[c] = row[c]
+            value = rescan(near, value, fallen)
+            return value, (near, value)
 
         return step
 
     # twice the optimal h in the integer scale, starting at the start pattern
-    if start is None:
-        cap = [max(map(max, dx + dy)) + 1, None]
-    elif {x for x, _ in start} != set(range(n)) or {y for _, y in start} != set(range(m)):
-        raise TheoremViolation(f"gluing route started from {start}, which is not a correspondence")
-    else:
-        cap = [twice_h([min(col) for col in zip(*(sp[x * m + y] for x, y in start))]), None]
-    f_rows = _bounded_maps(n, m, pattern_step(lambda x, y: x * m + y), cap, budget, phase)
-    g_rows = _bounded_maps(m, n, pattern_step(lambda y, x: x * m + y), cap, budget, phase)
+    if start is not None:
+        if {x for x, _ in start} != set(range(n)) or {y for _, y in start} != set(range(m)):
+            raise TheoremViolation(f"gluing route started from {start}, which is not a correspondence")
+        cap[0] = rescan([min(col) for col in zip(*itertools.starmap(grid_row, start))], floor, cells)
+        if cap[0] == floor:
+            return Fraction(floor, 2)
+    grid = [[grid_row(x, y) for y in range(m)] for x in range(n)]
+    f_rows = _bounded_maps(n, m, pattern_step(grid), cap, budget, phase)
+    g_rows = _bounded_maps(m, n, pattern_step(list(zip(*grid))), cap, budget, phase)
     best2 = cap[0]
-    for bound_f, _, frow in f_rows:
+    for bound_f, _, (frow, _) in f_rows:
         if best2 == floor or bound_f >= best2:
             break
         scanned = 0
-        for bound_g, _, grow in g_rows:
+        for bound_g, _, (grow, _) in g_rows:
             if bound_g >= best2:
                 break
             scanned += 1

@@ -220,12 +220,22 @@ def space_to_json(space: Metric1Space) -> dict:
 
 
 def metric_space_from_json(data) -> FiniteMetricSpace:
+    """A metric space; each distinct distance string is parsed once (a
+    symmetric matrix writes every value twice).  Only strings share a
+    parse: JSON `true` equals 1 as a key, but is not a rational value."""
     json_object(data, "metric space", ("points", "d"))
     points = [str(p) for p in _list(data["points"], "metric space 'points'")]
-    matrix = [
-        [parse_fraction(v) for v in _list(row, "a row of 'd'")]
-        for row in _list(data["d"], "metric space 'd'")
-    ]
+    parsed: dict[str, Fraction] = {}
+
+    def read(v):
+        if type(v) is not str:
+            return parse_fraction(v)
+        value = parsed.get(v)
+        if value is None:
+            value = parsed[v] = parse_fraction(v)
+        return value
+
+    matrix = [[*map(read, _list(row, "a row of 'd'"))] for row in _list(data["d"], "metric space 'd'")]
     try:
         return FiniteMetricSpace.from_matrix(points, matrix)
     except ValueError as exc:

@@ -41,6 +41,8 @@ from .fincat import (
     Obj,
     backtrack,
     composition_checks,
+    require_arrow,
+    require_functor,
     shape_errors,
     validate_functor,
     validate_transformation,
@@ -146,7 +148,13 @@ def enumerate_transformations(
 
 def nat_weight(t: NatTransformation, target_space: Metric1Space) -> Weight:
     """Sup of the component weights; attained as a max on finite data, and
-    0 for the empty-source sup."""
+    0 for the empty-source sup.  Raises PreconditionError unless both
+    functors pass the shape check and every component is an arrow id of
+    the target space."""
+    require_functor(t.F)
+    require_functor(t.G)
+    for c in t.components.values():
+        require_arrow(target_space.category, c)
     return max(
         (target_space.w[c] for c in t.components.values()),
         default=ZERO,

@@ -4,20 +4,23 @@ Each bounded entry point charges an `errors.Budget`: an int `guard` or
 `errors.DEFAULT_BUDGET` sets its limit, and a refusal names the phase, the
 units being charged, the limit and the units used.
 """
+import hashlib
+import importlib.util
 import math
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from metricat import SizeGuardError, errors, indiscrete
+from metricat import SizeGuardError, errors, indiscrete, jsonio
 from metricat.dagger import enumerate_daggers
 from metricat.errors import Budget
 from metricat.fixedpoint import find_natural_contractions
 from metricat.geometry import (
-    _gh_correspondences, bilip_slice, gh_distance, lipschitz_distance,
-    try_bimetric_space,
+    _diameter_floor, _gh_correspondences, _gh_gluings, bilip_slice, gh_distance,
+    lipschitz_distance, try_bimetric_space,
 )
 from metricat.mapping import enumerate_functors, enumerate_transformations, mapping_space
 
@@ -130,3 +133,33 @@ def test_a_shared_budget_is_charged_in_place():
     enumerate_functors(indiscrete(2), indiscrete(2), budget)
     assert budget.used == 2 * used
     assert Budget.of(None).limit == errors.DEFAULT_BUDGET and Budget.of(7).limit == 7
+
+
+def benchmark_gh_pairs(seeds):
+    """The (x, y) pairs of the `gh` operations of the benchmark's gh
+    workload at the given seeds, read from their JSON documents."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return [(jsonio.metric_space_from_json(op["doc"]["x"]), jsonio.metric_space_from_json(op["doc"]["y"]))
+            for seed in seeds for ops in inputs.build("gh", seed) for op in ops if op["kind"] == "gh"]
+
+
+def test_gluing_route_charges_on_the_benchmark_pairs():
+    # a pair whose correspondence value is the diameter floor is returned
+    # before any search; every other pair pays, pair by pair, what it paid
+    # when the route searched below such a start too (24,757 units in all)
+    units, floor_stopped = [], 0
+    for x, y in benchmark_gh_pairs((1, 9)):
+        scale = math.lcm(x.scale, y.scale)
+        dx, dy = x.scaled(scale), y.scaled(scale)
+        distortion, cells = _gh_correspondences(dx, dy)
+        budget = Budget()
+        assert _gh_gluings(dx, dy, budget, cells) == Fraction(distortion, 2)
+        if distortion == _diameter_floor(dx, dy):
+            assert budget.used == 0
+            floor_stopped += 1
+        units.append(budget.used)
+    assert (len(units), floor_stopped, sum(units)) == (480, 313, 22567)
+    assert hashlib.sha256(" ".join(map(str, units)).encode()).hexdigest().startswith("8eb6334ee1e01019")

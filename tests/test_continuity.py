@@ -32,7 +32,9 @@ from metricat.limits import (
     ForwardSequence,
     ForwardSeries,
 )
-from metricat.mapping import enumerate_functors
+from metricat.fincat import NatTransformation
+from metricat.fixedpoint import contraction_factor
+from metricat.mapping import enumerate_functors, nat_weight
 from metricat.weights import opposite_space
 
 import support
@@ -307,3 +309,29 @@ def test_factorizations_of_an_id_outside_the_arrows_is_a_precondition(psi):
     space = support.indiscrete_space([[0, 1], [1, 0]])
     with pytest.raises(PreconditionError, match=f"^arrow {psi} is not one of the 4 arrows of the category$"):
         factorizations(space, psi)
+
+
+FUNCTOR_READERS = {
+    "uniformly_continuous": lambda F, sp: uniformly_continuous(F, sp, sp),
+    "forward_continuous": lambda F, sp: forward_continuous(F, sp, sp),
+    "epsdelta_uniform": lambda F, sp: epsdelta_uniform(F, sp, sp),
+    "contraction_factor": lambda F, sp: contraction_factor(sp, F),
+    "nat_weight": lambda F, sp: nat_weight(
+        NatTransformation(F, F, {x: sp.category.identity[x] for x in range(2)}), sp),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(FUNCTOR_READERS))
+@pytest.mark.parametrize("field, broken, named", [
+    ("obj_map", {0: 0}, "object map missing or dangling at object 1"),
+    ("arr_map", {}, "arrow map missing or dangling at arrow 0"),
+    ("arr_map", {0: 0, 1: 1, 2: 2, 3: 9}, "arrow map missing or dangling at arrow 3"),
+])
+def test_a_short_or_dangling_functor_map_is_a_precondition(reader, field, broken, named):
+    # these read the functor's maps, and used to end in a bare KeyError
+    space = support.indiscrete_space([[0, 1], [1, 0]])
+    ident = identity_functor(space.category)
+    maps = {"obj_map": ident.obj_map, "arr_map": ident.arr_map, field: broken}
+    bad = Functor(space.category, space.category, maps["obj_map"], maps["arr_map"])
+    with pytest.raises(PreconditionError, match=f"^not a functor: {named}$"):
+        FUNCTOR_READERS[reader](bad, space)

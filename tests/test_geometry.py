@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from metricat import (
     is_groupoid,
 )
 from metricat import geometry
+from metricat.errors import Budget
 from metricat.geometry import (
     BiLipMap,
     Gluing,
@@ -227,6 +229,23 @@ def test_gh_routes_agree_on_a_corpus():
         for j in range(n):
             for k in range(n):
                 assert v(i, k) <= v(i, j) + v(j, k)
+
+
+def test_a_start_at_the_diameter_floor_returns_before_any_search():
+    # the 7x7 pair of seed 1 has GH 1, the diameter floor, which no onto
+    # map reaches: the witness's pattern reaches it, so the gluing route
+    # charges nothing; a start that is not a correspondence is still refused
+    rng = random.Random(1)
+    x, y = support.rand_metric(rng, 7), support.rand_metric(rng, 7)
+    scale = math.lcm(x.scale, y.scale)
+    dx, dy = x.scaled(scale), y.scaled(scale)
+    distortion, cells = geometry._gh_correspondences(dx, dy)
+    assert distortion == geometry._diameter_floor(dx, dy) == 2 * scale
+    budget = Budget()
+    assert geometry._gh_gluings(dx, dy, budget, cells) == scale
+    assert budget.used == 0
+    with pytest.raises(TheoremViolation, match="not a correspondence"):
+        geometry._gh_gluings(dx, dy, Budget(), [(0, y) for y in range(7)])
 
 
 @pytest.mark.parametrize("shift", [-1, 1])
