@@ -8,13 +8,12 @@ of the generated structures needs.
 """
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 
 from .errors import Budget, PreconditionError
 from .fincat import FiniteCategory
 from .record import FrozenRecord, Record
-from .weight import INF, Weight
+from .weight import INF, Weight, ceilings
 from .weights import Metric1Space
 
 
@@ -148,14 +147,19 @@ class CoarseGenerators(Record):
         if not (0 <= constant_from < len(sets)):
             raise PreconditionError("constant_from must index into the listed sets")
         m = len(category.arrows)
-        for i, s in enumerate(sets):
-            for a in s:
-                if not (0 <= a < m):
-                    raise PreconditionError(f"generator {i} mentions dangling arrow {a}")
-            if i > 0 and not (sets[i - 1] <= s):
-                raise PreconditionError(
-                    f"generators not monotone: set {i - 1} is not contained in set {i}"
-                )
+        # monotone sets all lie in the last one, so its range check covers
+        # every set; else the per-set loop finds the first failure
+        last = sets[-1]
+        if not (all(s <= t for s, t in zip(sets, sets[1:]))
+                and all(0 <= a < m for a in last)):
+            for i, s in enumerate(sets):
+                for a in s:
+                    if not (0 <= a < m):
+                        raise PreconditionError(f"generator {i} mentions dangling arrow {a}")
+                if i > 0 and not (sets[i - 1] <= s):
+                    raise PreconditionError(
+                        f"generators not monotone: set {i - 1} is not contained in set {i}"
+                    )
         for i in range(constant_from, len(sets)):
             if sets[i] != sets[constant_from]:
                 raise PreconditionError("sets past constant_from must repeat the constant set")
@@ -200,10 +204,9 @@ def bounded_generators(space: Metric1Space) -> CoarseGenerators:
     an empty one costs one.  An arrow entering at k sits in the sets k..last,
     so the charge is read off the entry stages alone."""
     entering: dict[int, list[int]] = {}
-    for a in space.category.arrows:
-        w = space.w[a.id]
-        if not w.is_infinite:
-            entering.setdefault(math.ceil(w.finite), []).append(a.id)
+    for a, k in enumerate(ceilings(space.w)):
+        if k is not None:
+            entering.setdefault(k, []).append(a)
     last = max(entering, default=0)
     Budget().spend(
         sum(len(ids) * (last - k + 1) for k, ids in entering.items()) + min(entering, default=1),
@@ -318,7 +321,18 @@ def dominated_by(a: CoarseGenerators, b: CoarseGenerators) -> bool:
 def coarse_roundtrip_check(space: Metric1Space) -> bool:
     """Bounded generators of the metrization of the bounded generators of a
     space generate the same coarse structure as the bounded generators
-    themselves (tested by mutual domination)."""
+    themselves (tested by mutual domination).
+
+    With ``first = bounded_generators(space)`` this is
+    ``metrize_chain(first)[-1] == first.top``:
+
+    - `metrize` gives a finite weight (the stage it enters at) exactly to
+      the members of the chain's final set, and every other arrow infinity.
+      The top set of bounded generators is the set of finite-weight arrows,
+      so ``bounded_generators(metrize(first)).top`` is that final set.
+    - Both families are monotone, so each dominates the other exactly when
+      each top lies in the other (`dominated_by`): when the tops are equal.
+
+    So no weights, no second space and no second family are built."""
     first = bounded_generators(space)
-    rebuilt = bounded_generators(metrize(first))
-    return dominated_by(first, rebuilt) and dominated_by(rebuilt, first)
+    return metrize_chain(first)[-1] == first.top

@@ -48,6 +48,7 @@ category itself.
 from __future__ import annotations
 
 from functools import cached_property
+from operator import itemgetter
 from types import MappingProxyType
 
 from .errors import Budget, PreconditionError, TheoremViolation
@@ -350,11 +351,11 @@ def validate_category(cat: FiniteCategory) -> ValidationReport:
         # neutrality/associativity below would chase missing table entries
         return report
     doms, cods = [a.dom for a in arrows], [a.cod for a in arrows]
-    ends = {y: tuple(map(cods.__getitem__, gs)) for y, gs in out_of.items()}
+    ends = {y: _reader(gs)(cods) for y, gs in out_of.items()}
     for f, hs in zip(arrows, composites):
         # the composites of row f must all run from dom f to cod g
-        if (tuple(map(cods.__getitem__, hs)) != ends.get(f.cod, ())
-                or list(map(doms.__getitem__, hs)).count(f.dom) != len(hs)):
+        read = _reader(hs)
+        if read(cods) != ends.get(f.cod, ()) or read(doms).count(f.dom) != len(hs):
             _pair_errors(cat, f, out_of.get(f.cod, ()), out)
     if out:
         return report
@@ -370,25 +371,42 @@ def validate_category(cat: FiniteCategory) -> ValidationReport:
     # after[f] maps each g out of cod f to g∘f.  The keys of after[g] and
     # after[g∘f] are both the arrows out of cod g, in the same order, so one
     # tuple comparison settles all h for a pair (f, g) at once: (h∘g)∘f
-    # against h∘(g∘f).  With neutrality holding, only the middles g of a
+    # against h∘(g∘f), the latter read off the row of f by the reader of
+    # the composites h∘g.  With neutrality holding, only the middles g of a
     # generating set need the comparison (see the module docstring).
     into = cat.adjacency.into
-    if not out and all(
-        composites[after[f][g]] == tuple(map(after[f].__getitem__, composites[g]))
-        for g in generating_set(cat) for f in into.get(arrows[g].dom, ())
-    ):
-        return report
+    if not out:
+        for g in generating_set(cat):
+            read = _reader(composites[g])
+            rows = map(after.__getitem__, into.get(arrows[g].dom, ()))
+            if any(composites[row[g]] != read(row) for row in rows):
+                break
+        else:
+            return report
     # Some middle fails, or neutrality does: scan every composable triple
     # (f, g, h) in lexicographic order.
+    readers = [*map(_reader, composites)]
     for f in arrows:
         row_f = after[f.id]
         for g, fg in row_f.items():
-            if composites[fg] != tuple(map(row_f.__getitem__, composites[g])):
+            if composites[fg] != readers[g](row_f):
                 for h, gh in after[g].items():
                     left, right = after[fg][h], row_f[gh]
                     if left != right:
                         out.append(f"associativity fails on ({f.id},{g},{h}): {left} != {right}")
     return report
+
+
+def _reader(keys):
+    """The function that maps a sequence or a mapping to the tuple of its
+    entries at `keys`, for any number of keys: ``itemgetter`` alone returns
+    a bare entry for one key and takes no call for none."""
+    if len(keys) > 1:
+        return itemgetter(*keys)
+    if keys:
+        key, = keys
+        return lambda row: (row[key],)
+    return lambda row: ()
 
 
 def _pair_errors(cat: FiniteCategory, f: Arrow, following, out: list[str]) -> None:
@@ -425,12 +443,14 @@ def generating_set(cat: FiniteCategory) -> list[int]:
     held = [False] * len(arrows)
     for i in cat.identity.values():
         held[i] = True
+    # the composites of f with the arrows out of cod f but its identity,
+    # read by one reader per codomain
+    identity, out = cat.identity, cat.adjacency.out
+    others = {x: _reader([g for g in gs if g != identity[x]]) for x, gs in out.items()}
     composite: set[int] = set()
     for f, row in enumerate(after):
         if not held[f]:
-            hs = [*row.values()]
-            hs.remove(f)  # the composite with the identity of cod f
-            composite.update(hs)
+            composite.update(others[arrows[f].cod](row))
     found = []
     for a in sorted(range(len(arrows)), key=composite.__contains__):
         if held[a]:

@@ -109,6 +109,25 @@ def _no_repeats(parsed: dict, source, key, what: str) -> dict:
     return parsed
 
 
+def _once_per_string(parse):
+    """`parse`, run once per distinct string value of one document; its
+    values must be immutable, since every entry with that string gets the
+    same one.  Only strings share a parse: JSON `true` equals 1 as a key,
+    but is not a number.  A value that fails to parse is not kept, so
+    every entry that repeats it raises the same error."""
+    parsed = {}
+
+    def read(value):
+        if type(value) is not str:
+            return parse(value)
+        known = parsed.get(value)
+        if known is None:
+            known = parsed[value] = parse(value)
+        return known
+
+    return read
+
+
 def _index_table(data, what: str) -> dict[int, int]:
     """A JSON object mapping indices to indices."""
     json_object(data, what)
@@ -201,8 +220,9 @@ def space_from_json(data) -> Metric1Space:
                     f"composition table has no entry for the composable pair ({f.id}, {g})"
                 )
     table = json_object(data["weights"], "'weights'")
+    read = _once_per_string(Weight.parse)  # a Weight is immutable, so arrows share one
     try:
-        weights = {parse_index(k, "weights key"): Weight.parse(v) for k, v in table.items()}
+        weights = {parse_index(k, "weights key"): read(v) for k, v in table.items()}
     except (ValueError, ZeroDivisionError) as exc:
         raise InputFormatError(f"malformed weights: {exc}") from exc
     _no_repeats(weights, table, int, "'weights' key")
@@ -221,20 +241,10 @@ def space_to_json(space: Metric1Space) -> dict:
 
 def metric_space_from_json(data) -> FiniteMetricSpace:
     """A metric space; each distinct distance string is parsed once (a
-    symmetric matrix writes every value twice).  Only strings share a
-    parse: JSON `true` equals 1 as a key, but is not a rational value."""
+    symmetric matrix writes every value twice)."""
     json_object(data, "metric space", ("points", "d"))
     points = [str(p) for p in _list(data["points"], "metric space 'points'")]
-    parsed: dict[str, Fraction] = {}
-
-    def read(v):
-        if type(v) is not str:
-            return parse_fraction(v)
-        value = parsed.get(v)
-        if value is None:
-            value = parsed[v] = parse_fraction(v)
-        return value
-
+    read = _once_per_string(parse_fraction)
     matrix = [[*map(read, _list(row, "a row of 'd'"))] for row in _list(data["d"], "metric space 'd'")]
     try:
         return FiniteMetricSpace.from_matrix(points, matrix)

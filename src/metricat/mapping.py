@@ -43,7 +43,6 @@ from .fincat import (
     composition_checks,
     require_arrow,
     require_functor,
-    shape_errors,
     validate_functor,
     validate_transformation,
 )
@@ -115,9 +114,7 @@ class NaturalitySquares:
         maps that are total, in range and compatible."""
         if F.source != self.source or F.target != self.target:
             raise PreconditionError("functors do not share source and target")
-        errs = shape_errors(F)
-        if errs:
-            raise PreconditionError(f"not a functor: {errs[0]}")
+        require_functor(F)
         return [*map(F.obj_map.__getitem__, range(len(self.source.objects))),
                 *map(F.arr_map.__getitem__, range(len(self.source.arrows)))]
 

@@ -156,3 +156,9 @@ def integer_weights(weights: Iterable[Weight]) -> list[int | None]:
     values = [w._v for w in weights]
     scale = common_denominator(v for v in values if v is not None)
     return [None if v is None else v.numerator * (scale // v.denominator) for v in values]
+
+
+def ceilings(weights: Iterable[Weight]) -> list[int | None]:
+    """The least integer at or above each weight, with None marking
+    infinity: integer floor division, no rounding of a ``Fraction``."""
+    return [None if (v := w._v) is None else -(-v.numerator // v.denominator) for w in weights]

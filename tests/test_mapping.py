@@ -17,7 +17,7 @@ from metricat import (
     validate_functor,
     validate_metric1,
 )
-from metricat import mapping
+from metricat import fincat, mapping
 from metricat.fincat import NatTransformation
 from metricat.mapping import (
     enumerate_functors,
@@ -258,8 +258,10 @@ def test_a_short_or_dangling_functor_map_is_a_precondition(field, broken, named)
 def test_functor_shapes_are_checked_once_per_functor_in_the_mapping_space(monkeypatch):
     X = support.indiscrete_space([[0, 1], [1, 0]])
     calls = []
-    real = mapping.shape_errors
-    monkeypatch.setattr(mapping, "shape_errors", lambda fun: calls.append(fun) or real(fun))
+    real = fincat.shape_errors
+    monkeypatch.setattr(fincat, "shape_errors", lambda fun: calls.append(fun) or real(fun))
     ms = mapping_space(X, X)
     assert len(ms.space.category.arrows) == len(ms.functors) ** 2 == 16
-    assert calls == ms.functors
+    # the re-check of each enumerated functor and the continuity test check
+    # its shape once each, and the squares read its images once: never per pair
+    assert calls == [f for f in ms.functors for _ in range(2)] + ms.functors

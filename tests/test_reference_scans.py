@@ -58,6 +58,7 @@ now raise `PreconditionError`.
 """
 import hashlib
 import itertools
+import json
 import math
 import random
 import re
@@ -88,8 +89,8 @@ from metricat import (
     vertical_compose,
 )
 from metricat.coarse import (
-    CoarseGenerators, arrow_compose_sets, arrow_diagonal, arrow_star, bounded_generators, metrize,
-    metrize_chain,
+    CoarseGenerators, arrow_compose_sets, arrow_diagonal, arrow_star, bounded_generators,
+    coarse_roundtrip_check, dominated_by, metrize, metrize_chain,
 )
 from metricat.continuity import (
     BACKWARD, FORWARD, factorizations, forward_continuous_at_arrow, object_continuity, uniformly_continuous,
@@ -112,8 +113,9 @@ from metricat.geometry import (
     gh_distance,
     lipschitz_distance,
 )
-from metricat import mapping
-from metricat.errors import Budget
+from metricat import jsonio, mapping
+from metricat.cli import main
+from metricat.errors import Budget, InputFormatError
 from metricat.fincat import Obj, identity_transformation
 from metricat.mapping import enumerate_functors, enumerate_transformations, mapping_space, nat_weight
 from metricat.metricspace import line_metric, shortest_path_repair
@@ -310,6 +312,12 @@ def ref_metrize_weights(gens: CoarseGenerators) -> tuple[Weight, ...]:
     )
 
 
+def ref_coarse_roundtrip_check(space: Metric1Space) -> bool:
+    first = bounded_generators(space)
+    rebuilt = bounded_generators(metrize(first))
+    return dominated_by(first, rebuilt) and dominated_by(rebuilt, first)
+
+
 def ref_backward_continuous_at_arrow(fun, src, dst, psi):
     """(holds, witness): first legs of factorizations instead of second."""
     for rho, _ in factorizations(src, psi):
@@ -470,6 +478,40 @@ def test_validate_category_matches_the_unindexed_scan():
     # every kind of finding is exercised
     assert {"composable", "composition", "composite", "neutrality", "associativity",
             "arrow"} <= kinds
+
+
+def short_row_tables():
+    """Tables whose rows hold one entry or none: the terminal category, a
+    free arrow and a two-step chain (each also with every broken table),
+    and identities that are not endomorphisms, which leave an object with
+    no arrow out, one of them also with a composite of wrong endpoints."""
+    rng = random.Random(111)
+    cats = [indiscrete(1), support.free_arrow_category(), support.chain_space([1, 2]).category]
+    cats += [broken for cat in cats for _, broken in broken_tables(rng, cat)]
+    objs = indiscrete(2).objects
+    cats += [
+        FiniteCategory.from_triples(objs, (Arrow(0, 0, 0), Arrow(1, 0, 1)), {0: 0, 1: 1},
+                                    [(0, 0, 0), (0, 1, 1)]),
+        FiniteCategory.from_triples(objs, (Arrow(0, 0, 0), Arrow(1, 0, 1)), {0: 0, 1: 1},
+                                    [(0, 0, 0), (0, 1, 0)]),
+        FiniteCategory.from_triples(objs, (Arrow(0, 0, 1), Arrow(1, 1, 1)), {0: 0, 1: 1},
+                                    [(0, 1, 0), (1, 1, 1)]),
+        FiniteCategory.from_triples(objs, (Arrow(0, 0, 1), Arrow(1, 0, 0)), {0: 0, 1: 1},
+                                    [(1, 0, 0), (1, 1, 1)]),
+    ]
+    return cats + [opposite(cat) for cat in cats]
+
+
+def test_validate_category_matches_the_unindexed_scan_on_rows_of_one_entry_or_none():
+    cats = short_row_tables()
+    assert {0, 1} <= {len(row) for cat in cats for row in cat.after}
+    kinds = set()
+    for i, cat in enumerate(cats):
+        got, want = validate_category(cat), ref_validate_category(cat)
+        assert (got.fatal, got.violations) == (want.fatal, want.violations), i
+        kinds.update(m.split()[0] for m in got.all_messages())
+    assert {"composable", "composite", "identity"} <= kinds
+    assert sum(validate_category(cat).ok for cat in cats) >= 6
 
 
 def ref_closure(cat, held: set[int]) -> set[int]:
@@ -854,6 +896,31 @@ def test_metrize_chain_jumps_over_stages_that_repeat(monkeypatch):
     assert calls[0] == 2  # F_1 = F_0, then F_{10^5 + 1} holds every arrow
     assert len(chain) == 10**5 + 2 and chain[10**5] == chain[0] and len(chain[-1]) == 4
     assert [w.to_json() for w in metrize(gens).w] == ["0", "100001", "100001", "0"]
+
+
+def ci_metrize_spaces():
+    """The 60-point indiscrete space and the 40-step chain of the CI step
+    that pins metrization beyond the kernel sizes."""
+    rng = random.Random(21)
+    return [
+        from_metric_space(support.rand_metric(rng, 60)),
+        support.chain_space([Fraction(rng.randint(1, 9), rng.choice((1, 2))) for _ in range(40)]),
+    ]
+
+
+def test_coarse_roundtrip_check_matches_the_metrizing_round_trip():
+    """The final set of the chain against the bounded generators of the
+    metrization, compared by mutual domination."""
+    rng = random.Random(109)
+    spaces = [sp for _, sp in cases(109) if not sp.category.structural_errors() and total(sp.category)]
+    spaces += kernel_shaped(rng) + kernel_sized(rng) + ci_metrize_spaces()
+    verdicts, infinite = Counter(), 0
+    for space in spaces:
+        got = coarse_roundtrip_check(space)
+        assert got == ref_coarse_roundtrip_check(space)
+        verdicts[got] += 1
+        infinite += any(w.is_infinite for w in space.w)
+    assert verdicts[True] > 100 and verdicts[False] and infinite > 10, (verdicts, infinite)
 
 
 def fixture_spaces(seed: int):
@@ -2298,3 +2365,53 @@ def test_leg_builder_matches_both_leg_loops():
             same_outcome(lambda: legs_before(space, series, n0, cat.identity[x]),
                          lambda: ref_banach_legs(cat, series, n0, x))
     assert built > 300
+
+
+# --- weights read from JSON -----------------------------------------------------
+
+def repeated_weights_doc(rng, pool):
+    """An indiscrete 5-object document whose weights are drawn from `pool`."""
+    cat = indiscrete(5)
+    return {"category": jsonio.category_to_json(cat),
+            "weights": {str(a.id): rng.choice(pool) for a in cat.arrows}}
+
+
+def test_space_from_json_parses_each_weight_string_once(monkeypatch):
+    rng = random.Random(112)
+    pool = ["0", "1", "3/2", "07", "2.5", "inf", " 1", 1, 1.5, 0, "1e1"]
+    strings = []
+    real = Weight.parse.__func__
+
+    def counting(cls, data):
+        if type(data) is str:
+            strings.append(data)
+        return real(cls, data)
+
+    monkeypatch.setattr(Weight, "parse", classmethod(counting))
+    for _ in range(20):
+        doc = repeated_weights_doc(rng, pool)
+        strings.clear()
+        space = jsonio.space_from_json(doc)
+        assert sorted(strings) == sorted({v for v in doc["weights"].values() if type(v) is str})
+        assert space.w == tuple(real(Weight, doc["weights"][str(a)]) for a in range(25))
+        # arrows with one weight string share one Weight
+        shared = {v: space.w[int(k)] for k, v in doc["weights"].items() if type(v) is str}
+        assert all(space.w[int(k)] is shared[v] for k, v in doc["weights"].items() if type(v) is str)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("1/0", "Fraction(1, 0)"),
+    ("-1", "weights must be non-negative, got -1"),
+    ("abc", "Invalid literal for Fraction: 'abc'"),
+    (True, "not a weight: True"),
+])
+def test_malformed_repeated_weights_keep_their_messages(tmp_path, capsys, bad, message):
+    doc = repeated_weights_doc(random.Random(113), ["0", "1", "3/2"])
+    doc["weights"]["3"] = doc["weights"]["7"] = bad
+    with pytest.raises(InputFormatError) as exc:
+        jsonio.space_from_json(doc)
+    assert str(exc.value) == f"malformed weights: {message}"
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--format", "json", "validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"input error: malformed weights: {message}\n"
