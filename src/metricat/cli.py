@@ -209,21 +209,23 @@ def cmd_continuity(args) -> int:
     rep = validate_functor(fun)
     if not rep.ok:
         return _refuse(args, rep)
-    # backward verdicts are forward ones of the opposite functor and spaces
+    # backward verdicts are forward ones of the opposite functor and spaces;
+    # the report above checked the functor's shape, so the pointwise checks
+    # run on the cores, which do not check it again per object and arrow
     op_fun, op_X, op_Y = opposite_functor(fun), weights.opposite_space(X), weights.opposite_space(Y)
     verdicts = {"uniform": continuity.uniformly_continuous(fun, X, Y).holds}
     for o in range(len(X.category.objects)):
-        verdicts[f"forward-at-object-{o}"] = continuity.object_continuity(
+        verdicts[f"forward-at-object-{o}"] = continuity._object_continuity(
             fun, X, Y, o, continuity.FORWARD
         ).holds
-        verdicts[f"backward-at-object-{o}"] = continuity.object_continuity(
+        verdicts[f"backward-at-object-{o}"] = continuity._object_continuity(
             op_fun, op_X, op_Y, o, continuity.FORWARD
         ).holds
     for a in range(len(X.category.arrows)):
-        verdicts[f"forward-at-arrow-{a}"] = continuity.forward_continuous_at_arrow(
+        verdicts[f"forward-at-arrow-{a}"] = continuity._forward_at_arrow(
             fun, X, Y, a
         ).holds
-        verdicts[f"backward-at-arrow-{a}"] = continuity.forward_continuous_at_arrow(
+        verdicts[f"backward-at-arrow-{a}"] = continuity._forward_at_arrow(
             op_fun, op_X, op_Y, a
         ).holds
     all_hold = all(verdicts.values())

@@ -178,8 +178,7 @@ class CoarseGenerators(Record):
             sets.append(frozenset(acc))
         if not sets:
             sets = [frozenset()]
-        k = constant_from if constant_from is not None else len(sets) - 1
-        k = min(k, len(sets) - 1)
+        k = len(sets) - 1 if constant_from is None else min(constant_from, len(sets) - 1)
         # running unions may keep growing past the declared constant tail
         for i in range(k + 1, len(sets)):
             if sets[i] != sets[k]:
@@ -297,10 +296,9 @@ def metrize(gens: CoarseGenerators) -> Metric1Space:
     Only the members new at each stage are read, and the scan ends at the
     chain's final set: the stages past it repeat that set.
     """
-    cat = gens.category
     chain = metrize_chain(gens)
     final = chain[-1]
-    weights = [INF] * len(cat.arrows)
+    weights = [INF] * len(gens.category.arrows)
     seen: frozenset[int] = frozenset()
     for stage, members in enumerate(chain):
         weight = Weight(stage)  # one per stage: a Weight is immutable
@@ -309,7 +307,7 @@ def metrize(gens: CoarseGenerators) -> Metric1Space:
         if members is final:
             break
         seen = members
-    return Metric1Space(cat, tuple(weights))
+    return Metric1Space(gens.category, tuple(weights))
 
 
 def dominated_by(a: CoarseGenerators, b: CoarseGenerators) -> bool:
@@ -321,18 +319,34 @@ def dominated_by(a: CoarseGenerators, b: CoarseGenerators) -> bool:
 def coarse_roundtrip_check(space: Metric1Space) -> bool:
     """Bounded generators of the metrization of the bounded generators of a
     space generate the same coarse structure as the bounded generators
-    themselves (tested by mutual domination).
+    themselves (by mutual domination).
 
-    With ``first = bounded_generators(space)`` this is
-    ``metrize_chain(first)[-1] == first.top``:
+    Let T be the set of finite-weight arrows: the top set of
+    ``bounded_generators(space)``.  The round trip holds exactly when T
+    holds every identity, ``arrow_star(cat, T) <= T`` and
+    ``arrow_compose_sets(cat, T, T) <= T``; it holds at once when T holds
+    every arrow.  No generator family, chain or weight is built.
 
-    - `metrize` gives a finite weight (the stage it enters at) exactly to
-      the members of the chain's final set, and every other arrow infinity.
-      The top set of bounded generators is the set of finite-weight arrows,
-      so ``bounded_generators(metrize(first)).top`` is that final set.
-    - Both families are monotone, so each dominates the other exactly when
-      each top lies in the other (`dominated_by`): when the tops are equal.
+    Proof.  The families are monotone, so mutual domination is equality of
+    their tops (`dominated_by`).  `metrize` gives a finite weight exactly
+    to the members of the last set Phi of `metrize_chain`, so the round
+    trip is Phi == T.  That chain is F_0 = identities and
+    F_{n+1} = star(F_n) | F_n o F_n | E_n | star(E_n) | F_n, every E_n in T.
 
-    So no weights, no second space and no second family are built."""
-    first = bounded_generators(space)
-    return metrize_chain(first)[-1] == first.top
+    - Phi contains T always: the chain stops only at a set holding every
+      arrow or containing the top set T.  So the round trip is Phi <= T.
+    - (if) Identities in T, star(T) <= T and T o T <= T give F_n <= T for
+      every n by induction, since star and o are monotone.
+    - (only if) The identities F_0 lie in Phi = T.  If Phi holds every
+      arrow so does T, and the closure conditions are trivial.  Otherwise
+      the chain stopped at a stage with F_{n+1} = F_n = Phi, which contains
+      star(Phi) and Phi o Phi.
+
+    The work is linear in the composition table, so unlike
+    `bounded_generators` no `Budget` is charged: a space with weights up
+    to 10^6 is decided at once, where the family would be refused.  The
+    table must cover every composable pair."""
+    cat = space.category
+    t = frozenset([a for a, w in enumerate(space.w) if not w.is_infinite])
+    return len(t) == len(cat.arrows) or (
+        arrow_diagonal(cat) <= t and arrow_star(cat, t) <= t and arrow_compose_sets(cat, t, t) <= t)

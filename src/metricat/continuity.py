@@ -15,6 +15,11 @@ opposite functor between the opposite spaces, and `object_continuity` and
 `series_completeness` dualise once on BACKWARD.  The quantifier-faithful
 epsilon/delta check over the finite grid of occurring weights is kept as an
 independent oracle (`epsdelta_*`); it spells out both directions.
+
+Every public check that reads a functor's maps runs `require_functor` once
+on entry, and raises PreconditionError on a map that is short, dangling or
+incompatible with the object map.  Checks that loop over arrows call the
+private cores, which take a functor already checked.
 """
 from __future__ import annotations
 
@@ -74,6 +79,12 @@ def forward_continuous_at_arrow(
     to a second leg weighing 0 (see the module docstring for why this is
     the epsilon/delta statement).  Raises PreconditionError on an id that
     is not an arrow's."""
+    require_functor(fun)
+    return _forward_at_arrow(fun, src, dst, psi)
+
+
+def _forward_at_arrow(fun: Functor, src: Metric1Space, dst: Metric1Space, psi: int) -> ContinuityVerdict:
+    """`forward_continuous_at_arrow` on a functor already checked."""
     for _, phi in factorizations(src, psi):
         if src.w[phi] == ZERO and dst.w[fun.arr_map[phi]] != ZERO:
             return ContinuityVerdict("forward-at-arrow", False, witness=(psi, phi))
@@ -85,6 +96,14 @@ def object_continuity(
 ) -> ContinuityVerdict:
     """Zero-weight arrows into x0 keep weight 0 under the functor.  Backward
     runs this in the opposite spaces, where they are the arrows out of x0."""
+    require_functor(fun)
+    return _object_continuity(fun, src, dst, x0, direction)
+
+
+def _object_continuity(
+    fun: Functor, src: Metric1Space, dst: Metric1Space, x0: int, direction: str
+) -> ContinuityVerdict:
+    """`object_continuity` on a functor already checked."""
     kind = f"{direction}-at-object"
     if is_backward(direction):
         fun, src, dst = opposite_functor(fun), opposite_space(src), opposite_space(dst)
@@ -95,10 +114,13 @@ def object_continuity(
 
 
 def uniformly_continuous(fun: Functor, src: Metric1Space, dst: Metric1Space) -> ContinuityVerdict:
-    """Every arrow of weight 0 maps to an arrow of weight 0.  Raises
-    PreconditionError on a functor map that is short, dangling or
-    incompatible with the object map, as do the two functions below."""
+    """Every arrow of weight 0 maps to an arrow of weight 0."""
     require_functor(fun)
+    return _uniformly_continuous(fun, src, dst)
+
+
+def _uniformly_continuous(fun: Functor, src: Metric1Space, dst: Metric1Space) -> ContinuityVerdict:
+    """`uniformly_continuous` on a functor already checked."""
     for a in src.category.arrows:
         if src.w[a.id] == ZERO and dst.w[fun.arr_map[a.id]] != ZERO:
             return ContinuityVerdict("uniform", False, witness=(a.id,))
@@ -109,7 +131,7 @@ def forward_continuous(fun: Functor, src: Metric1Space, dst: Metric1Space) -> Co
     """Forward continuity at every arrow."""
     require_functor(fun)
     for a in src.category.arrows:
-        v = forward_continuous_at_arrow(fun, src, dst, a.id)
+        v = _forward_at_arrow(fun, src, dst, a.id)
         if not v.holds:
             return ContinuityVerdict("forward-at-arrow", False, witness=v.witness)
     return ContinuityVerdict("forward-at-arrow", True)
@@ -148,6 +170,7 @@ def _epsdelta(pairs: list[tuple[Weight, Weight]]) -> bool:
 def epsdelta_at_arrow(
     fun: Functor, src: Metric1Space, dst: Metric1Space, psi: int, direction: str
 ) -> bool:
+    require_functor(fun)
     legs = factorizations(src, psi)
     if direction == FORWARD:
         pairs = [(src.w[phi], dst.w[fun.arr_map[phi]]) for _, phi in legs]
@@ -159,6 +182,7 @@ def epsdelta_at_arrow(
 def epsdelta_at_object(
     fun: Functor, src: Metric1Space, dst: Metric1Space, x0: int, direction: str
 ) -> bool:
+    require_functor(fun)
     cat = src.category
     pool = cat.arrows_to(x0) if direction == FORWARD else cat.arrows_from(x0)
     return _epsdelta([(src.w[a], dst.w[fun.arr_map[a]]) for a in pool])

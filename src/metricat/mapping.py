@@ -14,15 +14,17 @@ composites and the sup-of-component weights.
 one plan (`NaturalitySquares`) built once for the source and target: a
 component domain per object and one check per variable for the squares it
 closes, both reading the pair's images from the search's given values, so
-a pair costs no set-up.  Each functor's maps are read once, and one that is
-short, dangling or incompatible with its object map is refused with
-PreconditionError.  Each search hands back component rows, and every row is
-re-checked in one pass over its components' endpoints and its squares,
-independent of the plan; only a failure builds a `validate_transformation`
-report, which raises.  One budget bounds all of [X, Y]: the functor
-search, every transformation search, and the arrows and composition
-entries, charged pair by pair as [X, Y] grows, so an [X, Y] too large is
-refused before its last searches run.  Every check reads the rows
+a pair costs no set-up.  Each functor's maps are read once, and its shape
+is checked once: `enumerate_transformations` refuses a map that is short,
+dangling or incompatible with its object map with PreconditionError, and
+in [X, Y] the re-check of each enumerated functor is the only one.  Each
+search hands back component rows, and every row is re-checked in one pass
+over its components' endpoints and its squares, independent of the plan;
+only a failure builds a `validate_transformation` report, which raises.
+One budget bounds all of [X, Y]: the functor search, every transformation
+search, and the arrows and composition entries, charged pair by pair as
+[X, Y] grows, so an [X, Y] too large is refused before its last searches
+run.  Every check reads the rows
 (`FiniteCategory.after`) of the categories involved.  The table of [X, Y]
 is filled column-wise: the arrows out of each functor are held as columns
 of components, each column is mapped through one row of the target, and
@@ -49,7 +51,7 @@ from .fincat import (
 from .record import Record
 from .weight import ZERO, Weight
 from .weights import Metric1Space
-from .continuity import uniformly_continuous
+from .continuity import _uniformly_continuous
 
 
 def enumerate_functors(
@@ -115,8 +117,13 @@ class NaturalitySquares:
         if F.source != self.source or F.target != self.target:
             raise PreconditionError("functors do not share source and target")
         require_functor(F)
-        return [*map(F.obj_map.__getitem__, range(len(self.source.objects))),
-                *map(F.arr_map.__getitem__, range(len(self.source.arrows)))]
+        return _images(F)
+
+
+def _images(F: Functor) -> list[int]:
+    """`NaturalitySquares.images` of a functor already checked."""
+    return [*map(F.obj_map.__getitem__, range(len(F.source.objects))),
+            *map(F.arr_map.__getitem__, range(len(F.source.arrows)))]
 
 
 def _commuting(after: list[dict], squares: list[tuple[int, int, int, int]]):
@@ -189,8 +196,10 @@ def mapping_space(
     budget = Budget.of(guard)
     funs = []
     for f in enumerate_functors(X.category, Y.category, budget):
+        # the re-check checks f's shape; the continuity test and the
+        # images below read f unchecked
         validate_functor(f).require_ok("enumerated functor")
-        if uniformly_continuous(f, X, Y).holds:
+        if _uniformly_continuous(f, X, Y).holds:
             funs.append(f)
     n = len(X.category.objects)
     squares = NaturalitySquares(X.category, Y.category)
@@ -198,7 +207,7 @@ def mapping_space(
     x_squares = [(a.dom, a.cod, a.id) for a in x_arrows]
     y_doms, y_cods = [a.dom for a in y_arrows], [a.cod for a in y_arrows]
     # per functor, the images of the objects then of the arrows, in id order
-    images = list(map(squares.images, funs))
+    images = list(map(_images, funs))
     domains, plan = squares.domains, squares.plan
     transformations: list[NatTransformation] = []
     rows: list[tuple[int, ...]] = []  # a transformation's component ids in object order

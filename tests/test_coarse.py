@@ -246,6 +246,26 @@ def test_roundtrip_on_fixtures_and_random_spaces():
             assert coarse_roundtrip_check(sp)
 
 
+def test_roundtrip_fails_when_finite_steps_compose_to_infinity():
+    # 0 -> 1 -> 2 with steps of weight 1 and their composite of weight inf:
+    # the steps enter the chain at F_2 and their composite at F_3, so the
+    # finite-weight arrows are not closed under composition
+    sp = support.chain_space([1, 1])
+    cat = sp.category
+    composite = next(a.id for a in cat.arrows if (a.dom, a.cod) == (0, 2))
+    w = list(sp.w)
+    w[composite] = Weight.infinite()
+    sp = Metric1Space(cat, tuple(w))
+    assert not coarse_roundtrip_check(sp)
+    assert metrize(bounded_generators(sp)).w[composite] == Weight(3)
+
+
+def test_roundtrip_needs_no_budget_for_large_weights():
+    # bounded_generators refuses this family (see above); the closure test
+    # reads the weights once and finds every arrow finite
+    assert coarse_roundtrip_check(support.indiscrete_space([[0, 10**6], [10**6, 0]]))
+
+
 def test_domination_is_top_set_containment():
     cat = indiscrete(2)
     small = CoarseGenerators(cat, (frozenset({0}),), 0)

@@ -335,3 +335,20 @@ def test_a_short_or_dangling_functor_map_is_a_precondition(reader, field, broken
     bad = Functor(space.category, space.category, maps["obj_map"], maps["arr_map"])
     with pytest.raises(PreconditionError, match=f"^not a functor: {named}$"):
         FUNCTOR_READERS[reader](bad, space)
+
+
+POINTWISE_READERS = {
+    "forward_continuous_at_arrow": lambda F, sp: forward_continuous_at_arrow(F, sp, sp, 4),
+    "object_continuity": lambda F, sp: object_continuity(F, sp, sp, 0, BACKWARD),
+    "epsdelta_at_arrow": lambda F, sp: epsdelta_at_arrow(F, sp, sp, 1, FORWARD),
+    "epsdelta_at_object": lambda F, sp: epsdelta_at_object(F, sp, sp, 0, FORWARD),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(POINTWISE_READERS))
+def test_pointwise_checks_refuse_an_empty_arrow_map(reader):
+    # the checks at one arrow or object used to end in a bare KeyError
+    space = support.line_space([0, 1, 2])
+    bad = Functor(space.category, space.category, identity_functor(space.category).obj_map, {})
+    with pytest.raises(PreconditionError, match="^not a functor: arrow map missing or dangling at arrow 0$"):
+        POINTWISE_READERS[reader](bad, space)

@@ -914,13 +914,24 @@ def test_coarse_roundtrip_check_matches_the_metrizing_round_trip():
     rng = random.Random(109)
     spaces = [sp for _, sp in cases(109) if not sp.category.structural_errors() and total(sp.category)]
     spaces += kernel_shaped(rng) + kernel_sized(rng) + ci_metrize_spaces()
-    verdicts, infinite = Counter(), 0
+    spaces += [reweighted(rng, sp) for sp in spaces[:120]]
+    verdicts, infinite, infinite_identity = Counter(), 0, 0
     for space in spaces:
         got = coarse_roundtrip_check(space)
         assert got == ref_coarse_roundtrip_check(space)
         verdicts[got] += 1
         infinite += any(w.is_infinite for w in space.w)
-    assert verdicts[True] > 100 and verdicts[False] and infinite > 10, (verdicts, infinite)
+        infinite_identity += any(space.w[i].is_infinite for i in space.category.identity.values())
+    assert verdicts[True] > 100 and verdicts[False] > 40 and infinite > 100, (verdicts, infinite)
+    assert infinite_identity > 10, infinite_identity
+
+
+def reweighted(rng, space: Metric1Space) -> Metric1Space:
+    """The category of `space` with random weights in {0, ..., 5, inf} on
+    every arrow, identities included: small, since the reference builds
+    one generator set per integer up to the largest."""
+    w = [Weight(None) if rng.random() < 0.3 else Weight(rng.randint(0, 5)) for _ in space.w]
+    return Metric1Space(space.category, tuple(w))
 
 
 def fixture_spaces(seed: int):
