@@ -16,10 +16,10 @@ from enum import IntEnum
 from typing import NamedTuple
 
 from .errors import Budget, PreconditionError, TheoremViolation
-from .continuity import forward_continuous, uniformly_continuous
+from .continuity import _forward_at_arrow, _uniformly_continuous
 from .fincat import (
     Functor, ValidationReport, backtrack, composition_checks, is_groupoid, opposite,
-    opposite_functor, validate_functor,
+    opposite_functor, require_functor, validate_functor,
 )
 from .weights import Metric1Space, lawvere, opposite_space
 
@@ -44,14 +44,22 @@ class Dagger(NamedTuple):
         return self.mapping[aid]
 
 
+_UNCOVERED = "dagger table does not cover the arrows"
+
+
+def _covers(space: Metric1Space, dag: Dagger) -> bool:
+    """The table has one entry per arrow, each the id of an arrow."""
+    m = len(space.category.arrows)
+    return len(dag.mapping) == m and all(0 <= v < m for v in dag.mapping)
+
+
 def validate_dagger(space: Metric1Space, dag: Dagger) -> ValidationReport:
     """The dagger laws, exhaustively: the table covers the arrows, the
     identity-on-objects functor into the opposite category it defines
     (`dagger_functor`) passes `validate_functor`, and its arrow map is an
     involution."""
-    m = len(space.category.arrows)
-    if len(dag.mapping) != m or any(not (0 <= v < m) for v in dag.mapping):
-        return ValidationReport("dagger", ["dagger table does not cover the arrows"])
+    if not _covers(space, dag):
+        return ValidationReport("dagger", [_UNCOVERED])
     report = validate_functor(dagger_functor(space, dag)[0])
     report.subject = "dagger"
     mapping = dag.mapping
@@ -85,22 +93,28 @@ def classify_dagger(space: Metric1Space, dag: Dagger) -> SymmetryClass:
     """Strongest satisfied tier: iso, uniform, continuous, or none.
 
     Also exercises the observation that one-sided weight decrease under the
-    dagger already forces iso (apply the dagger twice).
+    dagger already forces iso (apply the dagger twice).  Raises
+    PreconditionError on a table that does not cover the arrows, and on
+    one whose functor has the wrong shape once the weights do not decide.
     """
-    wpres = all(space.w[dag.apply(a.id)] == space.w[a.id] for a in space.category.arrows)
-    decreasing = all(space.w[dag.apply(a.id)] <= space.w[a.id] for a in space.category.arrows)
+    if not _covers(space, dag):
+        raise PreconditionError(_UNCOVERED)
+    w, arrows = space.w, range(len(dag.mapping))
+    wpres = all(w[dag.mapping[a]] == w[a] for a in arrows)
+    decreasing = all(w[dag.mapping[a]] <= w[a] for a in arrows)
     if decreasing and not wpres:
         raise TheoremViolation("w(psi^dagger) <= w(psi) everywhere must already force equality")
     if wpres:
         return SymmetryClass.ISO
     fun, op_space = dagger_functor(space, dag)
-    if uniformly_continuous(fun, space, op_space).holds:
+    require_functor(fun)  # and so of its opposite, which has the same maps
+    if _uniformly_continuous(fun, space, op_space).holds:
         return SymmetryClass.UNIFORM
     # backward continuity is forward continuity of the opposite functor,
     # which runs from op_space to the opposite of op_space, i.e. to space
-    if (
-        forward_continuous(fun, space, op_space).holds
-        and forward_continuous(opposite_functor(fun), op_space, space).holds
+    op_fun = opposite_functor(fun)
+    if all(_forward_at_arrow(fun, space, op_space, a).holds for a in arrows) and all(
+        _forward_at_arrow(op_fun, op_space, space, a).holds for a in arrows
     ):
         return SymmetryClass.CONTINUOUS
     return SymmetryClass.NONE

@@ -16,28 +16,40 @@ common integer rescaling of both matrices, that are required to agree exactly:
   triangles r_p + r_q >= v then give per pattern
   h*(D) = max(0, max over lower triangles (v - sp(D,p) - sp(D,q)) / 2).
 
-* correspondence route: half the minimal distortion over correspondences.
-  Any correspondence contains one of the form graph(f) union
-  transpose-graph(g), and shrinking it never increases distortion, so the
-  pairs of maps (f, g) are exhaustive.
+* correspondence route: half the minimal distortion over correspondences,
+  by one depth-first search that places a cell (x, y) per step: first a
+  partner in Y for each x, then a partner in X for each y that no x took.
+  This is exhaustive.  Take any correspondence R.  For each x pick a
+  partner f(x) with (x, f(x)) in R.  Every y outside f(X) also has some
+  partner x_y in R.  So R contains S = graph(f) union {(x_y, y) : y not in
+  f(X)}.  S is itself a correspondence, and dis S <= dis R, because a
+  distortion is a maximum over pairs of cells.  The search enumerates
+  exactly these sets S: a y that f hits needs no cell of its own, as any x
+  in f^-1(y) serves as its partner.  The larger side places first, so the
+  points the search completes are the fewer.
 
 Each route keeps the least value found so far (the incumbent) and skips
 only what provably cannot beat it, so the minimum is unchanged:
 
-* half maps.  A pattern's D is the union of the cells of f and of g, so
-  sp(D, p) <= sp(f, p) and 2 h*(D) >= LB(f) = max over lower triangles of
-  v - sp(f,p) - sp(f,q); graph(f) union transpose-graph(g) has distortion at
-  least dis(f).  Both bounds never fall as a partial map grows: a new cell
-  only lowers sp(D, p), and a distortion is a maximum over more pairs.  So a
-  depth-first search builds f and g, cutting a prefix with every completion
-  once its bound reaches the incumbent.  Pairing an onto f with a section g
-  of it (g(y) in f^-1(y)) designates only the cells of f and induces the
-  correspondence graph(f), so f's own bound is attained: each onto map the
-  search completes lowers the incumbent to it.
+* cells.  A correspondence cell's bound is the distortion of the cells
+  placed so far together with it.  Along a search path it never falls, as
+  a new cell only adds pairs to the maximum, and every completed S attains
+  its bound.  So each step tries its cells least bound first and cuts at
+  the incumbent, and each set it completes lowers the incumbent to its
+  distortion and becomes the witness.
 
-* pair scans.  The kept f and g are scanned in bound order; a loop stops
-  once the bound reaches the incumbent, and the scan of one pair once its
-  partial maximum does.
+* half maps (gluing route).  A pattern's D is the union of the cells of f
+  and of g, so sp(D, p) <= sp(f, p) and 2 h*(D) >= LB(f) = max over lower
+  triangles of v - sp(f,p) - sp(f,q).  The bound never falls as a partial
+  map grows: a new cell only lowers sp(D, p).  So a depth-first search
+  builds f and g, cutting a prefix with every completion once its bound
+  reaches the incumbent.  Pairing an onto f with a section g of it (g(y)
+  in f^-1(y)) designates only the cells of f, so f's own bound is
+  attained: each onto map the search completes lowers the incumbent to it.
+
+* pair scans (gluing route).  The kept f and g are scanned in bound order;
+  a loop stops once the bound reaches the incumbent, and the scan of one
+  pair once its partial maximum does.
 
 * the diameter bound GH(X, Y) >= |diam X - diam Y| / 2 (Burago-Burago-
   Ivanov, A Course in Metric Geometry, 2001): a correspondence pairs the
@@ -54,28 +66,27 @@ only what provably cannot beat it, so the minimum is unchanged:
   same holds with X and Y swapped.  Every point has a partner, so dis R is
   also at least the Hausdorff distance between the two sets of
   eccentricities, which is at least |diam X - diam Y|.  The correspondence
-  route raises the bound of placing x on y to the first and its floor to
-  the second; an onto f still attains its bound, as graph(f) holds every
-  pair f places.
+  route raises the bound of each cell (x, y) to the first and stops once
+  the incumbent reaches the second; a completed set still attains its
+  bound, as it holds every cell placed.
 
-* the gluing route starts from the correspondence witness: with its value
-  d the correspondence route returns a correspondence R with dis R = d, its
-  best pair of maps or the onto map whose bound set its incumbent.  The
-  gluing r(x, y) = dis R / 2 + min over (x', y') in R of d(x, x') + d(y', y)
-  is a semimetric with Hausdorff distance dis R / 2 (Burago-Burago-Ivanov,
-  Thm 7.3.25), and it is the largest feasible r of the pattern that
-  designates R's cells at h = dis R / 2, so that pattern has 2 h* <= d.
-  The route evaluates it in its closed form and takes it as its first
-  incumbent.  Where that value is the diameter floor the route returns it
-  before any search, which is exact: every pattern's bound is raised to
-  the floor, so every half map would be cut at the root and the pair scan
-  would stop before its first pair.  The start only prunes from above:
-  the search below it is exhaustive, so a wrong low gluing value is still
-  found, and a wrong witness costs time but never changes the value
-  returned.  The route never uses the eccentricity bound: a floor taken
-  from correspondence theory could lift a wrong, low gluing value to the
-  right one, and the agreement check is worth what the routes'
-  independence makes it.
+* the gluing route starts from the correspondence witness: with its value d
+  the correspondence route returns a correspondence R with dis R = d, the
+  last set its search completed.  The gluing r(x, y) = dis R / 2 + min over
+  (x', y') in R of d(x, x') + d(y', y) is a semimetric with Hausdorff
+  distance dis R / 2 (Burago-Burago-Ivanov, Thm 7.3.25), and it is the
+  largest feasible r of the pattern that designates R's cells at h =
+  dis R / 2, so that pattern has 2 h* <= d.  The route evaluates it in its
+  closed form and takes it as its first incumbent.  Where that value is the
+  diameter floor the route returns it before any search, which is exact:
+  every pattern's bound is raised to the floor, so every half map would be
+  cut at the root and the pair scan would stop before its first pair.  The
+  start only prunes from above: the search below it is exhaustive, so a
+  wrong low gluing value is still found, and a wrong witness costs time but
+  never changes the value returned.  The route never uses the eccentricity
+  bound: a floor taken from correspondence theory could lift a wrong, low
+  gluing value to the right one, and the agreement check is worth what the
+  routes' independence makes it.
 
 * gluing steps rescan only what they change.  Along a search path a
   pattern only gains designated cells, so its row of shortest distances
@@ -89,9 +100,11 @@ The Lipschitz distance is likewise a branch-and-bound over bijections that
 cuts a branch once the constant of its fixed pairs reaches the best found,
 and stops once the best reaches the diameter floor
 max(diam X / diam Y, diam Y / diam X).
-Each call charges one work budget (`errors.Budget`): GH `width` units per
-half-map extension and one per pair of maps scanned, Lipschitz one per
-extension, a slice or bi-metric space its arrows and composition entries.
+Each call charges one work budget (`errors.Budget`): GH one "half-map
+step" per cell a correspondence step weighs and, in the gluing route,
+`width` per half-map extension and one per pair of maps scanned, Lipschitz
+one per extension, a slice or bi-metric space its arrows and composition
+entries.
 """
 from __future__ import annotations
 
@@ -334,14 +347,13 @@ def _eccentricity_floor(ecc_x: list[int], ecc_y: list[int]) -> int:
     return _hausdorff([[abs(a - b) for b in ecc_y] for a in ecc_x])
 
 
-def _bounded_maps(length, width, step, cap, budget, phase, transpose=False):
+def _bounded_maps(length, width, step, cap, budget, phase):
     """The maps range(length) -> range(width) a depth-first search completes
     below cap[0], as (bound, map, state), least bound first.  `step(state,
     prefix, j)` gives the (bound, state) of `prefix` extended by j (state
     None for the empty prefix).  A prefix is cut once its bound reaches
-    cap[0]; a completed onto map lowers cap[0] to its bound and sets cap[1]
-    to its graph, the cells (i, map[i]), each one swapped when `transpose`.
-    Each extension charges `budget` its `width` steps."""
+    cap[0]; a completed onto map lowers cap[0] to its bound.  Each
+    extension charges `budget` its `width` steps."""
     kept, prefix = [], []
 
     def extend(state, covered):
@@ -356,8 +368,6 @@ def _bounded_maps(length, width, step, cap, budget, phase, transpose=False):
                 kept.append((bound, (*prefix, j), child))
                 if onto == width:
                     cap[0] = bound
-                    graph = enumerate((*prefix, j))
-                    cap[1] = tuple((b, a) for a, b in graph) if transpose else tuple(graph)
             else:
                 prefix.append(j)
                 extend(child, onto)
@@ -368,74 +378,56 @@ def _bounded_maps(length, width, step, cap, budget, phase, transpose=False):
     return kept
 
 
-def _distortion_step(d_src, d_dst, ecc_src: list[int], ecc_dst: list[int], floor: int):
-    """Search step for maps src -> dst: bound and state are the distortion
-    of the fixed pairs, raised to the eccentricity bound |ecc x - ecc y| of
-    each placed pair (x, y), from the eccentricities of both sides, and to
-    `floor`."""
-    # cost[x][y]: the bound of placing x on y
-    cost = [[max(floor, abs(e - f)) for f in ecc_dst] for e in ecc_src]
-
-    def step(dis, prefix, j):
-        k = len(prefix)
-        if not prefix:
-            return cost[0][j], cost[0][j]
-        row = d_dst[j]
-        dis = max(dis, cost[k][j], *map(abs, map(sub, d_src[k], map(row.__getitem__, prefix))))
-        return dis, dis
-
-    return step
-
-
 def _gh_correspondences(dx: list[list[int]], dy: list[list[int]], budget=None):
     """Minimal distortion over correspondences, in the integer scale, and a
-    correspondence that attains it, as a tuple of cells (x, y).
-
-    Scans pairs (f: X -> Y, g: Y -> X); the induced correspondence is
-    graph(f) union transposed graph(g), and this family realises the
-    minimum (see module docstring).  Its distortion is at least that of f
-    and of g, so both are scanned in distortion order and cut at the
-    incumbent.  The witness is the best pair scanned, or else the onto map
-    whose bound set the incumbent.  The searches and the pairs scanned
-    charge `budget` (a new default one when None).
-    """
+    correspondence that attains it, as a sorted tuple of cells (x, y): one
+    depth-first search over cells, the larger side placing first, cut at
+    the incumbent and stopped at the eccentricity floor (see module
+    docstring).  Each step charges `budget` (a new default one when None)
+    the cells it weighs."""
     n, m = len(dx), len(dy)
+    if n < m:
+        best, cells = _gh_correspondences(dy, dx, budget)
+        return best, tuple(sorted((x, y) for y, x in cells))
     budget, phase = Budget.of(budget), "Gromov-Hausdorff correspondence route"
     ecc_x, ecc_y = [max(row) for row in dx], [max(row) for row in dy]
     floor = _eccentricity_floor(ecc_x, ecc_y)
-    cap = [max(map(max, dx + dy)) + 1, None]  # above every distortion
-    f_choices = _bounded_maps(n, m, _distortion_step(dx, dy, ecc_x, ecc_y, floor), cap, budget, phase)
-    g_choices = _bounded_maps(m, n, _distortion_step(dy, dx, ecc_y, ecc_x, floor), cap, budget, phase, True)
-    best, cells = cap
-    pair = None  # the best pair of maps scanned
-    for dis_f, f, _ in f_choices:
-        if best == floor or dis_f >= best:
-            break
-        # cross terms |d(x_i, g(y_j)) - d(f(x_i), y_j)| as (row of dx, j, value)
-        cross_terms = [(dx[i], j, dy[f[i]][j]) for i in range(n) for j in range(m)]
-        scanned = 0
-        for dis_g, g, _ in g_choices:
-            if dis_g >= best:
+    cost = [[max(floor, abs(e - f)) for f in ecc_y] for e in ecc_x]  # the bound of the cell (x, y)
+    best, witness = max(map(max, dx + dy)) + 1, None  # above every distortion
+    xs, ys = [], []  # the cells placed, as parallel lists
+
+    def place(dis):
+        """Search below the cells placed, of bound `dis`; True once the
+        incumbent reaches the floor."""
+        nonlocal best, witness
+        if len(xs) < n:
+            cells = [(len(xs), y) for y in range(m)]
+        else:
+            missed = next((y for y in range(m) if y not in ys), None)
+            if missed is None:
+                best, witness = dis, tuple(sorted(zip(xs, ys)))
+                return dis == floor
+            cells = [(x, missed) for x in range(n)]
+        budget.spend(len(cells), phase, "half-map steps")
+        bounds = sorted(
+            (max(dis, cost[x][y], *map(abs, map(sub, map(dx[x].__getitem__, xs),
+                                                map(dy[y].__getitem__, ys)))), x, y)
+            for x, y in cells
+        )
+        for bound, x, y in bounds:
+            if bound >= best:
                 break
-            scanned += 1
-            dis = max(dis_f, dis_g)
-            for row_x, j, value in cross_terms:
-                cross = abs(row_x[g[j]] - value)
-                if cross > dis:
-                    dis = cross
-                    if dis >= best:
-                        break
-            else:
-                best, pair = dis, (f, g)
-                if best == floor:
-                    break
-        budget.spend(scanned, phase, "map pairs")
-    if pair is not None:
-        f, g = pair
-        cells = tuple(sorted({*enumerate(f), *((x, y) for y, x in enumerate(g))}))
-    if cells is None:
-        raise TheoremViolation("no onto map or pair of maps between non-empty spaces was scanned")
-    return best, cells
+            xs.append(x)
+            ys.append(y)
+            done = place(bound)
+            xs.pop()
+            ys.pop()
+            if done:
+                return True
+        return False
+
+    place(floor)
+    return best, witness
 
 
 def _gh_gluings(dx: list[list[int]], dy: list[list[int]], budget=None, start=None) -> Fraction:
@@ -470,7 +462,7 @@ def _gh_gluings(dx: list[list[int]], dy: list[list[int]], budget=None, start=Non
         for c, other in (p, q), (q, p):
             values[c].append(v)
             others[c].append(other)
-    cap = [max(map(max, dx + dy)) + 1, None]  # above every bound
+    cap = [max(map(max, dx + dy)) + 1]  # above every bound
 
     def rescan(near, value, fallen):
         """Twice h* of the pattern whose row of shortest distances to its

@@ -114,14 +114,27 @@ def test_gh_charges_the_pairs_it_scans():
             self.spent.append((k, units))
             super().spend(k, phase, units)
 
+    def charges(route, *args):
+        budget = Recording()
+        budget.spent = []
+        route(dx, dy, budget, *args)
+        pairs = sum(k for k, units in budget.spent if units == "map pairs")
+        steps = sum(k for k, units in budget.spent if units == "half-map steps")
+        assert pairs + steps == budget.used
+        return pairs, steps
+
     x, y = gh_pair()
     scale = math.lcm(x.scale, y.scale)
-    budget = Recording()
-    budget.spent = []
-    _gh_correspondences(x.scaled(scale), y.scaled(scale), budget)
-    pairs = sum(k for k, units in budget.spent if units == "map pairs")
-    steps = sum(k for k, units in budget.spent if units == "half-map steps")
-    assert pairs > 0 and steps > 0 and pairs + steps == budget.used
+    dx, dy = x.scaled(scale), y.scaled(scale)
+    # the correspondence route scans no pairs: it places one cell per step
+    pairs, steps = charges(_gh_correspondences)
+    assert pairs == 0 and steps > 0
+    # the gluing route, started above the diameter floor, searches half maps
+    # and scans their pairs
+    distortion, cells = _gh_correspondences(dx, dy)
+    assert distortion > _diameter_floor(dx, dy)
+    pairs, steps = charges(_gh_gluings, cells)
+    assert pairs > 0 and steps > 0
 
 
 def test_a_shared_budget_is_charged_in_place():

@@ -17,6 +17,7 @@ from metricat.dagger import (
     Dagger,
     SymmetryClass,
     canonical_groupoid_dagger,
+    classified_daggers,
     classify_dagger,
     enumerate_daggers,
     symmetry_hierarchy,
@@ -130,6 +131,29 @@ def test_none_tier_fixture():
     dag = Dagger(tuple(mapping))
     assert validate_dagger(sp, dag).ok
     assert classify_dagger(sp, dag) == SymmetryClass.NONE
+
+
+def test_classify_dagger_refuses_a_table_that_does_not_cover_the_arrows():
+    # a short table and an id past the arrows ended in a bare IndexError,
+    # and negative ids read their weights from the end of the table
+    sp = support.max_monoid_space(3)
+    for table in ((), (99, 99, 99), (-3, -2, -1)):
+        with pytest.raises(PreconditionError, match="^dagger table does not cover the arrows$"):
+            classify_dagger(sp, Dagger(table))
+
+
+def test_classify_dagger_checks_the_functor_shape_once(monkeypatch):
+    # a dagger that is not uniformly continuous reaches both continuity
+    # checks, which used to check its shape and its opposite's again
+    from metricat import fincat
+
+    sp = support.bimetric_fixture(0, 1, 1)
+    daggers = [dag for dag, cls in classified_daggers(sp)[1] if cls == SymmetryClass.NONE]
+    calls = []
+    real = fincat.shape_errors
+    monkeypatch.setattr(fincat, "shape_errors", lambda fun: calls.append(fun) or real(fun))
+    assert [classify_dagger(sp, dag) for dag in daggers] == [SymmetryClass.NONE]
+    assert len(calls) == 1
 
 
 def test_enumerate_daggers_examples():

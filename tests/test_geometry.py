@@ -205,6 +205,22 @@ def test_gh_symmetry_and_guard():
         gh_distance(support.rand_metric(rng, 10), support.rand_metric(rng, 10))
 
 
+def test_gh_decides_a_9x9_pair_under_the_default_budget():
+    # a search over pairs of maps ran out of the budget on this pair
+    rng = random.Random(1)
+    x, y = support.rand_metric(rng, 9), support.rand_metric(rng, 9)
+    assert gh_distance(x, y) == Fraction(7, 12)
+
+
+def test_gh_places_the_larger_side_first():
+    # placing a partner for each of the 4 points first leaves the 12 points
+    # to complete, which runs out of the budget; the 12 points place first
+    # in either argument order
+    rng = random.Random(4)
+    x, y = support.rand_metric(rng, 4), support.rand_metric(rng, 12)
+    assert gh_distance(x, y) == gh_distance(y, x) == Fraction(7, 6)
+
+
 def test_gh_rejects_a_matrix_that_breaks_the_triangle_inequality():
     # the constructor checks the axioms, so gh_distance never sees this matrix
     rows = tuple(tuple(Fraction(v) for v in row) for row in ((0, 1, 5), (1, 0, 1), (5, 1, 0)))
